@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .corpus import (Dataset, Sentence, TagScheme, load_embeddings, read_conll)
+from .corpus import (Sentence, TagScheme, load_embeddings, read_conll)
 from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, NumericError
 from .evaluation import evaluation_report, extract_entities
@@ -265,10 +265,6 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> in
     return 0
 
 
-def _spans_by_id(dataset: Dataset) -> dict:
-    return {s.id: extract_entities(s.tags, dataset.scheme)[0] for s in dataset.sentences}
-
-
 def _format_report_table(report: dict) -> str:
     rows = [("overall", report["overall"])]
     rows += [(f"type {t}", m) for t, m in report["per_type"].items()]
@@ -291,8 +287,12 @@ def cmd_eval(cfg: dict, text_table: bool = False) -> int:
                 f"prediction file has {len(pred_set.sentences)} sentences, "
                 f"gold has {len(gold_set.sentences)}"
             )
-        report = evaluation_report(gold_set.sentences, _spans_by_id(gold_set),
-                                   _spans_by_id(pred_set))
+        for gold, pred in zip(gold_set.sentences, pred_set.sentences):
+            if pred.chars != gold.chars:
+                raise DataError(f"prediction sentence {pred.id!r} does not have the "
+                                f"characters of gold sentence {gold.id!r}")
+        report = evaluation_report(gold_set.sentences, gold_spans(gold_set),
+                                   gold_spans(pred_set))
     else:
         _require_keys(cfg, "checkpoint_path")
         _check_input_files(cfg, "checkpoint_path")

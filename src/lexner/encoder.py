@@ -7,6 +7,17 @@ One step (the update gate drives the candidate):
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
+Each direction runs over the whole sentence. The input terms X W_g^T + b_g
+do not depend on the recurrence, so they are computed for every position
+before the loop, one GEMM per gate; a step then does only the three U
+matvecs and the gate arithmetic. The forward pass caches the previous
+states and z, r, c as (n, d_h) arrays.
+
+The backward loop carries only d loss / d h from step to step and stores
+the gradients of the three gate pre-activations, each (n, d_h). After the
+loop, every weight and bias gradient, and dX, is a few GEMMs over them.
+Every buffer takes the dtype of the input X.
+
 Both directions start from zero states; position i's hidden state is the
 concatenation [fwd_i ; bwd_i]. The global sentence feature g defaults to
 the last position's full state (g_mode="last"); g_mode="fwd_last_bwd_first"
@@ -34,75 +45,51 @@ def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, n
     return gates
 
 
-def gru_step(x, h_prev, gates):
-    """One recurrence step; returns (h, cache) with cache for the backward pass."""
-    if x.shape[0] != gates["W_z"].shape[1] or h_prev.shape[0] != gates["U_z"].shape[1]:
+def _run_direction(X, gates, reverse):
+    d_h, d_in = gates["W_z"].shape
+    if X.ndim != 2 or X.shape[1] != d_in or gates["U_z"].shape != (d_h, d_h):
         raise ShapeError(
-            f"gru_step shapes do not conform: x {x.shape}, h_prev {h_prev.shape}, "
+            f"encoder shapes do not conform: X {X.shape}, "
             f"W_z {gates['W_z'].shape}, U_z {gates['U_z'].shape}"
         )
-    z = sigmoid(gates["W_z"] @ x + gates["U_z"] @ h_prev + gates["b_z"])
-    r = sigmoid(gates["W_r"] @ x + gates["U_r"] @ h_prev + gates["b_r"])
-    c = tanh(gates["W_h"] @ x + gates["U_h"] @ (r * h_prev) + gates["b_h"])
-    h = (1.0 - z) * h_prev + z * c
-    return h, (x, h_prev, z, r, c)
-
-
-def gru_step_backward(dh, cache, gates, grads):
-    """Backprop one step; accumulates gate gradients, returns (dx, dh_prev)."""
-    x, h_prev, z, r, c = cache
-
-    dc = dh * z
-    dz = dh * (c - h_prev)
-    dh_prev = dh * (1.0 - z)
-
-    da_c = dc * (1.0 - c * c)
-    grads["W_h"] += np.outer(da_c, x)
-    grads["U_h"] += np.outer(da_c, r * h_prev)
-    grads["b_h"] += da_c
-    dx = gates["W_h"].T @ da_c
-    drh = gates["U_h"].T @ da_c
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    da_z = dz * z * (1.0 - z)
-    grads["W_z"] += np.outer(da_z, x)
-    grads["U_z"] += np.outer(da_z, h_prev)
-    grads["b_z"] += da_z
-    dx += gates["W_z"].T @ da_z
-    dh_prev = dh_prev + gates["U_z"].T @ da_z
-
-    da_r = dr * r * (1.0 - r)
-    grads["W_r"] += np.outer(da_r, x)
-    grads["U_r"] += np.outer(da_r, h_prev)
-    grads["b_r"] += da_r
-    dx += gates["W_r"].T @ da_r
-    dh_prev = dh_prev + gates["U_r"].T @ da_r
-
-    return dx, dh_prev
-
-
-def _run_direction(X, gates, reverse):
     n = X.shape[0]
-    d_h = gates["b_z"].shape[0]
-    H = np.empty((n, d_h), dtype=X.dtype)
-    caches = [None] * n
+    A_z = X @ gates["W_z"].T + gates["b_z"]
+    A_r = X @ gates["W_r"].T + gates["b_r"]
+    A_c = X @ gates["W_h"].T + gates["b_h"]
+    U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
+    H, H_prev, Z, R, C = (np.empty((n, d_h), dtype=X.dtype) for _ in range(5))
     h = np.zeros(d_h, dtype=X.dtype)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        h, caches[t] = gru_step(X[t], h, gates)
-        H[t] = h
-    return H, caches
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        H_prev[t] = h
+        z = Z[t] = sigmoid(A_z[t] + U_z @ h)
+        r = R[t] = sigmoid(A_r[t] + U_r @ h)
+        c = C[t] = tanh(A_c[t] + U_h @ (r * h))
+        h = H[t] = (1.0 - z) * h + z * c
+    return H, (X, H_prev, Z, R, C)
 
 
-def _run_direction_backward(dH, caches, gates, grads, reverse):
-    n = dH.shape[0]
-    dX = np.zeros((n, gates["W_z"].shape[1]))
-    carry = np.zeros(gates["b_z"].shape[0])
-    order = range(n) if reverse else range(n - 1, -1, -1)
-    for t in order:
-        dX[t], carry = gru_step_backward(dH[t] + carry, caches[t], gates, grads)
-    return dX
+def _run_direction_backward(dH, cache, gates, grads, reverse):
+    X, H_prev, Z, R, C = cache
+    # per-position factors of the pre-activation gradients; only dh varies
+    K_z = (C - H_prev) * Z * (1.0 - Z)
+    K_r = H_prev * R * (1.0 - R)
+    K_c = Z * (1.0 - C * C)
+    keep = 1.0 - Z
+    U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
+    G_z, G_r, G_c = (np.empty_like(Z) for _ in range(3))
+    carry = np.zeros(Z.shape[1], dtype=Z.dtype)
+    for t in (range(Z.shape[0]) if reverse else range(Z.shape[0] - 1, -1, -1)):
+        dh = dH[t] + carry
+        g_c = G_c[t] = dh * K_c[t]
+        drh = g_c @ U_h
+        g_z = G_z[t] = dh * K_z[t]
+        g_r = G_r[t] = drh * K_r[t]
+        carry = dh * keep[t] + drh * R[t] + g_z @ U_z + g_r @ U_r
+    for g, G, inputs in (("z", G_z, H_prev), ("r", G_r, H_prev), ("h", G_c, R * H_prev)):
+        grads[f"W_{g}"] += G.T @ X
+        grads[f"U_{g}"] += G.T @ inputs
+        grads[f"b_{g}"] += G.sum(axis=0)
+    return G_z @ gates["W_z"] + G_r @ gates["W_r"] + G_c @ gates["W_h"]
 
 
 def encode_chars(X, fwd_gates, bwd_gates):
@@ -119,6 +106,7 @@ def encode_backward(dH, cache, fwd_gates, bwd_gates, fwd_grads, bwd_grads):
     """Backprop through both directions; returns dX of shape (n, d_c)."""
     cf, cb = cache
     d_h = fwd_gates["b_z"].shape[0]
+    dH = np.asarray(dH, dtype=cf[0].dtype)
     dX = _run_direction_backward(dH[:, :d_h], cf, fwd_gates, fwd_grads, reverse=False)
     dX += _run_direction_backward(dH[:, d_h:], cb, bwd_gates, bwd_grads, reverse=True)
     return dX

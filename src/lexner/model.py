@@ -150,6 +150,8 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
         raise DataError(f"sentence {inputs.sid!r} has no gold tags")
     lattice, fwd_cache = _forward(store, inputs, cfg, train, rng)
     loss, dO, dT = crf.nll(lattice, inputs.gold)
+    # the CRF works in float64; the backward pass below stays in cfg.dtype
+    dO = dO.astype(cfg.dtype, copy=False)
 
     X, enc_cache, mask_h, fuse_caches, mask_sw, R = fwd_cache
     grads = GradBuffer(store)
@@ -166,7 +168,7 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     word_emb_grad = grads.get("word_emb")
     W_u_grad = grads.get("fusion.W_u")
     b_u_grad = grads.get("fusion.b_u")
-    dg = np.zeros(2 * cfg.d_h)
+    dg = np.zeros(2 * cfg.d_h, dtype=cfg.dtype)
     for i in range(len(inputs)):
         dg += fusion.fuse_backward(dHsw_raw[i], fuse_caches[i], W_u,
                                    word_emb_grad, W_u_grad, b_u_grad)

@@ -9,7 +9,6 @@ cached and return gradients in the same order as the forward inputs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, ShapeError
 
@@ -48,7 +47,8 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    return expit(x)
+    """Logistic function via tanh: cannot overflow, keeps the input dtype."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid_backward(dy, y):

@@ -18,6 +18,7 @@ name = sentence id).
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -170,7 +171,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"{path}: unknown dtype code {code} (entry {name!r})")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         dtype = _DTYPES[code]
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)   # Python ints: a huge header cannot wrap
         arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
         arrays[name] = arr.astype(dtype.newbyteorder("="))
     return arrays, meta

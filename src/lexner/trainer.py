@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, TagScheme, build_char_vocab
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
@@ -160,6 +160,12 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         store, meta = ParamStore.load(path)
+        if not isinstance(meta, dict) or meta.get("kind") != "checkpoint":
+            raise FormatError(f"{path}: not a checkpoint container")
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.name != "store" and f.name not in meta]
+        if missing:
+            raise FormatError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
         return cls(
             store=store,
             config=TrainConfig.from_dict(meta["config"]),

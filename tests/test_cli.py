@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from lexner import make_synthetic_corpus, write_conll
 from lexner.cli import main
+from lexner.params import save_arrays
 
 
 @pytest.fixture
@@ -160,6 +162,26 @@ class TestTagEval:
         assert code == 0
         report = json.loads(out)
         assert report["overall"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+    def test_eval_pred_must_line_up_with_gold(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("甲 B-LOC\n乙 E-LOC\n丙 O\n\n", encoding="utf-8")
+        for text in ("甲 B-LOC\n乙 E-LOC\n\n",            # one char short
+                     "甲 B-LOC\n乙 E-LOC\n丁 O\n\n"):     # another char
+            pred = tmp_path / "pred.conll"
+            pred.write_text(text, encoding="utf-8")
+            code, _ = run(capsys, "eval", "-o", f"test_path={gold}",
+                          "-o", f"pred_path={pred}")
+            assert code == 2
+
+    def test_tag_rejects_non_checkpoint_container(self, trained, capsys):
+        tmp_path, cfg_path, text_path, *_ = trained
+        vectors = tmp_path / "vectors.bin"
+        save_arrays(vectors, {"t0": np.zeros((3, 8))})
+        code, out = run(capsys, "tag", "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={vectors}", str(text_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_eval_with_checkpoint(self, trained, capsys):
         _, cfg_path, *_ = trained

@@ -5,8 +5,7 @@ import pytest
 
 from lexner import ParamStore
 from lexner.encoder import (GATE_NAMES, encode_backward, encode_chars,
-                            global_feature, global_feature_backward, gru_step,
-                            gru_step_backward, init_gru_gates)
+                            global_feature, global_feature_backward, init_gru_gates)
 from lexner.errors import ShapeError
 from lexner.numerics import grad_check
 
@@ -34,57 +33,80 @@ def hand_gru_step(x, h, gates):
     return [(1 - zi) * hi + zi * ci for zi, hi, ci in zip(z, h, c)]
 
 
+def hand_encode(X, fwd, bwd):
+    """Both directions by chaining hand_gru_step from zero states."""
+    d_h = fwd["b_z"].shape[0]
+    hf, hb = [0.0] * d_h, [0.0] * d_h
+    out_f, out_b = [], []
+    for x in X:
+        hf = hand_gru_step(x, hf, fwd)
+        out_f.append(hf)
+    for x in X[::-1]:
+        hb = hand_gru_step(x, hb, bwd)
+        out_b.append(hb)
+    return np.hstack([np.array(out_f), np.array(out_b[::-1])])
+
+
 class TestGruStep:
+    """One recurrence step: encode_chars over 1-char sentences."""
+
     def test_matches_hand_computation(self):
         rng = np.random.default_rng(0)
-        gates = make_gates(rng, 3, 4)
-        x, h = rng.normal(size=3), rng.normal(size=4)
-        out, _ = gru_step(x, h, gates)
-        assert np.allclose(out, hand_gru_step(x, h, gates), atol=1e-12)
+        fwd, bwd = make_gates(rng, 3, 4), make_gates(rng, 3, 4)
+        for gates in (fwd, bwd):
+            for b in ("b_z", "b_r", "b_h"):
+                gates[b][...] = rng.normal(size=4)
+        # n > 1 chains steps, so the recurrent weights see non-zero states
+        for n in (1, 4):
+            X = rng.normal(size=(n, 3))
+            H, _ = encode_chars(X, fwd, bwd)
+            assert np.allclose(H, hand_encode(X, fwd, bwd), atol=1e-12)
 
     def test_closed_update_gate_keeps_state(self):
         rng = np.random.default_rng(1)
-        gates = make_gates(rng, 3, 4)
-        gates["b_z"][...] = -50.0   # z ~ 0 -> h ~ h_prev
-        x, h = rng.normal(size=3), rng.normal(size=4)
-        out, _ = gru_step(x, h, gates)
-        assert np.max(np.abs(out - h)) < 1e-12
+        fwd, bwd = make_gates(rng, 3, 4), make_gates(rng, 3, 4)
+        for gates in (fwd, bwd):
+            gates["b_z"][...] = -50.0   # z ~ 0 -> h ~ h_prev, the zero start state
+        H, _ = encode_chars(rng.normal(size=(1, 3)), fwd, bwd)
+        assert np.max(np.abs(H)) < 1e-12
 
     def test_zero_state_reduces(self):
         rng = np.random.default_rng(2)
-        gates = make_gates(rng, 3, 4)
+        fwd, bwd = make_gates(rng, 3, 4), make_gates(rng, 3, 4)
         x = rng.normal(size=3)
-        h = np.zeros(4)
-        out, _ = gru_step(x, h, gates)
-        z = 1.0 / (1.0 + np.exp(-(gates["W_z"] @ x + gates["b_z"])))
-        expected = z * np.tanh(gates["W_h"] @ x + gates["b_h"])
-        assert np.allclose(out, expected, atol=1e-12)
+        H, _ = encode_chars(x[None, :], fwd, bwd)
+        for half, gates in ((H[0, :4], fwd), (H[0, 4:], bwd)):
+            z = 1.0 / (1.0 + np.exp(-(gates["W_z"] @ x + gates["b_z"])))
+            expected = z * np.tanh(gates["W_h"] @ x + gates["b_h"])
+            assert np.allclose(half, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         gates = make_gates(rng, 3, 4)
-        with pytest.raises(ShapeError):
-            gru_step(np.zeros(5), np.zeros(4), gates)
+        for X in (np.zeros((1, 5)), np.zeros(3)):
+            with pytest.raises(ShapeError):
+                encode_chars(X, gates, gates)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         store = ParamStore()
-        x0 = store.add("x", rng.normal(size=3))
-        h0 = store.add("h_prev", rng.normal(size=4))
-        for name, arr in make_gates(rng, 3, 4).items():
-            store.add(name, arr)
-        up = rng.normal(size=4)
+        store.add("X", rng.normal(size=(1, 3)))
+        for d in ("fwd", "bwd"):
+            for name, arr in make_gates(rng, 3, 4).items():
+                store.add(f"{d}.{name}", arr)
+        up = rng.normal(size=(1, 8))
 
         def f():
-            gates = {name: store.value(name) for name in GATE_NAMES}
-            h, cache = gru_step(store.value("x"), store.value("h_prev"), gates)
-            grads = {name: np.zeros_like(gates[name]) for name in GATE_NAMES}
-            dx, dh_prev = gru_step_backward(up, cache, gates, grads)
-            store["x"].grad += dx
-            store["h_prev"].grad += dh_prev
+            fwd = store.values_with_prefix("fwd.")
+            bwd = store.values_with_prefix("bwd.")
+            H, cache = encode_chars(store.value("X"), fwd, bwd)
+            fg = {name: np.zeros_like(arr) for name, arr in fwd.items()}
+            bg = {name: np.zeros_like(arr) for name, arr in bwd.items()}
+            store["X"].grad += encode_backward(up, cache, fwd, bwd, fg, bg)
             for name in GATE_NAMES:
-                store[name].grad += grads[name]
-            return float(np.dot(h, up))
+                store[f"fwd.{name}"].grad += fg[name]
+                store[f"bwd.{name}"].grad += bg[name]
+            return float(np.sum(H * up))
 
         assert grad_check(f, store) < 1e-4
 
@@ -106,9 +128,9 @@ class TestEncodeChars:
         fwd, bwd = make_gates(rng, 3, 4), make_gates(rng, 3, 4)
         X = rng.normal(size=(1, 3))
         H, _ = encode_chars(X, fwd, bwd)
-        hf, _ = gru_step(X[0], np.zeros(4), fwd)
-        hb, _ = gru_step(X[0], np.zeros(4), bwd)
-        assert np.array_equal(H[0], np.concatenate([hf, hb]))
+        hf = hand_gru_step(X[0], [0.0] * 4, fwd)
+        hb = hand_gru_step(X[0], [0.0] * 4, bwd)
+        assert np.allclose(H[0], np.concatenate([hf, hb]), atol=1e-12)
 
     def test_zero_inputs_zero_weights(self):
         gates = {name: np.zeros_like(arr)

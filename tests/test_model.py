@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lexner import build_lexicon
+from lexner import build_lexicon, encoder
 from lexner.corpus import Sentence, TagScheme, build_char_vocab
+from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
@@ -67,6 +68,31 @@ class TestSentenceLoss:
         mcfg = ModelConfig(d_c=4, d_h=4, d_w=3, num_tags=3)
         with pytest.raises(ShapeError):
             init_params(mcfg, 5, np.zeros((2, 7)), rng)
+
+
+class TestFloat32:
+    def test_backward_pass_stays_float32(self, monkeypatch):
+        store, inputs, mcfg = tiny_problem(0, precision="float32")
+        seen = {}
+        encode_chars, encode_backward = encoder.encode_chars, encoder.encode_backward
+
+        def spy_forward(*args):
+            H, cache = encode_chars(*args)
+            seen["H"] = H.dtype
+            return H, cache
+
+        def spy_backward(*args):
+            dX = encode_backward(*args)
+            seen["dX"] = dX.dtype
+            return dX
+
+        monkeypatch.setattr(encoder, "encode_chars", spy_forward)
+        monkeypatch.setattr(encoder, "encode_backward", spy_backward)
+        _, grads = sentence_loss(store, inputs[0], mcfg, train=False)
+        assert seen == {"H": np.float32, "dX": np.float32}
+        bufs = dict(grads.items())
+        assert set(bufs) == set(store.names())
+        assert all(buf.dtype == np.float32 for buf in bufs.values())
 
 
 class TestSentenceNll:

@@ -1,8 +1,14 @@
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexner
 from lexner import GradBuffer, ParamStore
 from lexner.errors import FormatError, NumericError, ShapeError
 from lexner.numerics import (affine, affine_backward, concat, concat_backward,
@@ -105,6 +111,35 @@ class TestElementwise:
                 loss = lambda: float(np.dot(fwd(x), up))
                 dx = bwd(up, fwd(x))
                 assert np.max(np.abs(fd(loss, x) - dx)) < 1e-6
+
+    def test_sigmoid_finite_at_extremes(self):
+        with np.errstate(all="raise"):
+            y = sigmoid(np.array([-1000.0, 1000.0]))
+        assert np.all(np.isfinite(y)) and y[0] == 0.0 and y[1] == 1.0
+
+    def test_sigmoid_keeps_float32(self):
+        x = np.linspace(-5, 5, 7, dtype=np.float32)
+        assert sigmoid(x).dtype == np.float32
+
+    def test_sigmoid_matches_logistic(self):
+        x = np.linspace(-30, 30, 601)
+        assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) < 1e-15
+
+    def test_imports_and_decodes_without_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lexner.diagnostics import tiny_problem\n"
+            "from lexner.model import decode_sentence\n"
+            "store, inputs, mcfg = tiny_problem(0)\n"
+            "print(len(decode_sentence(store, inputs[0], mcfg)) == len(inputs[0]))\n"
+        )
+        src = str(Path(lexner.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
 
     def test_concat_round_trip(self):
         parts = [np.arange(3.0), np.arange(2.0), np.arange(4.0)]
@@ -262,6 +297,18 @@ class TestParamStore:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
             load_arrays(path)
+
+    def test_oversized_shape_rejected(self, tmp_path):
+        # (2**32 - 1)**4 and 2**64 elements: a product in fixed-width
+        # integers wraps and would read them as small or empty arrays
+        for dims in ((2 ** 32 - 1,) * 4, (2 ** 31, 2 ** 31, 4)):
+            path = tmp_path / "huge.bin"
+            path.write_bytes(
+                b"LXC1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 1) + b"x"
+                + struct.pack("<BB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+            )
+            with pytest.raises(FormatError):
+                load_arrays(path)
 
     def test_float32_entries(self, tmp_path):
         path = tmp_path / "f32.bin"

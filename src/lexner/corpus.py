@@ -179,7 +179,7 @@ def _renormalize_edges(tags: list[int], scheme: TagScheme) -> list[int]:
     return fixed
 
 
-def _check_transitions(chars, tags, scheme: TagScheme, where: str) -> None:
+def _check_transitions(tags, scheme: TagScheme, where: str) -> None:
     path = [None] + list(tags) + [None]
     for a, b in zip(path, path[1:]):
         if not scheme.legal_transition(a, b):
@@ -206,7 +206,7 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
     block_start = 1
     n_read = 0
 
-    def flush(last_line: int) -> None:
+    def flush() -> None:
         nonlocal chars, tags, oversize, n_read
         if not chars:
             return
@@ -214,7 +214,7 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
         n_read += 1
         where = f"{path}: sentence starting at line {block_start}"
         if len(chars) <= max_len:
-            _check_transitions(chars, tags, scheme, where)
+            _check_transitions(tags, scheme, where)
             sentences.append(Sentence(tuple(chars), tuple(tags), sid))
         else:
             oversize += 1
@@ -224,16 +224,15 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
             for k, a in enumerate(pieces):
                 piece_chars = chars[a:a + max_len]
                 piece_tags = _renormalize_edges(tags[a:a + max_len], scheme)
-                _check_transitions(piece_chars, piece_tags, scheme, where)
+                _check_transitions(piece_tags, scheme, where)
                 sentences.append(Sentence(tuple(piece_chars), tuple(piece_tags), f"{sid}.{k}"))
         chars, tags = [], []
 
     with open(path, encoding="utf-8") as fh:
-        lineno = 0
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
-                flush(lineno)
+                flush()
                 block_start = lineno + 1
                 continue
             parts = stripped.split()
@@ -251,7 +250,7 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
                 raise SchemeError(f"{path}:{lineno}: {exc}") from None
             chars.append(parts[0])
             tags.append(tag_idx)
-        flush(lineno + 1)
+        flush()
 
     ds = Dataset(sentences, split, scheme, oversize_split=oversize)
     log.info("dataset loaded: %s", json.dumps(ds.stats(), ensure_ascii=False))

@@ -81,22 +81,23 @@ def fuse_alphas(cache) -> np.ndarray:
     return payload[-1]
 
 
-def fuse_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
+def fuse_backward(dh, cache, rows, W_u, word_emb_grad, W_u_grad, b_u_grad):
     """Backprop one position; scatters word-row grads, returns dg.
 
-    dg is zero for every strategy that does not consult g.
+    word_emb_grad holds table row rows[k] in row k, where `rows` are the sorted
+    ids of the sentence's matched words. dg is zero unless the strategy uses g.
     """
     kind, payload = cache
     if kind == "empty":
         return 0.0
+    local = np.searchsorted(rows, payload[0])     # every payload starts with the ids
     if kind == "average":
-        ids, alpha = payload
-        m = len(ids)
-        np.add.at(word_emb_grad, ids, np.tile(dh / m, (m, 1)))
+        m = len(local)
+        np.add.at(word_emb_grad, local, np.tile(dh / m, (m, 1)))
         return 0.0
     if kind in ("shortest_first", "longest_first"):
-        ids, pick, _ = payload
-        word_emb_grad[ids[pick]] += dh
+        pick = payload[1]
+        word_emb_grad[local[pick]] += dh
         return 0.0
 
     if kind == "global_attention":
@@ -117,14 +118,5 @@ def fuse_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
     W_u_grad += dU.T @ X
     b_u_grad += dU.sum(axis=0)
     dX += dU @ W_u
-    np.add.at(word_emb_grad, ids, dX)
+    np.add.at(word_emb_grad, local, dX)
     return dg
-
-
-def final_repr(h_sw: np.ndarray, h_c: np.ndarray) -> np.ndarray:
-    """Final per-character representation: [word summary ; encoder state]."""
-    return np.concatenate([h_sw, h_c])
-
-
-def split_final_repr(r: np.ndarray, d_w: int):
-    return r[:d_w], r[d_w:]

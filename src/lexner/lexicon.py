@@ -51,10 +51,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
-    def word_lengths(self) -> tuple[int, ...]:
-        return tuple(len(w) for w in self.words)
-
 
 def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
                   min_word_len: int = 2, max_word_len: int = 10,

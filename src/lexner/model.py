@@ -11,6 +11,7 @@ Parameter names in the store:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -154,7 +155,9 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     dO = dO.astype(cfg.dtype, copy=False)
 
     X, enc_cache, mask_h, fuse_caches, mask_sw, R = fwd_cache
-    grads = GradBuffer(store)
+    word_rows = np.unique(np.fromiter(chain.from_iterable(inputs.word_ids), dtype=np.int64))
+    char_rows, char_local = np.unique(inputs.char_ids, return_inverse=True)
+    grads = GradBuffer(store, rows={"word_emb": word_rows, "char_emb": char_rows})
     grads.get("crf.T")[...] += dT
     dR, dW_o, db_o = crf.emissions_backward(dO, R, store.value("crf.W_o"))
     grads.get("crf.W_o")[...] += dW_o
@@ -170,7 +173,7 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     b_u_grad = grads.get("fusion.b_u")
     dg = np.zeros(2 * cfg.d_h, dtype=cfg.dtype)
     for i in range(len(inputs)):
-        dg += fusion.fuse_backward(dHsw_raw[i], fuse_caches[i], W_u,
+        dg += fusion.fuse_backward(dHsw_raw[i], fuse_caches[i], word_rows, W_u,
                                    word_emb_grad, W_u_grad, b_u_grad)
     encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
 
@@ -182,7 +185,7 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     dX = encoder.encode_backward(dH_raw, enc_cache, fwd_gates, bwd_gates,
                                  fwd_grads, bwd_grads)
     if cfg.char_source == "table":
-        np.add.at(grads.get("char_emb"), inputs.char_ids, dX)
+        np.add.at(grads.get("char_emb"), char_local, dX)
     return loss, grads
 
 

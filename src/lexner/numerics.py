@@ -51,29 +51,8 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def sigmoid_backward(dy, y):
-    return dy * y * (1.0 - y)
-
-
 def tanh(x):
     return np.tanh(x)
-
-
-def tanh_backward(dy, y):
-    return dy * (1.0 - y * y)
-
-
-def concat(parts) -> np.ndarray:
-    return np.concatenate(parts)
-
-
-def concat_backward(dy: np.ndarray, sizes) -> list[np.ndarray]:
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(dy[at:at + s])
-        at += s
-    return out
 
 
 def dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | None = None):

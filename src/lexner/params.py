@@ -159,13 +159,19 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    try:   # take() raises FormatError, which is not a ValueError
+        meta = json.loads(take(meta_len).decode("utf-8"))
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path}: corrupt container metadata ({exc})") from None
     (n_entries,) = struct.unpack("<I", take(4))
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_entries):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: corrupt entry name ({exc})") from None
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} (entry {name!r})")
@@ -184,16 +190,21 @@ class GradBuffer:
     workers each fill their own buffer, and the trainer sums buffers in a
     fixed sentence order, which makes the reduction deterministic no
     matter how many workers ran.
+    `rows` maps a table's name to the sorted, unique ids of the rows a
+    sentence touches; its buffer then holds row ids[k] of the table in row k.
     """
 
-    def __init__(self, store: ParamStore):
+    def __init__(self, store: ParamStore, rows: dict[str, np.ndarray] | None = None):
         self._store = store
+        self._rows = rows or {}
         self._bufs: dict[str, np.ndarray] = {}
 
     def get(self, name: str) -> np.ndarray:
         buf = self._bufs.get(name)
         if buf is None:
-            buf = np.zeros_like(self._store.value(name))
+            value = self._store.value(name)
+            n_rows = len(self._rows.get(name, value))   # every row unless listed
+            buf = np.zeros((n_rows,) + value.shape[1:], dtype=value.dtype)
             self._bufs[name] = buf
         return buf
 
@@ -204,4 +215,5 @@ class GradBuffer:
         for name, buf in self._bufs.items():
             if not np.all(np.isfinite(buf)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            store[name].grad += buf
+            # listed ids are unique, so no update is lost
+            store[name].grad[self._rows.get(name, ...)] += buf

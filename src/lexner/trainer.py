@@ -93,7 +93,11 @@ class TrainConfig:
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8, t: int = 1, clip_norm: float | None = None,
               skip=()) -> None:
-    """Bias-corrected Adam update over every parameter; zeroes gradients after."""
+    """Bias-corrected Adam update over every parameter; zeroes gradients after.
+
+    Works in place, in the operation order of the textbook expressions, so the
+    bits match them. The scratch space is the gradient and one shared array.
+    """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
     for name, p in store.items():
@@ -105,16 +109,31 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0
             scale = clip_norm / total
             for _, p in store.items():
                 p.grad *= scale
+    scratch = np.empty(max((p.value.nbytes for _, p in store.items()), default=0), np.uint8)
     for name, p in store.items():
+        g = p.grad
         if name in skip:
-            p.grad[...] = 0.0
+            g[...] = 0.0
             continue
-        p.m[...] = beta1 * p.m + (1.0 - beta1) * p.grad
-        p.v[...] = beta2 * p.v + (1.0 - beta2) * p.grad ** 2
-        m_hat = p.m / (1.0 - beta1 ** t)
-        v_hat = p.v / (1.0 - beta2 ** t)
-        p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
-        p.grad[...] = 0.0
+        tmp = scratch[:g.nbytes].view(g.dtype).reshape(g.shape)
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(p.m, beta1, out=p.m)
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        np.add(p.m, tmp, out=p.m)
+        # v = beta2 * v + (1 - beta2) * g ** 2
+        np.multiply(p.v, beta2, out=p.v)
+        np.square(g, out=g)
+        np.multiply(g, 1.0 - beta2, out=g)
+        np.add(p.v, g, out=p.v)
+        # value = value - (lr * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(p.v, 1.0 - beta2 ** t, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, eps, out=g)
+        np.divide(p.m, 1.0 - beta1 ** t, out=tmp)
+        np.multiply(tmp, lr, out=tmp)
+        np.divide(tmp, g, out=tmp)
+        np.subtract(p.value, tmp, out=p.value)
+        g[...] = 0.0
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestTagEval:
         save_arrays(vectors, {"t0": np.zeros((3, 8))})
         code, out = run(capsys, "tag", "-c", str(cfg_path),
                         "-o", f"checkpoint_path={vectors}", str(text_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [b"{x}", b"\xff\xfe"], ids=["json", "utf8"])
+    def test_tag_rejects_corrupt_container_metadata(self, workspace, capsys, meta):
+        tmp_path, cfg_path, *_ = workspace
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"LXC1" + struct.pack("<II", 1, len(meta)) + meta
+                        + struct.pack("<I", 0))
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n", encoding="utf-8")
+        code, out = run(capsys, "tag", "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={bad}", str(text_path))
         assert code == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
 

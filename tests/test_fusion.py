@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lexner import ParamStore
-from lexner.fusion import (STRATEGIES, final_repr, fuse_alphas, fuse_backward,
-                           fuse_position, split_final_repr)
+from lexner.fusion import STRATEGIES, fuse_alphas, fuse_backward, fuse_position
 from lexner.numerics import grad_check
 
 
@@ -136,7 +135,9 @@ class TestFuseBackward:
         store.add("W_u", rng.normal(size=(4, 3)))
         store.add("b_u", rng.normal(size=4))
         store.add("g", rng.normal(size=4))
-        ids = list(range(m))
+        # ids out of table order, so block rows and table rows differ
+        ids = [int(i) for i in rng.permutation(m + 2)[:m]]
+        rows = np.unique(ids)
         lengths = sorted(int(rng.integers(2, 6)) for _ in range(m))
         up = rng.normal(size=3)
 
@@ -144,9 +145,10 @@ class TestFuseBackward:
             h, cache = fuse_position(ids, lengths, store.value("word_emb"),
                                      store.value("g"), store.value("W_u"),
                                      store.value("b_u"), strategy)
-            dg = fuse_backward(up, cache, store.value("W_u"),
-                               store["word_emb"].grad, store["W_u"].grad,
-                               store["b_u"].grad)
+            block = np.zeros((len(rows), 3))
+            dg = fuse_backward(up, cache, rows, store.value("W_u"), block,
+                               store["W_u"].grad, store["b_u"].grad)
+            store["word_emb"].grad[rows] += block
             store["g"].grad += dg
             return float(np.dot(h, up))
 
@@ -161,34 +163,16 @@ class TestFuseBackward:
     def test_selection_strategies_gradient_sparse(self):
         rng = np.random.default_rng(8)
         for strategy, pick in (("shortest_first", 0), ("longest_first", 2)):
-            store = ParamStore()
-            word_emb = store.add("word_emb", rng.normal(size=(3, 3)))
-            ids, lengths = [0, 1, 2], [2, 3, 4]
+            word_emb = rng.normal(size=(5, 3))
+            ids, lengths = [3, 0, 4], [2, 3, 4]
+            rows = np.unique(ids)
             up = rng.normal(size=3)
             h, cache = fuse_position(ids, lengths, word_emb, rng.normal(size=4),
                                      rng.normal(size=(4, 3)), rng.normal(size=4),
                                      strategy)
-            fuse_backward(up, cache, np.zeros((4, 3)), store["word_emb"].grad,
+            block = np.zeros((len(rows), 3))
+            fuse_backward(up, cache, rows, np.zeros((4, 3)), block,
                           np.zeros((4, 3)), np.zeros(4))
-            grad = store["word_emb"].grad
-            assert np.array_equal(grad[pick], up)
-            others = [i for i in ids if i != pick]
-            assert np.all(grad[others] == 0.0)
-
-
-class TestFinalRepr:
-    def test_reference_sizes(self):
-        r = final_repr(np.zeros(50), np.zeros(512))
-        assert r.shape == (562,)
-
-    def test_no_lexicon_mode_prefix_zero(self):
-        h_c = np.arange(6.0)
-        r = final_repr(np.zeros(3), h_c)
-        assert np.array_equal(r[:3], np.zeros(3))
-        assert np.array_equal(r[3:], h_c)
-
-    def test_concat_split_round_trip(self):
-        rng = np.random.default_rng(9)
-        h_sw, h_c = rng.normal(size=4), rng.normal(size=10)
-        a, b = split_final_repr(final_repr(h_sw, h_c), 4)
-        assert np.array_equal(a, h_sw) and np.array_equal(b, h_c)
+            at = int(np.searchsorted(rows, ids[pick]))
+            assert np.array_equal(block[at], up)
+            assert np.all(np.delete(block, at, axis=0) == 0.0)

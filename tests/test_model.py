@@ -12,13 +12,14 @@ from lexner.model import (ModelConfig, attention_profile, decode_sentence,
                           sentence_nll)
 
 
-def setup_model(seed=0, char_source="table", fusion="global_attention"):
+def setup_model(seed=0, char_source="table", fusion="global_attention",
+                words=("江城", "城里", "里看")):
     rng = np.random.default_rng(seed)
     scheme = TagScheme("BIOES", ("LOC",))
     sent = Sentence(tuple("去江城里看"),
                     tuple(scheme.index_of(t) for t in ("O", "B-LOC", "E-LOC", "O", "O")),
                     "m0")
-    lex = build_lexicon(["江城", "城里", "里看"], None, dim=3, rng=rng)
+    lex = build_lexicon(list(words), None, dim=3, rng=rng)
     vocab = build_char_vocab([sent])
     mcfg = ModelConfig(d_c=4, d_h=4, d_w=3, num_tags=scheme.size, dropout=0.1,
                        fusion_strategy=fusion, char_source=char_source)
@@ -62,6 +63,22 @@ class TestSentenceLoss:
         for ch in sent.chars:
             assert np.any(emb_grad[vocab[ch]] != 0.0), ch
         assert np.all(emb_grad[vocab["<unk>"]] == 0.0)
+
+    @pytest.mark.parametrize("fusion", STRATEGIES)
+    def test_embedding_gradients_hold_only_touched_rows(self, fusion):
+        # two more words that the sentence does not match
+        store, sent, lex, vocab, mcfg, _ = setup_model(
+            fusion=fusion, words=("江城", "城里", "里看", "北京", "上海"))
+        item = prepare_sentence(sent, lex, vocab, "slk")
+        matched = {w for ws in item.word_ids for w in ws}
+        assert 0 < len(matched) < len(lex)
+        _, grads = sentence_loss(store, item, mcfg, train=False)
+        blocks = dict(grads.items())
+        assert blocks["word_emb"].shape == (len(matched), mcfg.d_w)
+        assert blocks["char_emb"].shape == (len(set(sent.chars)), mcfg.d_c)
+        grads.reduce_into(store)
+        untouched = [w for w in range(len(lex)) if w not in matched]
+        assert np.all(store["word_emb"].grad[untouched] == 0.0)
 
     def test_word_init_width_checked(self):
         rng = np.random.default_rng(0)

@@ -3,18 +3,20 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexner
 from lexner import GradBuffer, ParamStore
 from lexner.errors import FormatError, NumericError, ShapeError
-from lexner.numerics import (affine, affine_backward, concat, concat_backward,
-                             dropout, dropout_backward, grad_check, sigmoid,
-                             sigmoid_backward, softmax, softmax_backward, tanh,
-                             tanh_backward)
+from lexner.numerics import (affine, affine_backward, dropout, dropout_backward,
+                             grad_check, sigmoid, softmax, softmax_backward, tanh)
 from lexner.params import load_arrays, save_arrays
 
 
@@ -103,13 +105,15 @@ class TestElementwise:
         assert tanh(0.0) == 0.0
 
     def test_backwards_match_fd(self):
+        # the encoder's backward pass uses y (1 - y) and 1 - y^2 in closed form
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.normal(size=5)
             up = rng.normal(size=5)
-            for fwd, bwd in ((sigmoid, sigmoid_backward), (tanh, tanh_backward)):
+            for fwd, slope in ((sigmoid, lambda y: y * (1.0 - y)),
+                               (tanh, lambda y: 1.0 - y * y)):
                 loss = lambda: float(np.dot(fwd(x), up))
-                dx = bwd(up, fwd(x))
+                dx = up * slope(fwd(x))
                 assert np.max(np.abs(fd(loss, x) - dx)) < 1e-6
 
     def test_sigmoid_finite_at_extremes(self):
@@ -140,13 +144,6 @@ class TestElementwise:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "True"
-
-    def test_concat_round_trip(self):
-        parts = [np.arange(3.0), np.arange(2.0), np.arange(4.0)]
-        y = concat(parts)
-        back = concat_backward(y, [3, 2, 4])
-        for a, b in zip(parts, back):
-            assert np.array_equal(a, b)
 
 
 class TestDropout:
@@ -335,3 +332,112 @@ class TestParamStore:
         buf.get("w")[0] = np.nan
         with pytest.raises(NumericError, match="w"):
             buf.reduce_into(store)
+
+    def test_grad_buffer_row_blocks_reduce_in_sentence_order(self):
+        store = ParamStore()
+        store.add("emb", np.zeros((5, 2)))
+        store["emb"].grad[3, 0] = 1.0
+        a = GradBuffer(store, rows={"emb": np.array([1, 3])})
+        b = GradBuffer(store, rows={"emb": np.array([0, 3])})
+        assert a.get("emb").shape == (2, 2) and b.get("emb").shape == (2, 2)
+        # 1 + 2^53 rounds to 2^53 and 1 - 2^53 is exact: only a-then-b gives 0
+        a.get("emb")[...] = [[1.0, 2.0], [2.0 ** 53, 5.0]]
+        b.get("emb")[...] = [[3.0, 4.0], [-(2.0 ** 53), 6.0]]
+        expected = store["emb"].grad.copy()
+        for buf, rows in ((a, [1, 3]), (b, [0, 3])):
+            dense = np.zeros((5, 2))
+            dense[rows] = dict(buf.items())["emb"]
+            expected += dense
+        a.reduce_into(store)
+        b.reduce_into(store)
+        assert np.array_equal(store["emb"].grad, expected)
+        assert store["emb"].grad[3, 0] == 0.0 and np.all(store["emb"].grad[[2, 4]] == 0.0)
+
+    def test_grad_buffer_rejects_nan_in_row_block(self):
+        store = ParamStore()
+        store.add("emb", np.zeros((4, 2)))
+        buf = GradBuffer(store, rows={"emb": np.array([2])})
+        buf.get("emb")[0, 1] = np.nan
+        with pytest.raises(NumericError, match="emb"):
+            buf.reduce_into(store)
+        assert np.all(store["emb"].grad == 0.0)
+
+    def test_corrupt_entry_name_rejected(self, tmp_path):
+        path = tmp_path / "name.bin"
+        path.write_bytes(
+            b"LXC1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 2)
+            + b"\xff\xfe" + struct.pack("<BBI", 1, 1, 1) + struct.pack("<d", 0.0)
+        )
+        with pytest.raises(FormatError, match="entry name"):
+            load_arrays(path)
+
+
+def _write_bytes(data: bytes):
+    """Write `data` to a fresh temporary file and return its path."""
+    fd_, name = tempfile.mkstemp(suffix=".bin")
+    with os.fdopen(fd_, "wb") as fh:
+        fh.write(data)
+    return Path(name)
+
+
+def _container_bytes(arrays, meta) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        save_arrays(path, arrays, meta)
+        return path.read_bytes()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_metas = st.dictionaries(st.text(max_size=8), _json_values, max_size=4)
+_arrays = hnp.arrays(dtype=st.sampled_from([np.dtype("<f8"), np.dtype("<f4")]),
+                     shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+_entries = st.dictionaries(st.text(max_size=10), _arrays, max_size=3)
+
+
+class TestContainerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays=_entries, meta=_metas)
+    def test_round_trip_bit_exact(self, arrays, meta):
+        path = _write_bytes(_container_bytes(arrays, meta))
+        try:
+            loaded, loaded_meta = load_arrays(path)
+        finally:
+            path.unlink()
+        assert loaded_meta == meta
+        assert list(loaded) == list(arrays)
+        for name, arr in arrays.items():
+            got = loaded[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape
+            assert got.tobytes() == arr.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(arrays=_entries, meta=_metas)
+    def test_every_truncation_raises_format_error(self, arrays, meta):
+        data = _container_bytes(arrays, meta)
+        for cut in range(len(data)):
+            path = _write_bytes(data[:cut])
+            try:
+                with pytest.raises(FormatError):
+                    load_arrays(path)
+            finally:
+                path.unlink()
+
+    @settings(max_examples=25, deadline=None)
+    @given(arrays=_entries, meta=_metas, mask=st.integers(1, 255))
+    def test_every_byte_flip_loads_or_raises_format_error(self, arrays, meta, mask):
+        data = _container_bytes(arrays, meta)
+        for at in range(len(data)):
+            flipped = bytearray(data)
+            flipped[at] ^= mask
+            path = _write_bytes(bytes(flipped))
+            try:
+                load_arrays(path)
+            except FormatError:
+                pass
+            finally:
+                path.unlink()

@@ -6,7 +6,7 @@ strategies are one-hot; the average ignores the context entirely.
 """
 import numpy as np
 
-from lexner.fusion import STRATEGIES, fuse_alphas, fuse_position
+from lexner.fusion import STRATEGIES, WordSets, fuse_sentence
 
 WORDS = ["大桥", "长江", "长江大桥"]
 LENGTHS = [2, 2, 4]
@@ -23,15 +23,16 @@ def main():
     print(f"candidate words: {WORDS}\n")
     print(f"{'strategy':<18}" + "".join(f"{w:>12}" for w in WORDS))
     print("-" * (18 + 12 * len(WORDS)))
+    # one character whose word set holds all three words
+    words = WordSets.from_sets([range(len(WORDS))], [LENGTHS])
     for strategy in STRATEGIES:
-        h, cache = fuse_position(list(range(len(WORDS))), LENGTHS, word_emb,
-                                 g, W_u, b_u, strategy)
-        alphas = fuse_alphas(cache)
+        _, alphas, _ = fuse_sentence(words, word_emb, g, W_u, b_u, strategy)
         row = "".join(f"{a:>12.4f}" for a in alphas)
         print(f"{strategy:<18}{row}")
 
-    h, cache = fuse_position([], [], word_emb, g, W_u, b_u, "global_attention")
-    print(f"\nempty word set -> zero vector of size {h.shape[0]}: {np.all(h == 0)}")
+    h, _, _ = fuse_sentence(WordSets.from_sets([[]], [[]]), word_emb, g, W_u, b_u,
+                            "global_attention")
+    print(f"\nempty word set -> zero vector of size {h.shape[1]}: {np.all(h == 0)}")
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ import numpy as np
 from .corpus import (Sentence, TagScheme, load_embeddings, read_conll)
 from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, NumericError
-from .evaluation import evaluation_report, extract_entities
+from .evaluation import evaluation_report
 from .lexicon import build_lexicon, match_sentence
-from .model import attention_profile, decode_sentence, prepare_sentence
-from .trainer import Checkpoint, TrainConfig, gold_spans, train
+from .model import prepare_sentences, tag_sentence
+from .trainer import Checkpoint, TrainConfig, gold_spans, predict_spans, train
 
 log = logging.getLogger(__name__)
 
@@ -224,22 +224,17 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> in
     ckpt, lexicon = _restore(cfg)
     scheme = ckpt.scheme()
     mcfg = ckpt.model_config()
-    char_vectors = _load_char_vectors(cfg)
     legal = scheme.legal_mask() if ckpt.config.decode_mask else None
+    sentences = _read_plain_sentences(input_path)
+    inputs = prepare_sentences(sentences, lexicon, ckpt.char_vocab,
+                               ckpt.config.knowledge_mode, _load_char_vectors(cfg))
 
     out = open(output_path, "w", encoding="utf-8") if output_path else sys.stdout
     try:
-        for sent in _read_plain_sentences(input_path):
-            vec = None
-            if char_vectors is not None:
-                vec = char_vectors.get(sent.id)
-                if vec is None:
-                    raise DataError(f"no precomputed character vectors for sentence {sent.id!r}")
-            item = prepare_sentence(sent, lexicon, ckpt.char_vocab,
-                                    ckpt.config.knowledge_mode, vec)
-            tags = decode_sentence(ckpt.store, item, mcfg, legal)
+        for sent, item in zip(sentences, inputs):
+            tags, alphas = tag_sentence(ckpt.store, item, mcfg, legal)
             if dump_attention:
-                profile = attention_profile(ckpt.store, item, mcfg)
+                ids, offsets = item.words.ids, item.words.offsets
                 record = {
                     "id": sent.id,
                     "chars": list(sent.chars),
@@ -248,10 +243,10 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> in
                         {
                             "pos": i + 1,
                             "char": sent.chars[i],
-                            "words": [lexicon.words[w] for w in ids],
-                            "alphas": [float(a) for a in alphas],
+                            "words": [lexicon.words[w] for w in ids[a:b]],
+                            "alphas": [float(x) for x in alphas[a:b]],
                         }
-                        for i, (ids, alphas) in enumerate(profile)
+                        for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
                     ],
                 }
                 out.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -298,17 +293,11 @@ def cmd_eval(cfg: dict, text_table: bool = False) -> int:
         _check_input_files(cfg, "checkpoint_path")
         ckpt, lexicon = _restore(cfg)
         scheme = ckpt.scheme()
-        mcfg = ckpt.model_config()
         test_set = read_conll(cfg["test_path"], scheme, "test", ckpt.config.max_len)
-        char_vectors = _load_char_vectors(cfg)
-        legal = scheme.legal_mask() if ckpt.config.decode_mask else None
-        pred = {}
-        for sent in test_set.sentences:
-            vec = char_vectors.get(sent.id) if char_vectors is not None else None
-            item = prepare_sentence(sent, lexicon, ckpt.char_vocab,
-                                    ckpt.config.knowledge_mode, vec)
-            tags = decode_sentence(ckpt.store, item, mcfg, legal)
-            pred[sent.id] = extract_entities(tags, scheme)[0]
+        inputs = prepare_sentences(test_set.sentences, lexicon, ckpt.char_vocab,
+                                   ckpt.config.knowledge_mode, _load_char_vectors(cfg))
+        pred = predict_spans(ckpt.store, inputs, scheme, ckpt.model_config(),
+                             ckpt.config.decode_mask)
         report = evaluation_report(test_set.sentences, gold_spans(test_set), pred)
     if text_table:
         print(_format_report_table(report))

@@ -115,8 +115,18 @@ def _forward_scores(lattice: TagLattice) -> np.ndarray:
     return alpha
 
 
-def _backward_scores(lattice: TagLattice) -> np.ndarray:
-    """log beta[t, k]: log-sum over completions from tag k at position t."""
+def log_partition(lattice: TagLattice) -> float:
+    alpha = _forward_scores(lattice)
+    K = lattice.num_tags
+    return float(_logsumexp(alpha[-1] + lattice.transitions[:K, stop_index(K)]))
+
+
+def _forward_backward(lattice: TagLattice):
+    """Log forward and backward scores and the log-partition: (alpha, beta, logz).
+
+    log beta[t, k]: log-sum over completions from tag k at position t.
+    """
+    alpha = _forward_scores(lattice)
     O, T = lattice.emissions, lattice.transitions
     K = lattice.num_tags
     inner = T[:K, :K]
@@ -124,21 +134,12 @@ def _backward_scores(lattice: TagLattice) -> np.ndarray:
     beta[-1] = T[:K, stop_index(K)]
     for t in range(lattice.n - 2, -1, -1):
         beta[t] = _logsumexp(inner + (O[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
-
-
-def log_partition(lattice: TagLattice) -> float:
-    alpha = _forward_scores(lattice)
-    K = lattice.num_tags
-    return float(_logsumexp(alpha[-1] + lattice.transitions[:K, stop_index(K)]))
+    return alpha, beta, float(_logsumexp(alpha[-1] + T[:K, stop_index(K)]))
 
 
 def marginals(lattice: TagLattice) -> np.ndarray:
     """Posterior tag probabilities p(y_t = k), shape (n, K)."""
-    alpha = _forward_scores(lattice)
-    beta = _backward_scores(lattice)
-    K = lattice.num_tags
-    logz = _logsumexp(alpha[-1] + lattice.transitions[:K, stop_index(K)])
+    alpha, beta, logz = _forward_backward(lattice)
     return np.exp(alpha + beta - logz)
 
 
@@ -172,9 +173,7 @@ def nll(lattice: TagLattice, y):
     n, K = lattice.n, lattice.num_tags
     start, stop = start_index(K), stop_index(K)
 
-    alpha = _forward_scores(lattice)
-    beta = _backward_scores(lattice)
-    logz = float(_logsumexp(alpha[-1] + T[:K, stop]))
+    alpha, beta, logz = _forward_backward(lattice)
     loss = _nll_value(logz, score_sequence(lattice, y))
 
     node = np.exp(alpha + beta - logz)

@@ -1,4 +1,4 @@
-"""Per-character fusion of matched dictionary words.
+"""Per-character fusion of matched dictionary words, one call per sentence.
 
 The default strategy projects each word vector x_j to u_j = W_u x_j + b_u,
 scores it against the global sentence feature g, and mixes the *raw* word
@@ -12,11 +12,20 @@ the original strategy set names it without a formula), shortest/longest
 word wins (ties broken lexicographically), and an unweighted average. An
 empty word set yields a zero vector under every strategy.
 
+A sentence's word sets are laid out flat, position by position
+(`WordSets`). Every strategy is a flat weight vector alpha over that
+layout (1/m for the average, one-hot for the word picks), and one
+segment sum mixes it, so a sentence costs one call whatever its length.
+Each distinct word is projected once.
+
 Word sets arrive already ordered by (length, lexicographic), so the
 shortest pick is the first entry and the longest pick is the first entry
 of maximal length.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,92 +40,94 @@ STRATEGIES = (
 )
 
 
-def fuse_position(word_ids, lengths, word_emb, g, W_u, b_u, strategy):
-    """Summary vector for one position's word set.
+@dataclass(frozen=True)
+class WordSets:
+    """A sentence's per-position word sets, flattened position by position.
 
-    word_ids/lengths: parallel sequences in (length, lexicographic) order;
-    word_emb: full (V_w, d_w) table; g: global feature. Returns (h, cache);
-    cache is consumed by fuse_backward and carries the mixing weights.
+    Position i owns entries offsets[i]:offsets[i + 1] of `ids` and `lengths`
+    (word ids and their lengths in characters). `rows` are the sorted
+    distinct ids, i.e. the word-table rows the sentence touches, and
+    `local` maps each entry to its index in `rows`. All int64.
+    """
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    local: np.ndarray
+
+    @classmethod
+    def from_sets(cls, sets, lengths) -> "WordSets":
+        """Flatten per-position id sequences and the parallel word lengths."""
+        ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
+        lengths = np.fromiter(chain.from_iterable(lengths), dtype=np.int64)
+        offsets = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
+        rows, local = np.unique(ids, return_inverse=True)
+        return cls(ids, lengths, offsets, rows, local)
+
+
+def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
+    """Summary vectors for every position of one sentence.
+
+    word_emb: full (V_w, d_w) table; g: global feature. Returns
+    (h, alpha, cache): h is (n, d_w) with zero rows where a position has no
+    words, alpha (L,) holds the mixing weight of each entry of `words`, and
+    cache is consumed by fuse_sentence_backward.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"fusion strategy {strategy!r} not in {STRATEGIES}")
-    d_w = word_emb.shape[1]
-    m = len(word_ids)
-    if m == 0:
-        return np.zeros(d_w), ("empty", None)
-    ids = np.asarray(word_ids, dtype=np.int64)
-    X = word_emb[ids]                               # (m, d_w)
+    counts = np.diff(words.offsets)
+    filled = counts > 0
+    starts, sizes = words.offsets[:-1][filled], counts[filled]
+    X_rows = word_emb[words.rows]
+    X = X_rows[words.local]                                 # (L, d_w)
 
-    if strategy == "global_attention":
-        U = X @ W_u.T + b_u                         # (m, 2*d_h)
-        scores = U @ g
-        alpha = softmax(scores)
-        h = alpha @ X
-        return h, ("global_attention", (ids, X, U, g, alpha))
-    if strategy == "self_attention":
-        U = X @ W_u.T + b_u
-        S = U.sum(axis=0)
-        scores = U @ S
-        alpha = softmax(scores)
-        h = alpha @ X
-        return h, ("self_attention", (ids, X, U, S, alpha))
-    if strategy == "average":
-        alpha = np.full(m, 1.0 / m)
-        return X.mean(axis=0), ("average", (ids, alpha))
-    lengths = np.asarray(lengths)
-    if strategy == "shortest_first":
-        pick = 0
-    else:  # longest_first: first entry of maximal length
-        pick = int(np.argmax(lengths == lengths.max()))
-    alpha = np.zeros(m)
-    alpha[pick] = 1.0
-    return X[pick].copy(), (strategy, (ids, pick, alpha))
+    U = S = None
+    if strategy in ("global_attention", "self_attention"):
+        U = (X_rows @ W_u.T + b_u)[words.local]             # (L, 2*d_h)
+        if strategy == "global_attention":
+            scores = U @ g
+        else:   # S: sum of u_k over the entry's position
+            S = np.repeat(np.add.reduceat(U, starts), sizes, axis=0)
+            scores = np.einsum("ij,ij->i", U, S)
+        alpha = softmax(scores, starts)
+    elif strategy == "average":
+        alpha = np.repeat(1.0 / sizes, sizes).astype(X.dtype)
+    else:
+        pick = starts
+        if strategy == "longest_first":   # first entry of maximal length
+            longest = np.repeat(np.maximum.reduceat(words.lengths, starts), sizes)
+            entry = np.arange(len(words.ids))
+            pick = np.minimum.reduceat(np.where(words.lengths == longest, entry, len(entry)),
+                                       starts)
+        alpha = np.zeros(len(words.ids), dtype=X.dtype)
+        alpha[pick] = 1.0
 
-
-def fuse_alphas(cache) -> np.ndarray:
-    """Mixing weights recorded by fuse_position (empty array for no words)."""
-    kind, payload = cache
-    if kind == "empty":
-        return np.zeros(0)
-    return payload[-1]
+    h = np.zeros((len(counts), word_emb.shape[1]), dtype=X.dtype)
+    h[filled] = np.add.reduceat(alpha[:, None] * X, starts)
+    return h, alpha, (words, strategy, starts, sizes, counts, X, U, S, g, alpha)
 
 
-def fuse_backward(dh, cache, rows, W_u, word_emb_grad, W_u_grad, b_u_grad):
-    """Backprop one position; scatters word-row grads, returns dg.
+def fuse_sentence_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
+    """Backprop one sentence; scatters word-row grads, returns dg.
 
-    word_emb_grad holds table row rows[k] in row k, where `rows` are the sorted
-    ids of the sentence's matched words. dg is zero unless the strategy uses g.
+    word_emb_grad holds table row words.rows[k] in row k. dg is zero unless
+    the strategy uses g.
     """
-    kind, payload = cache
-    if kind == "empty":
-        return 0.0
-    local = np.searchsorted(rows, payload[0])     # every payload starts with the ids
-    if kind == "average":
-        m = len(local)
-        np.add.at(word_emb_grad, local, np.tile(dh / m, (m, 1)))
-        return 0.0
-    if kind in ("shortest_first", "longest_first"):
-        pick = payload[1]
-        word_emb_grad[local[pick]] += dh
-        return 0.0
-
-    if kind == "global_attention":
-        ids, X, U, g, alpha = payload
-        dX = np.outer(alpha, dh)                    # from h = alpha @ X
-        dalpha = X @ dh
-        dscores = softmax_backward(dalpha, alpha)
-        dU = np.outer(dscores, g)
-        dg = U.T @ dscores
-    else:  # self_attention: scores_j = u_j . S with S = sum_k u_k
-        ids, X, U, S, alpha = payload
-        dX = np.outer(alpha, dh)
-        dalpha = X @ dh
-        dscores = softmax_backward(dalpha, alpha)
-        dU = np.outer(dscores, S) + np.tile(dscores @ U, (len(ids), 1))
-        dg = 0.0
-
-    W_u_grad += dU.T @ X
-    b_u_grad += dU.sum(axis=0)
-    dX += dU @ W_u
-    np.add.at(word_emb_grad, local, dX)
+    words, strategy, starts, sizes, counts, X, U, S, g, alpha = cache
+    dh_entry = np.repeat(dh, counts, axis=0)                # (L, d_w)
+    dX = alpha[:, None] * dh_entry                          # from h = sum alpha x
+    dg = np.zeros_like(g)
+    if U is not None:
+        dscores = softmax_backward(np.einsum("ij,ij->i", X, dh_entry), alpha, starts)
+        if strategy == "global_attention":
+            dU = np.outer(dscores, g)
+            dg = dscores @ U
+        else:  # self_attention: scores_j = u_j . S with S = sum_k u_k
+            dU = dscores[:, None] * S + np.repeat(
+                np.add.reduceat(dscores[:, None] * U, starts), sizes, axis=0)
+        W_u_grad += dU.T @ X
+        b_u_grad += dU.sum(axis=0)
+        dX += dU @ W_u
+    np.add.at(word_emb_grad, words.local, dX)
     return dg

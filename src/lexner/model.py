@@ -11,7 +11,6 @@ Parameter names in the store:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -50,8 +49,7 @@ class SentenceInputs:
 
     sid: str
     char_ids: np.ndarray
-    word_ids: tuple[tuple[int, ...], ...]
-    word_lens: tuple[tuple[int, ...], ...]
+    words: fusion.WordSets
     gold: np.ndarray | None = None
     char_vectors: np.ndarray | None = None
 
@@ -93,11 +91,25 @@ def prepare_sentence(sentence, lexicon: Lexicon, char_vocab: dict[str, int],
                      char_vectors: np.ndarray | None = None) -> SentenceInputs:
     """Resolve characters to ids and lexicon matches to per-position word sets."""
     sets = knowledge_select(match_sentence(lexicon, sentence), knowledge_mode)
-    lens = tuple(tuple(len(lexicon.words[w]) for w in s) for s in sets)
+    lens = [[len(lexicon.words[w]) for w in s] for s in sets]
     char_ids = np.array([char_vocab.get(c, char_vocab[UNK]) for c in sentence.chars],
                         dtype=np.int64)
     gold = np.array(sentence.tags, dtype=np.int64) if sentence.tags is not None else None
-    return SentenceInputs(sentence.id, char_ids, sets, lens, gold, char_vectors)
+    return SentenceInputs(sentence.id, char_ids, fusion.WordSets.from_sets(sets, lens),
+                          gold, char_vectors)
+
+
+def prepare_sentences(sentences, lexicon: Lexicon, char_vocab: dict[str, int],
+                      knowledge_mode: str,
+                      char_vectors: dict | None = None) -> list[SentenceInputs]:
+    """prepare_sentence over a corpus; char_vectors maps sentence ids to vectors."""
+    out = []
+    for s in sentences:
+        vec = char_vectors.get(s.id) if char_vectors is not None else None
+        if char_vectors is not None and vec is None:
+            raise DataError(f"no precomputed character vectors for sentence {s.id!r}")
+        out.append(prepare_sentence(s, lexicon, char_vocab, knowledge_mode, vec))
+    return out
 
 
 def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> np.ndarray:
@@ -115,6 +127,7 @@ def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> n
 
 def _forward(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
              train: bool, rng: np.random.Generator | None):
+    """Returns (lattice, alphas, cache); alphas are the flat fusion weights."""
     X = _char_rows(store, inputs, cfg)
     fwd_gates = store.values_with_prefix("gru_fwd.")
     bwd_gates = store.values_with_prefix("gru_bwd.")
@@ -122,17 +135,10 @@ def _forward(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     H, mask_h = dropout(H_raw, cfg.dropout, train, rng)
     g = encoder.global_feature(H, cfg.d_h, cfg.g_mode)
 
-    word_emb = store.value("word_emb")
-    W_u, b_u = store.value("fusion.W_u"), store.value("fusion.b_u")
-    n = len(inputs)
-    Hsw_raw = np.zeros((n, cfg.d_w), dtype=cfg.dtype)
-    fuse_caches = []
-    for i in range(n):
-        Hsw_raw[i], cache = fusion.fuse_position(
-            inputs.word_ids[i], inputs.word_lens[i], word_emb, g, W_u, b_u,
-            cfg.fusion_strategy,
-        )
-        fuse_caches.append(cache)
+    Hsw_raw, alphas, fuse_cache = fusion.fuse_sentence(
+        inputs.words, store.value("word_emb"), g, store.value("fusion.W_u"),
+        store.value("fusion.b_u"), cfg.fusion_strategy,
+    )
     Hsw, mask_sw = dropout(Hsw_raw, cfg.dropout, train, rng)
 
     R = np.hstack([Hsw, H])
@@ -140,8 +146,8 @@ def _forward(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     check_finite("emissions", O)
     # the CRF always runs in float64 log space, whatever the training precision
     lattice = crf.TagLattice(O, np.asarray(store.value("crf.T"), dtype=np.float64))
-    fwd_cache = (X, enc_cache, mask_h, fuse_caches, mask_sw, R)
-    return lattice, fwd_cache
+    fwd_cache = (X, enc_cache, mask_h, fuse_cache, mask_sw, R)
+    return lattice, alphas, fwd_cache
 
 
 def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
@@ -149,15 +155,14 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     """NLL of the gold tags plus a filled per-sentence gradient buffer."""
     if inputs.gold is None:
         raise DataError(f"sentence {inputs.sid!r} has no gold tags")
-    lattice, fwd_cache = _forward(store, inputs, cfg, train, rng)
+    lattice, _, fwd_cache = _forward(store, inputs, cfg, train, rng)
     loss, dO, dT = crf.nll(lattice, inputs.gold)
     # the CRF works in float64; the backward pass below stays in cfg.dtype
     dO = dO.astype(cfg.dtype, copy=False)
 
-    X, enc_cache, mask_h, fuse_caches, mask_sw, R = fwd_cache
-    word_rows = np.unique(np.fromiter(chain.from_iterable(inputs.word_ids), dtype=np.int64))
+    X, enc_cache, mask_h, fuse_cache, mask_sw, R = fwd_cache
     char_rows, char_local = np.unique(inputs.char_ids, return_inverse=True)
-    grads = GradBuffer(store, rows={"word_emb": word_rows, "char_emb": char_rows})
+    grads = GradBuffer(store, rows={"word_emb": inputs.words.rows, "char_emb": char_rows})
     grads.get("crf.T")[...] += dT
     dR, dW_o, db_o = crf.emissions_backward(dO, R, store.value("crf.W_o"))
     grads.get("crf.W_o")[...] += dW_o
@@ -167,14 +172,9 @@ def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
     dH = dR[:, cfg.d_w:].copy()
     dHsw_raw = dropout_backward(dHsw, mask_sw)
 
-    W_u = store.value("fusion.W_u")
-    word_emb_grad = grads.get("word_emb")
-    W_u_grad = grads.get("fusion.W_u")
-    b_u_grad = grads.get("fusion.b_u")
-    dg = np.zeros(2 * cfg.d_h, dtype=cfg.dtype)
-    for i in range(len(inputs)):
-        dg += fusion.fuse_backward(dHsw_raw[i], fuse_caches[i], word_rows, W_u,
-                                   word_emb_grad, W_u_grad, b_u_grad)
+    dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, store.value("fusion.W_u"),
+                                       grads.get("word_emb"), grads.get("fusion.W_u"),
+                                       grads.get("fusion.b_u"))
     encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
 
     dH_raw = dropout_backward(dH, mask_h)
@@ -197,32 +197,22 @@ def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) ->
     """
     if inputs.gold is None:
         raise DataError(f"sentence {inputs.sid!r} has no gold tags")
-    lattice, _ = _forward(store, inputs, cfg, train=False, rng=None)
+    lattice, _, _ = _forward(store, inputs, cfg, train=False, rng=None)
     return crf.nll_loss(lattice, inputs.gold)
+
+
+def tag_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
+                 legal: np.ndarray | None = None):
+    """Viterbi tag indices and flat fusion weights from one eval-mode forward.
+
+    alphas[words.offsets[i]:words.offsets[i + 1]] weigh position i's words.
+    """
+    lattice, alphas, _ = _forward(store, inputs, cfg, train=False, rng=None)
+    path, _ = crf.viterbi(lattice, legal)
+    return path, alphas
 
 
 def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
                     legal: np.ndarray | None = None) -> list[int]:
     """Viterbi tag indices for one sentence (eval mode, no dropout)."""
-    lattice, _ = _forward(store, inputs, cfg, train=False, rng=None)
-    path, _ = crf.viterbi(lattice, legal)
-    return path
-
-
-def attention_profile(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig):
-    """Per-position mixing weights for inspection: list of (word_ids, alphas)."""
-    X = _char_rows(store, inputs, cfg)
-    fwd_gates = store.values_with_prefix("gru_fwd.")
-    bwd_gates = store.values_with_prefix("gru_bwd.")
-    H, _ = encoder.encode_chars(X, fwd_gates, bwd_gates)
-    g = encoder.global_feature(H, cfg.d_h, cfg.g_mode)
-    word_emb = store.value("word_emb")
-    W_u, b_u = store.value("fusion.W_u"), store.value("fusion.b_u")
-    out = []
-    for i in range(len(inputs)):
-        _, cache = fusion.fuse_position(
-            inputs.word_ids[i], inputs.word_lens[i], word_emb, g, W_u, b_u,
-            cfg.fusion_strategy,
-        )
-        out.append((inputs.word_ids[i], fusion.fuse_alphas(cache)))
-    return out
+    return tag_sentence(store, inputs, cfg, legal)[0]

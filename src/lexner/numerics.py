@@ -32,18 +32,24 @@ def affine_backward(dy: np.ndarray, x: np.ndarray, W: np.ndarray):
     return dy @ W, dy.T @ x, dy.sum(axis=0)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a vector (max-subtracted)."""
+def softmax(v: np.ndarray, starts=(0,)) -> np.ndarray:
+    """Numerically stable softmax (max-subtracted) of each segment of a vector.
+
+    Segment k is v[starts[k]:starts[k + 1]], the last one running to the end;
+    `starts` rises strictly from 0. By default the whole vector is one segment.
+    """
     v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"softmax expects a non-empty vector, got shape {v.shape}")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    if v.ndim != 1 or (v.size > 0) != (len(starts) > 0):
+        raise ValueError(f"softmax expects non-empty segments, got shape {v.shape}")
+    sizes = np.diff(starts, append=v.size)
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts), sizes))
+    return e / np.repeat(np.add.reduceat(e, starts), sizes)
 
 
-def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # dv_j = p_j * (dp_j - sum_k p_k dp_k)
-    return p * (dp - np.dot(p, dp))
+def softmax_backward(dp: np.ndarray, p: np.ndarray, starts=(0,)) -> np.ndarray:
+    # dv_j = p_j * (dp_j - sum_k p_k dp_k), k over the segment of j
+    sizes = np.diff(starts, append=p.size)
+    return p * (dp - np.repeat(np.add.reduceat(p * dp, starts), sizes))
 
 
 def sigmoid(x):

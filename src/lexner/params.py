@@ -36,11 +36,12 @@ class Param:
 
     __slots__ = ("value", "grad", "m", "v")
 
-    def __init__(self, value: np.ndarray):
+    def __init__(self, value: np.ndarray, m: np.ndarray | None = None,
+                 v: np.ndarray | None = None):
         self.value = value
         self.grad = np.zeros_like(value)
-        self.m = np.zeros_like(value)
-        self.v = np.zeros_like(value)
+        self.m = np.zeros_like(value) if m is None else m
+        self.v = np.zeros_like(value) if v is None else v
 
 
 class ParamStore:
@@ -87,10 +88,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, p in self._params.items():
-            q = Param(p.value.copy())
-            q.m = p.m.copy()
-            q.v = p.v.copy()
-            out._params[name] = q
+            out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy())
         return out
 
     def save(self, path, meta: dict | None = None) -> None:
@@ -178,7 +176,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         dtype = _DTYPES[code]
         count = math.prod(shape)   # Python ints: a huge header cannot wrap
-        arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
+        raw = take(count * dtype.itemsize)
+        try:
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as exc:   # a shape numpy cannot hold, such as (0, 2**32 - 1, 2**32 - 1)
+            raise FormatError(f"{path}: bad shape {shape} (entry {name!r}): {exc}") from None
         arrays[name] = arr.astype(dtype.newbyteorder("="))
     return arrays, meta
 

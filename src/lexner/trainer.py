@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, TagScheme, build_char_vocab
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
 from .model import (ModelConfig, SentenceInputs, decode_sentence, init_params,
-                    prepare_sentence, sentence_loss)
+                    prepare_sentences, sentence_loss)
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
@@ -210,15 +210,21 @@ def gold_spans(dataset: Dataset) -> dict:
     return {s.id: extract_entities(s.tags, dataset.scheme)[0] for s in dataset.sentences}
 
 
-def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
-             scheme: TagScheme, mcfg: ModelConfig, decode_mask: bool = False):
-    """Decode every sentence and return micro (P, R, F1)."""
+def predict_spans(store: ParamStore, inputs: list[SentenceInputs], scheme: TagScheme,
+                  mcfg: ModelConfig, decode_mask: bool = False) -> dict:
+    """Decode every sentence; its entity spans by sentence id."""
     legal = scheme.legal_mask() if decode_mask else None
     pred = {}
     for item in inputs:
         tags = decode_sentence(store, item, mcfg, legal)
         pred[item.sid] = extract_entities(tags, scheme)[0]
-    return prf1(gold, pred)
+    return pred
+
+
+def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
+             scheme: TagScheme, mcfg: ModelConfig, decode_mask: bool = False):
+    """Decode every sentence and return micro (P, R, F1)."""
+    return prf1(gold, predict_spans(store, inputs, scheme, mcfg, decode_mask))
 
 
 def _batch_losses(store, batch, mcfg, seeds, workers):
@@ -265,17 +271,10 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
 
     mcfg = config.model_config(scheme.size, char_source)
 
-    def prep(dataset):
-        out = []
-        for s in dataset.sentences:
-            vec = char_vectors.get(s.id) if char_vectors is not None else None
-            if char_vectors is not None and vec is None:
-                raise DataError(f"no precomputed character vectors for sentence {s.id!r}")
-            out.append(prepare_sentence(s, lexicon, char_vocab, config.knowledge_mode, vec))
-        return out
-
-    inputs = prep(train_set)
-    dev_inputs = prep(dev_set)
+    inputs = prepare_sentences(train_set.sentences, lexicon, char_vocab,
+                               config.knowledge_mode, char_vectors)
+    dev_inputs = prepare_sentences(dev_set.sentences, lexicon, char_vocab,
+                                   config.knowledge_mode, char_vectors)
     dev_gold = gold_spans(dev_set)
 
     if resume is None:
@@ -287,7 +286,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                           json.loads(json.dumps(rng.bit_generator.state)), adam_t,
                           char_vocab, scheme.kind, scheme.labels, lexicon.words)
 
-    best = snapshot(start_epoch - 1, best_f1)
+    # a fresh run needs no starting snapshot: the first epoch's F1 (>= 0) beats -1
+    best = snapshot(start_epoch - 1, best_f1) if resume is not None else None
     history: list[dict] = []
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
     stale = 0
@@ -334,7 +334,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 if stale >= config.patience:
                     log.info("no dev improvement for %d epochs; stopping", stale)
                     break
-        last = snapshot(epoch, best_f1)
+        # nothing changes after a best epoch's snapshot, so a last best epoch is shared
+        last = best if best.epoch == epoch else snapshot(epoch, best_f1)
     finally:
         if log_fh:
             log_fh.close()

@@ -16,7 +16,7 @@ from lexner import (Checkpoint, TrainConfig, build_lexicon, crf,
                     write_conll)
 from lexner.cli import main
 from lexner.diagnostics import end_to_end_grad_check
-from lexner.fusion import STRATEGIES, fuse_alphas, fuse_position
+from lexner.fusion import STRATEGIES, WordSets, fuse_sentence
 from lexner.lexicon import KNOWLEDGE_MODES
 from lexner.model import prepare_sentence, sentence_loss
 from lexner.trainer import evaluate, gold_spans
@@ -102,6 +102,12 @@ def test_c3_gradient_fidelity():
 
 
 def test_c4_attention_properties():
+    def fuse_one(ids, lengths, word_emb, g, W_u, b_u):
+        # a one-position sentence: (h, alpha)
+        h, alpha, _ = fuse_sentence(WordSets.from_sets([ids], [lengths]), word_emb, g,
+                                    W_u, b_u, "global_attention")
+        return h[0], alpha
+
     with criterion(4, "attention properties", budget_s=5):
         rng = np.random.default_rng(11)
         for _ in range(500):
@@ -114,32 +120,28 @@ def test_c4_attention_properties():
             b_u = rng.normal(size=d_g)
             g = rng.normal(size=d_g)
 
-            h, cache = fuse_position(ids, lengths, word_emb, g, W_u, b_u,
-                                     "global_attention")
-            alpha = fuse_alphas(cache)
+            h, alpha = fuse_one(ids, lengths, word_emb, g, W_u, b_u)
             assert abs(alpha.sum() - 1.0) < 1e-12 and np.all(alpha >= 0)
 
             perm = rng.permutation(m)
-            hp, cachep = fuse_position([ids[j] for j in perm],
-                                       [lengths[j] for j in perm],
-                                       word_emb, g, W_u, b_u, "global_attention")
+            hp, alphap = fuse_one([ids[j] for j in perm], [lengths[j] for j in perm],
+                                  word_emb, g, W_u, b_u)
             assert np.allclose(hp, h, atol=1e-12)
-            assert np.allclose(fuse_alphas(cachep), alpha[perm], atol=1e-12)
+            assert np.allclose(alphap, alpha[perm], atol=1e-12)
 
             c = float(rng.normal(scale=3))
             b_shift = b_u + (c / np.dot(g, g)) * g
-            _, cache_s = fuse_position(ids, lengths, word_emb, g, W_u, b_shift,
-                                       "global_attention")
-            assert np.allclose(fuse_alphas(cache_s), alpha, atol=1e-9)
+            _, alpha_s = fuse_one(ids, lengths, word_emb, g, W_u, b_shift)
+            assert np.allclose(alpha_s, alpha, atol=1e-9)
 
             X = word_emb[np.asarray(ids)]
             assert np.all(h <= X.max(axis=0) + 1e-12)
             assert np.all(h >= X.min(axis=0) - 1e-12)
 
-        h, cache = fuse_position([], [], np.zeros((1, 3)), np.zeros(4),
-                                 np.zeros((4, 3)), np.zeros(4), "global_attention")
+        h, alpha = fuse_one([], [], np.zeros((1, 3)), np.zeros(4),
+                            np.zeros((4, 3)), np.zeros(4))
         assert np.array_equal(h, np.zeros(3))
-        assert fuse_alphas(cache).size == 0
+        assert alpha.size == 0
 
 
 def test_c5_single_sentence_memorization():

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from lexner import make_synthetic_corpus, write_conll
+from lexner import Checkpoint, encoder, make_synthetic_corpus, model, write_conll
 from lexner.cli import main
 from lexner.params import save_arrays
 
@@ -196,6 +196,66 @@ class TestTagEval:
                         "-o", f"checkpoint_path={bad}", str(text_path))
         assert code == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_tag_rejects_zero_sized_entry_numpy_cannot_hold(self, workspace, capsys):
+        tmp_path, cfg_path, *_ = workspace
+        bad = tmp_path / "bad.ckpt"
+        dims = (0, 2 ** 32 - 1, 2 ** 32 - 1)
+        bad.write_bytes(b"LXC1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 1)
+                        + b"x" + struct.pack("<BB", 1, 3) + struct.pack("<3I", *dims))
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n", encoding="utf-8")
+        code, out = run(capsys, "tag", "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={bad}", str(text_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_dump_attention_runs_one_forward_per_sentence(self, trained, capsys, monkeypatch):
+        tmp_path, cfg_path, text_path, *_ = trained
+        calls, encodes = [], []
+        forward, encode_chars = model._forward, encoder.encode_chars
+
+        def counting(store, inputs, *args, **kwargs):
+            calls.append(inputs.sid)
+            return forward(store, inputs, *args, **kwargs)
+
+        def counting_encode(*args):
+            encodes.append(1)
+            return encode_chars(*args)
+
+        monkeypatch.setattr(model, "_forward", counting)
+        monkeypatch.setattr(encoder, "encode_chars", counting_encode)
+        code, out = run(capsys, "tag", "-c", str(cfg_path), str(text_path),
+                        "--dump-attention")
+        monkeypatch.undo()
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 4 and calls == [rec["id"] for rec in records]
+        assert len(encodes) == len(records)   # the encoder runs once per sentence
+        # the weights recomputed position by position from the checkpoint,
+        # with the encoder and the word projection run on their own
+        ckpt = Checkpoint.load(tmp_path / "model.ckpt")
+        store, config = ckpt.store, ckpt.config
+        index = {w: i for i, w in enumerate(ckpt.words)}
+        W_u, b_u = store.value("fusion.W_u"), store.value("fusion.b_u")
+        seen_words = False
+        for rec in records:
+            chars = [ckpt.char_vocab.get(c, ckpt.char_vocab["<unk>"]) for c in rec["chars"]]
+            H, _ = encoder.encode_chars(store.value("char_emb")[chars],
+                                        store.values_with_prefix("gru_fwd."),
+                                        store.values_with_prefix("gru_bwd."))
+            g = encoder.global_feature(H, config.d_h, config.g_mode)
+            assert [pos["char"] for pos in rec["attention"]] == rec["chars"]
+            for pos in rec["attention"]:
+                assert len(pos["alphas"]) == len(pos["words"])
+                if not pos["words"]:
+                    continue
+                seen_words = True
+                scores = (store.value("word_emb")[[index[w] for w in pos["words"]]]
+                          @ W_u.T + b_u) @ g
+                e = np.exp(scores - scores.max())
+                assert np.allclose(pos["alphas"], e / e.sum(), rtol=0, atol=1e-12)
+        assert seen_words
 
     def test_eval_with_checkpoint(self, trained, capsys):
         _, cfg_path, *_ = trained

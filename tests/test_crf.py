@@ -1,8 +1,11 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner.crf import (FORBIDDEN, TagLattice, emissions, emissions_backward,
                         init_transitions, log_partition, marginals, nll,
@@ -297,3 +300,43 @@ def test_init_transitions_pins_boundary():
     assert np.all(T[:, 4] == FORBIDDEN)   # into start
     assert np.all(T[5, :] == FORBIDDEN)   # out of stop
     assert np.all(T[:4, :4] == 0.0)
+
+
+_score = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def masked_lattices(draw):
+    """A lattice with n <= 4 positions and K <= 3 tags plus a random legal mask."""
+    n, K = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    T = init_transitions(K)
+    T[:K, :K] = draw(hnp.arrays(np.float64, (K, K), elements=_score))
+    T[K, :K] = draw(hnp.arrays(np.float64, K, elements=_score))
+    T[:K, K + 1] = draw(hnp.arrays(np.float64, K, elements=_score))
+    O = draw(hnp.arrays(np.float64, (n, K), elements=_score))
+    legal = draw(hnp.arrays(np.bool_, (K + 2, K + 2)))
+    return TagLattice(O, T), legal
+
+
+class TestEnumerationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=masked_lattices())
+    def test_log_partition_matches_enumeration(self, case):
+        lat, legal = case
+        masked = TagLattice(lat.emissions, np.where(legal, lat.transitions, FORBIDDEN))
+        for lattice in (lat, masked):
+            want = brute_logz(lattice)
+            assert abs(log_partition(lattice) - want) <= 1e-9 * max(1.0, abs(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=masked_lattices())
+    def test_viterbi_matches_enumeration(self, case):
+        lat, legal = case
+        masked = TagLattice(lat.emissions, np.where(legal, lat.transitions, FORBIDDEN))
+        for mask, lattice in ((None, lat), (legal, masked)):
+            path, score = viterbi(lat, mask)
+            assert score == score_sequence(lattice, path)
+            scores = sorted(enumerate_scores(lattice).values(), reverse=True)
+            assert abs(score - scores[0]) <= 1e-9 * max(1.0, abs(scores[0]))
+            if len(scores) == 1 or scores[1] < scores[0] - 1e-6:
+                assert path == brute_viterbi(lattice)[0]   # a clear winner

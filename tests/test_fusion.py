@@ -4,21 +4,37 @@ import numpy as np
 import pytest
 
 from lexner import ParamStore
-from lexner.fusion import STRATEGIES, fuse_alphas, fuse_backward, fuse_position
+from lexner.fusion import STRATEGIES, WordSets, fuse_sentence, fuse_sentence_backward
 from lexner.numerics import grad_check
 
 
-def straight_line_attention(X, W_u, b_u, g):
-    """Independent re-statement: project, score against g, softmax, mix."""
-    m = len(X)
-    U = [[sum(W_u[r][c] * X[j][c] for c in range(len(X[0]))) + b_u[r]
-          for r in range(len(b_u))] for j in range(m)]
-    scores = [sum(U[j][r] * g[r] for r in range(len(g))) for j in range(m)]
-    mx = max(scores)
-    ws = [math.exp(s - mx) for s in scores]
-    total = sum(ws)
-    alpha = [w / total for w in ws]
-    h = [sum(alpha[j] * X[j][c] for j in range(m)) for c in range(len(X[0]))]
+def hand_fuse_position(X, lengths, W_u, b_u, g, strategy):
+    """Independent per-position re-statement in plain Python: (alpha, h).
+
+    Project, score (against g, or against the position's pooled projections
+    for self-attention), softmax, mix; or the fixed weights of the other
+    strategies.
+    """
+    m, d_w = len(X), len(W_u[0])
+    if m == 0:
+        return [], [0.0] * d_w
+    if strategy in ("global_attention", "self_attention"):
+        U = [[sum(W_u[r][c] * X[j][c] for c in range(d_w)) + b_u[r]
+              for r in range(len(b_u))] for j in range(m)]
+        ctx = g
+        if strategy == "self_attention":
+            ctx = [sum(U[k][r] for k in range(m)) for r in range(len(b_u))]
+        scores = [sum(U[j][r] * ctx[r] for r in range(len(ctx))) for j in range(m)]
+        mx = max(scores)
+        ws = [math.exp(s - mx) for s in scores]
+        total = sum(ws)
+        alpha = [w / total for w in ws]
+    elif strategy == "average":
+        alpha = [1.0 / m] * m
+    else:
+        pick = 0 if strategy == "shortest_first" else lengths.index(max(lengths))
+        alpha = [1.0 if j == pick else 0.0 for j in range(m)]
+    h = [sum(alpha[j] * X[j][c] for j in range(m)) for c in range(d_w)]
     return alpha, h
 
 
@@ -32,12 +48,33 @@ def random_inputs(rng, m, d_w=3, d_g=4):
     return ids, lengths, word_emb, g, W_u, b_u
 
 
+def fuse_one(ids, lengths, word_emb, g, W_u, b_u, strategy):
+    """fuse_sentence on a one-position sentence: (h, alpha, cache)."""
+    h, alpha, cache = fuse_sentence(WordSets.from_sets([ids], [lengths]),
+                                    word_emb, g, W_u, b_u, strategy)
+    return h[0], alpha, cache
+
+
+def random_sentence(rng, n, vocab=6):
+    """Word sets over a small vocabulary, so words repeat across positions.
+
+    The first, middle and last positions are empty. Ids rise with word
+    length, so ascending ids are in (length, lexicographic) order.
+    """
+    word_len = np.sort(rng.integers(2, 6, size=vocab))
+    sets = []
+    for i in range(n):
+        m = 0 if i in (0, n // 2, n - 1) else int(rng.integers(0, 4))
+        sets.append(sorted(int(w) for w in rng.choice(vocab, size=m, replace=False)))
+    return sets, [[int(word_len[w]) for w in s] for s in sets]
+
+
 class TestFusePosition:
     def test_singleton_under_every_strategy(self):
         rng = np.random.default_rng(0)
         ids, lengths, word_emb, g, W_u, b_u = random_inputs(rng, 1)
         for strategy in STRATEGIES:
-            h, _ = fuse_position(ids, lengths, word_emb, g, W_u, b_u, strategy)
+            h, _, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, strategy)
             assert np.allclose(h, word_emb[ids[0]], atol=1e-15)
 
     def test_two_words_orthogonal_g_gives_mean(self):
@@ -48,28 +85,28 @@ class TestFusePosition:
         _, _, vt = np.linalg.svd(U)
         g = vt[-1]
         assert np.max(np.abs(U @ g)) < 1e-12
-        h, cache = fuse_position(ids, lengths, word_emb, g, W_u, b_u, "global_attention")
-        assert np.allclose(fuse_alphas(cache), [0.5, 0.5], atol=1e-12)
+        h, alpha, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, "global_attention")
+        assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
         assert np.allclose(h, word_emb[ids].mean(axis=0), atol=1e-12)
 
     def test_empty_set_zero_vector(self):
         rng = np.random.default_rng(2)
         _, _, word_emb, g, W_u, b_u = random_inputs(rng, 1)
         for strategy in STRATEGIES:
-            h, cache = fuse_position([], [], word_emb, g, W_u, b_u, strategy)
+            h, alpha, _ = fuse_one([], [], word_emb, g, W_u, b_u, strategy)
             assert np.array_equal(h, np.zeros(word_emb.shape[1]))
-            assert fuse_alphas(cache).size == 0
+            assert alpha.size == 0
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             m = int(rng.integers(2, 5))
             ids, lengths, word_emb, g, W_u, b_u = random_inputs(rng, m)
-            h, cache = fuse_position(ids, lengths, word_emb, g, W_u, b_u,
-                                     "global_attention")
-            alpha_o, h_o = straight_line_attention(
-                word_emb[ids].tolist(), W_u.tolist(), b_u.tolist(), g.tolist())
-            assert np.allclose(fuse_alphas(cache), alpha_o, atol=1e-12)
+            h, alpha, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, "global_attention")
+            alpha_o, h_o = hand_fuse_position(
+                word_emb[ids].tolist(), lengths, W_u.tolist(), b_u.tolist(), g.tolist(),
+                "global_attention")
+            assert np.allclose(alpha, alpha_o, atol=1e-12)
             assert np.allclose(h, h_o, atol=1e-12)
 
     def test_shortest_longest_selection(self):
@@ -78,15 +115,78 @@ class TestFusePosition:
         ids = [2, 0, 3]          # (length, lex) ordered by contract
         lengths = [2, 3, 3]      # longest tie between ids 0 and 3 -> first (id 0)
         g, W_u, b_u = rng.normal(size=5), rng.normal(size=(5, 3)), rng.normal(size=5)
-        h, _ = fuse_position(ids, lengths, word_emb, g, W_u, b_u, "shortest_first")
+        h, _, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, "shortest_first")
         assert np.array_equal(h, word_emb[2])
-        h, _ = fuse_position(ids, lengths, word_emb, g, W_u, b_u, "longest_first")
+        h, _, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, "longest_first")
         assert np.array_equal(h, word_emb[0])
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            fuse_position([0], [2], np.zeros((1, 3)), np.zeros(4),
-                          np.zeros((4, 3)), np.zeros(4), "random_word")
+            fuse_one([0], [2], np.zeros((1, 3)), np.zeros(4),
+                     np.zeros((4, 3)), np.zeros(4), "random_word")
+
+
+class TestFuseSentence:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_hand_reference_per_position(self, strategy):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            n = int(rng.integers(3, 12))
+            sets, lens = random_sentence(rng, n)
+            words = WordSets.from_sets(sets, lens)
+            word_emb = rng.normal(size=(6, 3))
+            W_u, b_u, g = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=4)
+            h, alpha, _ = fuse_sentence(words, word_emb, g, W_u, b_u, strategy)
+            assert h.shape == (n, 3) and alpha.shape == words.ids.shape
+            for i, (s, ls) in enumerate(zip(sets, lens)):
+                alpha_o, h_o = hand_fuse_position(word_emb[s].tolist(), ls, W_u.tolist(),
+                                                  b_u.tolist(), g.tolist(), strategy)
+                a, b = words.offsets[i], words.offsets[i + 1]
+                assert np.allclose(alpha[a:b], alpha_o, rtol=0, atol=1e-12)
+                assert np.allclose(h[i], h_o, rtol=0, atol=1e-12)
+
+    def test_layout(self):
+        words = WordSets.from_sets([[], [4, 1], [], [1]], [[], [2, 3], [], [3]])
+        assert words.ids.tolist() == [4, 1, 1]
+        assert words.lengths.tolist() == [2, 3, 3]
+        assert words.offsets.tolist() == [0, 0, 2, 2, 3]
+        assert words.rows.tolist() == [1, 4]
+        assert words.local.tolist() == [1, 0, 0]
+        for arr in (words.ids, words.lengths, words.offsets, words.rows, words.local):
+            assert arr.dtype == np.int64
+
+    def test_no_words_anywhere(self):
+        rng = np.random.default_rng(21)
+        words = WordSets.from_sets([[], [], []], [[], [], []])
+        W_u, b_u, g = rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=4)
+        for strategy in STRATEGIES:
+            h, alpha, cache = fuse_sentence(words, rng.normal(size=(2, 3)), g, W_u, b_u,
+                                            strategy)
+            assert np.array_equal(h, np.zeros((3, 3))) and alpha.size == 0
+            block, W_u_grad, b_u_grad = np.zeros((0, 3)), np.zeros((4, 3)), np.zeros(4)
+            dg = fuse_sentence_backward(rng.normal(size=(3, 3)), cache, W_u, block,
+                                        W_u_grad, b_u_grad)
+            assert np.array_equal(dg, np.zeros(4))
+            assert not np.any(W_u_grad) and not np.any(b_u_grad)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float32_stays_float32(self, strategy):
+        rng = np.random.default_rng(22)
+        sets, lens = random_sentence(rng, 7)
+        words = WordSets.from_sets(sets, lens)
+        f32 = np.float32
+        word_emb = rng.normal(size=(6, 3)).astype(f32)
+        W_u, b_u = rng.normal(size=(4, 3)).astype(f32), rng.normal(size=4).astype(f32)
+        g = rng.normal(size=4).astype(f32)
+        h, alpha, cache = fuse_sentence(words, word_emb, g, W_u, b_u, strategy)
+        assert h.dtype == f32 and alpha.dtype == f32
+        assert np.array_equal(h[[0, 3, 6]], np.zeros((3, 3), dtype=f32))   # empty rows
+        block = np.zeros((len(words.rows), 3), dtype=f32)
+        W_u_grad, b_u_grad = np.zeros_like(W_u), np.zeros_like(b_u)
+        dg = fuse_sentence_backward(rng.normal(size=h.shape).astype(f32), cache, W_u,
+                                    block, W_u_grad, b_u_grad)
+        for arr in (dg, block, W_u_grad, b_u_grad):
+            assert arr.dtype == f32
 
 
 class TestAttentionProperties:
@@ -96,8 +196,7 @@ class TestAttentionProperties:
             m = int(rng.integers(1, 6))
             ids, lengths, word_emb, g, W_u, b_u = random_inputs(rng, m)
             for strategy in ("global_attention", "self_attention", "average"):
-                h, cache = fuse_position(ids, lengths, word_emb, g, W_u, b_u, strategy)
-                alpha = fuse_alphas(cache)
+                h, alpha, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, strategy)
                 assert abs(alpha.sum() - 1.0) < 1e-12
                 assert np.all(alpha >= 0.0)
                 # convex hull bound, componentwise
@@ -106,11 +205,11 @@ class TestAttentionProperties:
                 assert np.all(h >= X.min(axis=0) - 1e-12)
                 # permuting the word set permutes alpha and keeps h
                 perm = rng.permutation(m)
-                hp, cachep = fuse_position([ids[j] for j in perm],
-                                           [lengths[j] for j in perm],
-                                           word_emb, g, W_u, b_u, strategy)
+                hp, alphap, _ = fuse_one([ids[j] for j in perm],
+                                         [lengths[j] for j in perm],
+                                         word_emb, g, W_u, b_u, strategy)
                 assert np.allclose(hp, h, atol=1e-12)
-                assert np.allclose(fuse_alphas(cachep), alpha[perm], atol=1e-12)
+                assert np.allclose(alphap, alpha[perm], atol=1e-12)
 
     def test_score_shift_invariance(self):
         # adding c to every score u_j . g leaves alpha unchanged:
@@ -121,11 +220,10 @@ class TestAttentionProperties:
             ids, lengths, word_emb, g, W_u, b_u = random_inputs(rng, m)
             c = float(rng.normal(scale=5))
             b_shift = b_u + (c / np.dot(g, g)) * g
-            _, cache1 = fuse_position(ids, lengths, word_emb, g, W_u, b_u,
-                                      "global_attention")
-            _, cache2 = fuse_position(ids, lengths, word_emb, g, W_u, b_shift,
-                                      "global_attention")
-            assert np.allclose(fuse_alphas(cache1), fuse_alphas(cache2), atol=1e-9)
+            _, alpha1, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_u, "global_attention")
+            _, alpha2, _ = fuse_one(ids, lengths, word_emb, g, W_u, b_shift,
+                                    "global_attention")
+            assert np.allclose(alpha1, alpha2, atol=1e-9)
 
 
 class TestFuseBackward:
@@ -135,22 +233,23 @@ class TestFuseBackward:
         store.add("W_u", rng.normal(size=(4, 3)))
         store.add("b_u", rng.normal(size=4))
         store.add("g", rng.normal(size=4))
-        # ids out of table order, so block rows and table rows differ
+        # ids out of table order, so block rows and table rows differ; the
+        # sentence has empty positions and repeats words across positions
         ids = [int(i) for i in rng.permutation(m + 2)[:m]]
-        rows = np.unique(ids)
         lengths = sorted(int(rng.integers(2, 6)) for _ in range(m))
-        up = rng.normal(size=3)
+        sets = [[], ids, [], ids[1:], ids[:1], []]
+        words = WordSets.from_sets(sets, [[], lengths, [], lengths[1:], lengths[:1], []])
+        up = rng.normal(size=(len(sets), 3))
 
         def f():
-            h, cache = fuse_position(ids, lengths, store.value("word_emb"),
-                                     store.value("g"), store.value("W_u"),
-                                     store.value("b_u"), strategy)
-            block = np.zeros((len(rows), 3))
-            dg = fuse_backward(up, cache, rows, store.value("W_u"), block,
-                               store["W_u"].grad, store["b_u"].grad)
-            store["word_emb"].grad[rows] += block
+            h, _, cache = fuse_sentence(words, store.value("word_emb"), store.value("g"),
+                                        store.value("W_u"), store.value("b_u"), strategy)
+            block = np.zeros((len(words.rows), 3))
+            dg = fuse_sentence_backward(up, cache, store.value("W_u"), block,
+                                        store["W_u"].grad, store["b_u"].grad)
+            store["word_emb"].grad[words.rows] += block
             store["g"].grad += dg
-            return float(np.dot(h, up))
+            return float(np.sum(h * up))
 
         return f, store, ids
 
@@ -165,14 +264,13 @@ class TestFuseBackward:
         for strategy, pick in (("shortest_first", 0), ("longest_first", 2)):
             word_emb = rng.normal(size=(5, 3))
             ids, lengths = [3, 0, 4], [2, 3, 4]
-            rows = np.unique(ids)
+            words = WordSets.from_sets([ids], [lengths])
             up = rng.normal(size=3)
-            h, cache = fuse_position(ids, lengths, word_emb, rng.normal(size=4),
-                                     rng.normal(size=(4, 3)), rng.normal(size=4),
-                                     strategy)
-            block = np.zeros((len(rows), 3))
-            fuse_backward(up, cache, rows, np.zeros((4, 3)), block,
-                          np.zeros((4, 3)), np.zeros(4))
-            at = int(np.searchsorted(rows, ids[pick]))
+            h, _, cache = fuse_sentence(words, word_emb, rng.normal(size=4),
+                                        rng.normal(size=(4, 3)), rng.normal(size=4), strategy)
+            block = np.zeros((len(words.rows), 3))
+            fuse_sentence_backward(up[None, :], cache, np.zeros((4, 3)), block,
+                                   np.zeros((4, 3)), np.zeros(4))
+            at = int(np.searchsorted(words.rows, ids[pick]))
             assert np.array_equal(block[at], up)
             assert np.all(np.delete(block, at, axis=0) == 0.0)

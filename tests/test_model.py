@@ -7,9 +7,8 @@ from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
-from lexner.model import (ModelConfig, attention_profile, decode_sentence,
-                          init_params, prepare_sentence, sentence_loss,
-                          sentence_nll)
+from lexner.model import (ModelConfig, decode_sentence, init_params, prepare_sentence,
+                          prepare_sentences, sentence_loss, sentence_nll, tag_sentence)
 
 
 def setup_model(seed=0, char_source="table", fusion="global_attention",
@@ -70,7 +69,7 @@ class TestSentenceLoss:
         store, sent, lex, vocab, mcfg, _ = setup_model(
             fusion=fusion, words=("江城", "城里", "里看", "北京", "上海"))
         item = prepare_sentence(sent, lex, vocab, "slk")
-        matched = {w for ws in item.word_ids for w in ws}
+        matched = set(item.words.ids.tolist())
         assert 0 < len(matched) < len(lex)
         _, grads = sentence_loss(store, item, mcfg, train=False)
         blocks = dict(grads.items())
@@ -198,12 +197,33 @@ class TestAttentionProfile:
     def test_alphas_sum_to_one_where_words_exist(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         item = prepare_sentence(sent, lex, vocab, "slk")
-        profile = attention_profile(store, item, mcfg)
-        assert len(profile) == len(sent.chars)
+        _, alphas = tag_sentence(store, item, mcfg)
+        offsets = item.words.offsets
+        assert len(offsets) == len(sent.chars) + 1
         any_words = False
-        for ids, alphas in profile:
-            assert len(ids) == len(alphas)
-            if len(ids):
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            if b > a:
                 any_words = True
-                assert abs(float(np.sum(alphas)) - 1.0) < 1e-9
+                assert abs(float(np.sum(alphas[a:b])) - 1.0) < 1e-9
         assert any_words
+
+
+class TestTagSentence:
+    @pytest.mark.parametrize("fusion", STRATEGIES)
+    def test_path_is_decode_and_alphas_are_fusion_weights(self, fusion):
+        store, sent, lex, vocab, mcfg, scheme = setup_model(fusion=fusion)
+        item = prepare_sentence(sent, lex, vocab, "slk")
+        path, alphas = tag_sentence(store, item, mcfg, scheme.legal_mask())
+        assert path == decode_sentence(store, item, mcfg, scheme.legal_mask())
+        assert alphas.shape == item.words.ids.shape and alphas.dtype == mcfg.dtype
+
+
+class TestPrepareSentences:
+    def test_missing_vector_raises_data_error(self):
+        _, sent, lex, vocab, _, _ = setup_model()
+        other = Sentence(sent.chars, None, "m1")
+        rows = np.zeros((len(sent.chars), 4))
+        items = prepare_sentences([sent], lex, vocab, "slk", {"m0": rows})
+        assert items[0].char_vectors is rows
+        with pytest.raises(DataError, match="no precomputed character vectors for sentence 'm1'"):
+            prepare_sentences([sent, other], lex, vocab, "slk", {"m0": rows})

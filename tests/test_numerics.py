@@ -307,6 +307,17 @@ class TestParamStore:
             with pytest.raises(FormatError):
                 load_arrays(path)
 
+    def test_zero_sized_shape_numpy_cannot_hold_rejected(self, tmp_path):
+        # no bytes to read, but (2**32 - 1)**2 elements per slice overflow numpy's size
+        dims = (0, 2 ** 32 - 1, 2 ** 32 - 1)
+        path = tmp_path / "empty_huge.bin"
+        path.write_bytes(
+            b"LXC1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 1) + b"x"
+            + struct.pack("<BB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+        )
+        with pytest.raises(FormatError, match="shape"):
+            load_arrays(path)
+
     def test_float32_entries(self, tmp_path):
         path = tmp_path / "f32.bin"
         arr = np.arange(5, dtype=np.float32)

@@ -271,6 +271,41 @@ class TestTrainLoop:
                             loaded.scheme(), mcfg)
         assert f1 == result.best.best_dev_f1
 
+    def test_fresh_one_epoch_run_copies_the_store_once(self, tmp_path, monkeypatch):
+        ds, lex, _ = tiny_corpus()
+        copies = []
+        copy = ParamStore.copy
+
+        def counting(self):
+            copies.append(self)
+            return copy(self)
+
+        monkeypatch.setattr(ParamStore, "copy", counting)
+        result = train(ds, ds, lex, tiny_config(epochs=1))
+        assert len(copies) == 1
+        assert result.last is result.best and result.best.epoch == 1
+        best, last = tmp_path / "model.ckpt", tmp_path / "model.ckpt.last"
+        result.best.save(best)
+        result.last.save(last)
+        assert last.read_bytes() == best.read_bytes()
+
+    def test_last_snapshot_after_a_stale_epoch(self):
+        ds, lex, _ = tiny_corpus()
+        result = train(ds, ds, lex, tiny_config(epochs=50, patience=2, lr=1e-9))
+        assert result.last is not result.best
+        assert result.last.epoch == len(result.history) > result.best.epoch
+        assert result.last.best_dev_f1 == result.best.best_dev_f1
+        assert result.last.adam_t > result.best.adam_t
+
+    def test_resume_with_no_epoch_left_keeps_the_checkpoint(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        path, again = tmp_path / "half.ckpt", tmp_path / "again.ckpt"
+        train(ds, ds, lex, tiny_config(epochs=2)).last.save(path)
+        resumed = train(ds, ds, lex, tiny_config(epochs=2), resume=Checkpoint.load(path))
+        assert resumed.history == [] and resumed.last is resumed.best
+        resumed.last.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_early_stopping(self):
         ds, lex, _ = tiny_corpus()
         result = train(ds, ds, lex, tiny_config(epochs=50, patience=2, lr=1e-9))

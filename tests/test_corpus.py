@@ -1,13 +1,18 @@
 import json
 import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner import (Sentence, TagScheme, build_char_vocab, load_embeddings,
                     random_init_row, read_conll, uniform_bound, write_conll)
 from lexner.errors import FormatError, ParseError, SchemeError
+from lexner.evaluation import EntitySpan, spans_to_tags
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -206,3 +211,38 @@ def test_build_char_vocab_deterministic():
     sents = [Sentence(tuple("ba"), None, "x"), Sentence(tuple("cb"), None, "y")]
     vocab = build_char_vocab(sents)
     assert vocab == {"<unk>": 0, "a": 1, "b": 2, "c": 3}
+
+
+@st.composite
+def tagged_sentences(draw, kind):
+    """A legal tag sequence of the scheme, built from O runs and entities."""
+    scheme = TagScheme(kind, ("LOC", "PER"))
+    segments = draw(st.lists(st.tuples(st.sampled_from(("O", "LOC", "PER")),
+                                       st.integers(1, 6)), min_size=1, max_size=8))
+    spans, n = [], 0
+    for label, length in segments:
+        if label != "O":
+            spans.append(EntitySpan(n + 1, n + length, label))
+        n += length
+    chars = tuple(draw(st.lists(st.sampled_from("甲乙丙丁戊己庚辛"), min_size=n, max_size=n)))
+    return scheme, Sentence(chars, tuple(spans_to_tags(spans, n, scheme)), "x")
+
+
+class TestSplitProperties:
+    @pytest.mark.parametrize("kind", ["BIO", "BIOES"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), max_len=st.integers(1, 12))
+    def test_pieces_are_legal_and_rejoin(self, kind, data, max_len):
+        scheme, sent = data.draw(tagged_sentences(kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.conll"
+            write_conll([sent], scheme, path)
+            ds = read_conll(path, scheme, max_len=max_len)
+        assert ds.oversize_split == (len(sent) > max_len)
+        assert len(ds) == -(-len(sent) // max_len)
+        for piece in ds.sentences:
+            assert 1 <= len(piece) <= max_len
+            path_tags = [None] + list(piece.tags) + [None]
+            assert all(scheme.legal_transition(a, b)
+                       for a, b in zip(path_tags, path_tags[1:]))
+        assert sum((p.chars for p in ds.sentences), ()) == sent.chars

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner import build_lexicon, knowledge_select, match_sentence
+from lexner.lexicon import KNOWLEDGE_MODES
 from lexner.errors import DataError
 
 from conftest import BRIDGE_SENTENCE, BRIDGE_WORDS, naive_match_oracle
@@ -143,3 +146,41 @@ class TestKnowledgeSelect:
         ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
         with pytest.raises(ValueError):
             knowledge_select(ms, "third-order")
+
+
+@st.composite
+def matcher_cases(draw):
+    """A lexicon, its length range and a sentence over one small alphabet.
+
+    Characters are arbitrary Unicode code points (surrogates excluded);
+    word lengths reach outside the kept range on both sides.
+    """
+    alphabet = draw(st.lists(st.characters(exclude_categories=("Cs",)),
+                             min_size=1, max_size=4, unique=True))
+    min_len = draw(st.integers(1, 3))
+    max_len = draw(st.integers(min_len, 5))
+    words = draw(st.lists(st.text(st.sampled_from(alphabet), min_size=1, max_size=7),
+                          min_size=1, max_size=20))
+    chars = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=16)))
+    return words, min_len, max_len, chars
+
+
+class TestMatcherProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=matcher_cases())
+    def test_matches_oracle_in_every_mode(self, case):
+        words, min_len, max_len, chars = case
+        lex = build_lexicon(words, None, dim=2, min_word_len=min_len, max_word_len=max_len)
+        ms = match_sentence(lex, chars)
+        fwd, bwd, flk, slk = naive_match_oracle(words, chars, min_len, max_len)
+        expected = {"fwd": fwd, "bwd": bwd, "flk": flk, "slk": slk}
+        expected["both"] = [a | b for a, b in zip(slk, flk)]
+        expected["none"] = [set()] * len(chars)
+        got = {"fwd": ms.fwd, "bwd": ms.bwd}
+        got.update((mode, knowledge_select(ms, mode)) for mode in KNOWLEDGE_MODES)
+        assert set(got) == set(expected)
+        for key, sets in got.items():
+            assert len(sets) == len(chars), key
+            for i, s in enumerate(sets):
+                assert list(s) == sorted(set(s)), (key, i)   # ascending, no repeats
+                assert words_of(lex, s) == expected[key][i], (key, i)

@@ -7,8 +7,8 @@ a linear-chain CRF scores tag sequences and Viterbi decodes them.
 """
 
 from .corpus import (Dataset, EmbeddingTable, Sentence, TagScheme,
-                     build_char_vocab, load_embeddings, random_init_row,
-                     read_conll, uniform_bound, write_conll)
+                     build_char_vocab, load_embeddings, read_conll,
+                     uniform_bound, write_conll)
 from .crf import TagLattice, log_partition, marginals, nll, score_sequence, viterbi
 from .diagnostics import end_to_end_grad_check
 from .evaluation import (EntitySpan, bucket_by_length, evaluation_report,

@@ -167,12 +167,12 @@ def _load_char_vectors(cfg: dict):
 
 
 def _restore(cfg: dict):
-    """Load a checkpoint and rebuild the matching lexicon trie."""
+    """Load a checkpoint and rebuild the lexicon over its word list."""
     ckpt = Checkpoint.load(cfg["checkpoint_path"])
     rng = np.random.default_rng(ckpt.config.seed)
     lexicon = build_lexicon(ckpt.words, None, dim=ckpt.config.d_w, rng=rng)
     if lexicon.words != ckpt.words:
-        raise DataError("checkpoint word list does not round-trip through the trie")
+        raise DataError("checkpoint word list does not round-trip through build_lexicon")
     return ckpt, lexicon
 
 

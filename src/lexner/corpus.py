@@ -351,12 +351,6 @@ def uniform_bound(dim: int) -> float:
     return math.sqrt(3.0 / dim)
 
 
-def random_init_row(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one embedding row uniformly from [-sqrt(3/dim), +sqrt(3/dim)]."""
-    b = uniform_bound(dim)
-    return rng.uniform(-b, b, size=dim)
-
-
 def build_char_vocab(sentences) -> dict[str, int]:
     """Character -> row index for the trainable character table.
 

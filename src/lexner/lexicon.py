@@ -1,4 +1,4 @@
-"""Dictionary trie and per-character lexicon match sets.
+"""Dictionary word index and per-character lexicon match sets.
 
 For position i (0-based), `fwd[i]` holds the dictionary words starting at
 i and `bwd[i]` the words ending at i. First-order knowledge is their
@@ -15,28 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EmbeddingTable, random_init_row
+from .corpus import EmbeddingTable, uniform_bound
 from .errors import DataError
 
 KNOWLEDGE_MODES = ("slk", "flk", "both", "none")
 
 
-class _TrieNode:
-    __slots__ = ("children", "word")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.word: int | None = None
-
-
 @dataclass
 class Lexicon:
-    """Dictionary words, their trie, and their initial embedding rows.
+    """Dictionary words, their index, and their initial embedding rows.
 
     `words[k]` is the word at index k; `word_index` is the inverse map.
     `embeddings` row k is word k's initial vector (from the embedding
     table where available, uniform-random otherwise); the trainable word
-    table is seeded from it.
+    table is seeded from it. `longest` is the length of the longest kept
+    word (0 when none is kept).
     """
 
     words: tuple[str, ...]
@@ -44,9 +37,9 @@ class Lexicon:
     embeddings: np.ndarray
     min_word_len: int
     max_word_len: int
+    longest: int
     n_skipped: int
     n_random_init: int
-    root: _TrieNode
 
     def __len__(self) -> int:
         return len(self.words)
@@ -55,12 +48,13 @@ class Lexicon:
 def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
                   min_word_len: int = 2, max_word_len: int = 10,
                   rng: np.random.Generator | None = None) -> Lexicon:
-    """Build a trie over `words`, skipping entries outside the length range.
+    """Index `words`, skipping entries outside the length range.
 
     Words found in `table` take their rows from it; the rest (or all of
-    them when `table` is None) get uniform-random rows of size `dim` (or
-    the table's dim). Duplicates are stored once. Word indices are
-    assigned in (length, lexicographic) order.
+    them when `table` is None) get rows of size `dim` (or the table's dim)
+    drawn uniformly from +-sqrt(3/dim), in one draw, in word-index order.
+    Duplicates are stored once. Word indices are assigned in (length,
+    lexicographic) order.
     """
     words = list(words)
     if not words:
@@ -69,32 +63,25 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
         rng = np.random.default_rng(0)
     d = table.dim if table is not None else dim
 
-    kept = sorted(
-        {w for w in words if min_word_len <= len(w) <= max_word_len},
-        key=lambda w: (len(w), w),
-    )
-    n_skipped = len(set(words)) - len(kept)
+    distinct = dict.fromkeys(words)   # keeps order, so a sorted list sorts in linear time
+    kept = sorted((w for w in distinct if min_word_len <= len(w) <= max_word_len),
+                  key=lambda w: (len(w), w))
+    n_skipped = len(distinct) - len(kept)
 
     rows = np.empty((len(kept), d), dtype=np.float64)
-    n_random = 0
+    missing = []
     for k, w in enumerate(kept):
         if table is not None and w in table:
             rows[k] = table.lookup(w)
         else:
-            rows[k] = random_init_row(d, rng)
-            n_random += 1
+            missing.append(k)
+    b = uniform_bound(d)
+    rows[missing] = rng.uniform(-b, b, (len(missing), d))
 
-    root = _TrieNode()
-    index = {}
-    for k, w in enumerate(kept):
-        index[w] = k
-        node = root
-        for ch in w:
-            node = node.children.setdefault(ch, _TrieNode())
-        node.word = k
-
-    return Lexicon(tuple(kept), index, rows, min_word_len, max_word_len,
-                   n_skipped, n_random, root)
+    index = {w: k for k, w in enumerate(kept)}
+    longest = len(kept[-1]) if kept else 0
+    return Lexicon(tuple(kept), index, rows, min_word_len, max_word_len, longest,
+                   n_skipped, len(missing))
 
 
 @dataclass
@@ -114,22 +101,21 @@ class MatchSets:
 def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
     """Match every dictionary word occurring in the sentence.
 
-    One trie walk per start position, capped at max_word_len steps, so the
-    total work is O(n * max_word_len).
+    Looks up each substring of a length from min_word_len to the longest
+    word in the word index, so the total work is O(n * max_word_len).
     """
     chars = getattr(sentence, "chars", sentence)
     n = len(chars)
+    index = lexicon.word_index
+    shortest = max(lexicon.min_word_len, 1)
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        node = lexicon.root
-        for j in range(i, min(n, i + lexicon.max_word_len)):
-            node = node.children.get(chars[j])
-            if node is None:
-                break
-            if node.word is not None:
-                fwd[i].append(node.word)
-                bwd[j].append(node.word)
+        for j in range(i + shortest, min(n, i + lexicon.longest) + 1):
+            k = index.get("".join(chars[i:j]))
+            if k is not None:
+                fwd[i].append(k)
+                bwd[j - 1].append(k)
 
     def merged(a, b):
         return tuple(sorted(set(a) | set(b)))

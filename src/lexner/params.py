@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -102,18 +103,12 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> tuple["ParamStore", dict]:
+        """Values with their stored Adam moments (zero where none is stored)."""
         arrays, meta = load_arrays(path)
         store = cls()
         for name, arr in arrays.items():
-            if "!" in name:
-                continue
-            store.add(name, arr)
-        for name in store.names():
-            p = store[name]
-            if name + "!m" in arrays:
-                p.m = arrays[name + "!m"]
-            if name + "!v" in arrays:
-                p.v = arrays[name + "!v"]
+            if "!" not in name:
+                store._params[name] = Param(arr, arrays.get(name + "!m"), arrays.get(name + "!v"))
         return store, meta
 
 
@@ -139,49 +134,53 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container; each array is read straight into its own buffer."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    at = 0
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal at
-        if at + n > len(data):
-            raise FormatError(f"{path}: truncated container")
-        out = data[at:at + n]
-        at += n
-        return out
+        def need(n: int) -> None:
+            nonlocal left
+            if n > left:
+                raise FormatError(f"{path}: truncated container")
+            left -= n
 
-    if take(4) != _MAGIC:
-        raise FormatError(f"{path}: not a lexner container (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    (meta_len,) = struct.unpack("<I", take(4))
-    try:   # take() raises FormatError, which is not a ValueError
-        meta = json.loads(take(meta_len).decode("utf-8"))
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
-        raise FormatError(f"{path}: corrupt container metadata ({exc})") from None
-    (n_entries,) = struct.unpack("<I", take(4))
+        def take(n: int) -> bytes:
+            need(n)
+            return fh.read(n)
 
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: corrupt entry name ({exc})") from None
-        code, ndim = struct.unpack("<BB", take(2))
-        if code not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype code {code} (entry {name!r})")
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        dtype = _DTYPES[code]
-        count = math.prod(shape)   # Python ints: a huge header cannot wrap
-        raw = take(count * dtype.itemsize)
-        try:
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-        except ValueError as exc:   # a shape numpy cannot hold, such as (0, 2**32 - 1, 2**32 - 1)
-            raise FormatError(f"{path}: bad shape {shape} (entry {name!r}): {exc}") from None
-        arrays[name] = arr.astype(dtype.newbyteorder("="))
+        if take(4) != _MAGIC:
+            raise FormatError(f"{path}: not a lexner container (bad magic)")
+        (version,) = struct.unpack("<I", take(4))
+        if version != _VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        (meta_len,) = struct.unpack("<I", take(4))
+        try:   # take() raises FormatError, which is not a ValueError
+            meta = json.loads(take(meta_len).decode("utf-8"))
+        except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+            raise FormatError(f"{path}: corrupt container metadata ({exc})") from None
+        (n_entries,) = struct.unpack("<I", take(4))
+
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(n_entries):
+            (name_len,) = struct.unpack("<H", take(2))
+            try:
+                name = take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: corrupt entry name ({exc})") from None
+            code, ndim = struct.unpack("<BB", take(2))
+            if code not in _DTYPES:
+                raise FormatError(f"{path}: unknown dtype code {code} (entry {name!r})")
+            shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
+            dtype = _DTYPES[code]
+            # Python ints, so a huge header cannot wrap; checked before allocating
+            need(math.prod(shape) * dtype.itemsize)
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as exc:   # a shape numpy cannot hold, such as (0, 2**32 - 1, 2**32 - 1)
+                raise FormatError(f"{path}: bad shape {shape} (entry {name!r}): {exc}") from None
+            if fh.readinto(arr) != arr.nbytes:   # the file shrank while being read
+                raise FormatError(f"{path}: truncated container")
+            arrays[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
     return arrays, meta
 
 

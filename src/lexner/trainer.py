@@ -23,7 +23,7 @@ from .errors import ConfigError, FormatError, NumericError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
-from .model import (ModelConfig, SentenceInputs, decode_sentence, init_params,
+from .model import (UNK, ModelConfig, SentenceInputs, decode_sentence, init_params,
                     prepare_sentences, sentence_loss)
 from .params import ParamStore
 
@@ -136,6 +136,14 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0
         g[...] = 0.0
 
 
+# (field, JSON type, type of each item or value) of the checkpoint metadata
+_CHECKPOINT_META = (
+    ("config", dict, None), ("epoch", int, None), ("best_dev_f1", (int, float), None),
+    ("rng_state", dict, None), ("adam_t", int, None), ("char_vocab", dict, int),
+    ("scheme_kind", str, None), ("labels", list, str), ("words", list, str),
+)
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to evaluate, tag, or resume training."""
@@ -181,22 +189,32 @@ class Checkpoint:
         store, meta = ParamStore.load(path)
         if not isinstance(meta, dict) or meta.get("kind") != "checkpoint":
             raise FormatError(f"{path}: not a checkpoint container")
-        missing = [f.name for f in dataclasses.fields(cls)
-                   if f.name != "store" and f.name not in meta]
+        missing = [key for key, *_ in _CHECKPOINT_META if key not in meta]
         if missing:
             raise FormatError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
-        return cls(
-            store=store,
-            config=TrainConfig.from_dict(meta["config"]),
-            epoch=int(meta["epoch"]),
-            best_dev_f1=float(meta["best_dev_f1"]),
-            rng_state=meta["rng_state"],
-            adam_t=int(meta["adam_t"]),
-            char_vocab={k: int(v) for k, v in meta["char_vocab"].items()},
-            scheme_kind=meta["scheme_kind"],
-            labels=tuple(meta["labels"]),
-            words=tuple(meta["words"]),
-        )
+        wrong = [key for key, kind, item in _CHECKPOINT_META
+                 if not isinstance(meta[key], kind) or isinstance(meta[key], bool)
+                 or item and not all(type(x) is item for x in
+                                     (meta[key].values() if kind is dict else meta[key]))]
+        if wrong:
+            raise FormatError(f"{path}: checkpoint metadata has ill-typed {', '.join(wrong)}")
+        try:
+            config = TrainConfig.from_dict(meta["config"])
+        except (TypeError, ConfigError) as exc:
+            raise FormatError(f"{path}: bad checkpoint config ({exc})") from None
+        words, char_vocab = tuple(meta["words"]), meta["char_vocab"]
+        if UNK not in char_vocab or min(char_vocab.values()) < 0:
+            raise FormatError(f"{path}: checkpoint char_vocab lacks {UNK!r} or has a negative id")
+        emb = store.value("word_emb") if "word_emb" in store else None
+        if emb is None or emb.shape != (len(words), config.d_w):
+            raise FormatError(f"{path}: word_emb does not hold one row of {config.d_w} "
+                              f"values for each of the {len(words)} words")
+        if "char_emb" in store and max(char_vocab.values()) >= len(store.value("char_emb")):
+            raise FormatError(f"{path}: char_vocab ids reach beyond the char_emb rows")
+        fields = {key: meta[key] for key, *_ in _CHECKPOINT_META}
+        fields.update(config=config, best_dev_f1=float(meta["best_dev_f1"]),
+                      labels=tuple(meta["labels"]), words=words)
+        return cls(store=store, **fields)
 
 
 @dataclass

@@ -1,12 +1,14 @@
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from lexner import Checkpoint, encoder, make_synthetic_corpus, model, write_conll
+from lexner import (Checkpoint, TrainConfig, build_lexicon, encoder, make_synthetic_corpus,
+                    model, train, write_conll)
 from lexner.cli import main
-from lexner.params import save_arrays
+from lexner.params import load_arrays, save_arrays
 
 
 @pytest.fixture
@@ -30,6 +32,31 @@ def workspace(tmp_path):
         encoding="utf-8",
     )
     return tmp_path, cfg_path, ds, words, scheme
+
+
+@pytest.fixture(scope="module")
+def checkpoint_contents(tmp_path_factory):
+    """Arrays and metadata of one tiny trained checkpoint."""
+    ds, words, _ = make_synthetic_corpus(n_sentences=6, seed=3)
+    lex = build_lexicon(words, None, dim=8, rng=np.random.default_rng(0))
+    config = TrainConfig(lr=1e-2, d_c=8, d_w=8, bigru_total=16, epochs=1, seed=5)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    train(ds, ds, lex, config).best.save(path)
+    return load_arrays(path)
+
+
+# each edit leaves a well-formed container whose checkpoint metadata is wrong
+MALFORMED_META = {
+    "config-unknown-key": lambda meta, arrays: meta["config"].update(bogus=1),
+    "config-not-a-dict": lambda meta, arrays: meta.update(config=[1]),
+    "words-hold-ints": lambda meta, arrays: meta.update(words=list(range(len(meta["words"])))),
+    "char-vocab-is-a-list": lambda meta, arrays: meta.update(char_vocab=sorted(meta["char_vocab"])),
+    "labels-is-an-int": lambda meta, arrays: meta.update(labels=3),
+    "epoch-is-a-string": lambda meta, arrays: meta.update(epoch="x"),
+    "one-word-removed": lambda meta, arrays: meta.update(words=meta["words"][1:]),
+    "char-id-beyond-table": lambda meta, arrays: meta["char_vocab"].update(
+        extra=len(arrays["char_emb"])),
+}
 
 
 def run(capsys, *argv):
@@ -203,6 +230,22 @@ class TestTagEval:
         dims = (0, 2 ** 32 - 1, 2 ** 32 - 1)
         bad.write_bytes(b"LXC1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<IH", 1, 1)
                         + b"x" + struct.pack("<BB", 1, 3) + struct.pack("<3I", *dims))
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n", encoding="utf-8")
+        code, out = run(capsys, "tag", "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={bad}", str(text_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_META))
+    def test_tag_rejects_malformed_checkpoint_metadata(self, workspace, capsys,
+                                                       checkpoint_contents, case):
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        meta = copy.deepcopy(meta)
+        MALFORMED_META[case](meta, arrays)
+        bad = tmp_path / "bad.ckpt"
+        save_arrays(bad, arrays, meta)
         text_path = tmp_path / "input.txt"
         text_path.write_text("江城\n", encoding="utf-8")
         code, out = run(capsys, "tag", "-c", str(cfg_path),

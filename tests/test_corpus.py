@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexner import (Sentence, TagScheme, build_char_vocab, load_embeddings,
-                    random_init_row, read_conll, uniform_bound, write_conll)
+from lexner import (Sentence, TagScheme, build_char_vocab, build_lexicon,
+                    load_embeddings, read_conll, uniform_bound, write_conll)
 from lexner.errors import FormatError, ParseError, SchemeError
 from lexner.evaluation import EntitySpan, spans_to_tags
 
@@ -178,29 +178,30 @@ class TestLoadEmbeddings:
             assert np.array_equal(table.lookup(w), row)
 
 
+def random_rows(n, dim, seed):
+    """The uniform-random rows build_lexicon draws for n words without table rows."""
+    words = [f"{k:05d}" for k in range(n)]
+    return build_lexicon(words, None, dim=dim, rng=np.random.default_rng(seed)).embeddings
+
+
 class TestRandomInit:
     def test_bound_dim_50(self):
-        rng = np.random.default_rng(0)
+        rows = random_rows(20, 50, 0)
         bound = math.sqrt(3.0 / 50)
-        for _ in range(20):
-            row = random_init_row(50, rng)
-            assert row.shape == (50,)
-            assert np.all(np.abs(row) <= bound)
+        assert rows.shape == (20, 50)
+        assert np.all(np.abs(rows) <= bound)
 
     def test_bound_dim_3_is_one(self):
-        rng = np.random.default_rng(1)
         assert uniform_bound(3) == 1.0
-        row = random_init_row(3, rng)
-        assert np.all(np.abs(row) <= 1.0)
+        assert np.all(np.abs(random_rows(1, 3, 1)) <= 1.0)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
-            random_init_row(0, np.random.default_rng(0))
+            random_rows(1, 0, 0)
 
     def test_statistics(self):
         # 1e5 values at dim=50: mean within 3 sigma of 0, extremes inside bound
-        rng = np.random.default_rng(42)
-        samples = np.concatenate([random_init_row(50, rng) for _ in range(2000)])
+        samples = random_rows(2000, 50, 42)
         bound = uniform_bound(50)
         sigma_mean = bound / math.sqrt(3 * samples.size)
         assert abs(samples.mean()) < 3 * sigma_mean

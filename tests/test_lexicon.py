@@ -47,6 +47,35 @@ class TestBuildLexicon:
         assert lex.n_random_init == 1
         assert lex.embeddings.shape == (2, 3)
 
+    @pytest.mark.parametrize("covered", [(), ("长江", "南京市", "大桥")], ids=["no-table", "table"])
+    def test_random_rows_equal_per_row_draws(self, covered):
+        from lexner import EmbeddingTable, uniform_bound
+        d = 5
+        table_rows = np.arange(len(covered) * d, dtype=np.float64).reshape(-1, d) + 10.0
+        table = EmbeddingTable({w: k for k, w in enumerate(covered)}, table_rows) if covered else None
+        lex = build_lexicon(BRIDGE_WORDS, table, dim=d, rng=np.random.default_rng(11))
+        # reference: one Generator.uniform call per uncovered word, in word-index order
+        rng, b = np.random.default_rng(11), uniform_bound(d)
+        for k, w in enumerate(lex.words):
+            if w in covered:
+                expected = table_rows[covered.index(w)]
+            else:
+                expected = rng.uniform(-b, b, size=d)
+            assert lex.embeddings[k].tobytes() == expected.tobytes(), w
+        assert lex.n_random_init == len(BRIDGE_WORDS) - len(covered)
+
+    def test_longest_is_longest_kept_word(self):
+        lex = build_lexicon(["南京", "长江大桥", "一二三四五六七八九十并"], None, dim=4)
+        assert lex.longest == 4
+        assert build_lexicon(["南"], None, dim=4).longest == 0
+
+    def test_duplicates_in_sorted_list_keep_index_order(self):
+        words = sorted(BRIDGE_WORDS * 2, key=lambda w: (len(w), w))
+        lex = build_lexicon(words, None, dim=4, rng=np.random.default_rng(0))
+        ref = build_lexicon(BRIDGE_WORDS, None, dim=4, rng=np.random.default_rng(0))
+        assert lex.words == ref.words and lex.n_skipped == 0
+        assert lex.embeddings.tobytes() == ref.embeddings.tobytes()
+
 
 class TestMatchSentence:
     def test_bridge_slk_sets(self, bridge_lexicon):

@@ -1,4 +1,7 @@
 import json
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,33 @@ def textbook_adam(store, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1,
         v_hat = p.v / (1.0 - beta2 ** t)
         p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad[...] = 0.0
+
+
+def whole_file_reader(path):
+    """Reference LXC1 reader as earlier versions wrote it: the whole file as
+    bytes, each entry viewed with frombuffer and copied out with astype."""
+    data = Path(path).read_bytes()
+    assert data[:4] == b"LXC1" and struct.unpack_from("<I", data, 4) == (1,)
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    at = 12 + meta_len
+    meta = json.loads(data[12:at].decode("utf-8"))
+    (n_entries,) = struct.unpack_from("<I", data, at)
+    at += 4
+    arrays = {}
+    for _ in range(n_entries):
+        (name_len,) = struct.unpack_from("<H", data, at)
+        name = data[at + 2:at + 2 + name_len].decode("utf-8")
+        at += 2 + name_len
+        code, ndim = struct.unpack_from("<BB", data, at)
+        shape = struct.unpack_from(f"<{ndim}I", data, at + 2)
+        at += 2 + 4 * ndim
+        dtype = np.dtype({1: "<f8", 2: "<f4"}[code])
+        size = math.prod(shape) * dtype.itemsize
+        raw = np.frombuffer(data[at:at + size], dtype=dtype).reshape(shape)
+        arrays[name] = raw.astype(dtype.newbyteorder("="))
+        at += size
+    assert at == len(data)
+    return arrays, meta
 
 
 class TestAdamStep:
@@ -199,6 +229,31 @@ class TestTrainLoop:
         for name in full.last.store.names():
             assert (full.last.store.value(name).tobytes()
                     == resumed.last.store.value(name).tobytes()), name
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_restore_matches_whole_file_reader_and_resumes(self, tmp_path, precision):
+        ds, lex, _ = tiny_corpus()
+        half = train(ds, ds, lex, tiny_config(epochs=2, precision=precision))
+        path = tmp_path / "half.ckpt"
+        half.last.save(path)
+        arrays, meta = whole_file_reader(path)
+        loaded = Checkpoint.load(path)
+        assert len(arrays) == 3 * len(loaded.store.names())
+        assert loaded.words == tuple(meta["words"]) == lex.words
+        for name, p in loaded.store.items():
+            saved = half.last.store[name]
+            for suffix, got, before in (("", p.value, saved.value), ("!m", p.m, saved.m),
+                                        ("!v", p.v, saved.v)):
+                ref = arrays[name + suffix]
+                assert got.dtype == ref.dtype == np.dtype(precision), name + suffix
+                assert got.shape == ref.shape and got.flags.writeable, name + suffix
+                assert got.tobytes() == ref.tobytes() == before.tobytes(), name + suffix
+        full = train(ds, ds, lex, tiny_config(epochs=4, precision=precision))
+        resumed = train(ds, ds, lex, tiny_config(epochs=4, precision=precision), resume=loaded)
+        for name, p in full.last.store.items():
+            q = resumed.last.store[name]
+            for a, b in ((p.value, q.value), (p.m, q.m), (p.v, q.v)):
+                assert a.tobytes() == b.tobytes(), name
 
     def test_none_mode_equals_slk_on_empty_lexicon(self):
         ds, _, _ = tiny_corpus()

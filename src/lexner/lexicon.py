@@ -101,33 +101,40 @@ class MatchSets:
 def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
     """Match every dictionary word occurring in the sentence.
 
-    Looks up each substring of a length from min_word_len to the longest
-    word in the word index, so the total work is O(n * max_word_len).
+    For each length from min_word_len to the longest word, looks up every
+    substring of that length in the word index, so the total work is
+    O(n * max_word_len). Going by length keeps each set ascending.
     """
     chars = getattr(sentence, "chars", sentence)
+    text = "".join(chars)
     n = len(chars)
+    if len(text) != n:
+        raise DataError("a sentence must be a sequence of single characters")
     index = lexicon.word_index
-    shortest = max(lexicon.min_word_len, 1)
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + shortest, min(n, i + lexicon.longest) + 1):
-            k = index.get("".join(chars[i:j]))
+    for length in range(max(lexicon.min_word_len, 1), min(n, lexicon.longest) + 1):
+        found = map(index.get, [text[i:i + length] for i in range(n - length + 1)])
+        for i, k in enumerate(found):
             if k is not None:
                 fwd[i].append(k)
-                bwd[j - 1].append(k)
+                bwd[i + length - 1].append(k)
 
-    def merged(a, b):
-        return tuple(sorted(set(a) | set(b)))
-
-    fwd_t = tuple(tuple(sorted(s)) for s in fwd)
-    bwd_t = tuple(tuple(sorted(s)) for s in bwd)
-    flk = tuple(merged(fwd_t[i], bwd_t[i]) for i in range(n))
+    fwd_t = tuple(map(tuple, fwd))
+    bwd_t = tuple(map(tuple, bwd))
+    flk = tuple(map(_merged, fwd_t, bwd_t))
     slk = tuple(
-        merged(fwd_t[i - 1] if i > 0 else (), bwd_t[i + 1] if i + 1 < n else ())
+        _merged(fwd_t[i - 1] if i > 0 else (), bwd_t[i + 1] if i + 1 < n else ())
         for i in range(n)
     )
     return MatchSets(fwd_t, bwd_t, flk, slk)
+
+
+def _merged(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending union of two ascending word-index tuples."""
+    if not a or not b:   # the common case: at most one side has words
+        return a or b
+    return tuple(sorted(set(a) | set(b)))
 
 
 def knowledge_select(match_sets: MatchSets, mode: str) -> tuple[tuple[int, ...], ...]:
@@ -144,8 +151,5 @@ def knowledge_select(match_sets: MatchSets, mode: str) -> tuple[tuple[int, ...],
     if mode == "flk":
         return match_sets.flk
     if mode == "both":
-        return tuple(
-            tuple(sorted(set(s) | set(f)))
-            for s, f in zip(match_sets.slk, match_sets.flk)
-        )
+        return tuple(map(_merged, match_sets.slk, match_sets.flk))
     return tuple(() for _ in match_sets.slk)

@@ -189,15 +189,12 @@ class Checkpoint:
         store, meta = ParamStore.load(path)
         if not isinstance(meta, dict) or meta.get("kind") != "checkpoint":
             raise FormatError(f"{path}: not a checkpoint container")
-        missing = [key for key, *_ in _CHECKPOINT_META if key not in meta]
-        if missing:
-            raise FormatError(f"{path}: checkpoint metadata lacks {', '.join(missing)}")
         wrong = [key for key, kind, item in _CHECKPOINT_META
-                 if not isinstance(meta[key], kind) or isinstance(meta[key], bool)
+                 if key not in meta or not isinstance(meta[key], kind) or isinstance(meta[key], bool)
                  or item and not all(type(x) is item for x in
                                      (meta[key].values() if kind is dict else meta[key]))]
         if wrong:
-            raise FormatError(f"{path}: checkpoint metadata has ill-typed {', '.join(wrong)}")
+            raise FormatError(f"{path}: checkpoint metadata lacks or mistypes {', '.join(wrong)}")
         try:
             config = TrainConfig.from_dict(meta["config"])
         except (TypeError, ConfigError) as exc:

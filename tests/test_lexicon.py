@@ -149,6 +149,10 @@ class TestMatchSentence:
                     ends_at_next = i + 2 >= len(word) and text[max(0, i + 2 - len(word)):i + 2] == word
                     assert starts_at_prev or ends_at_next
 
+    def test_rejects_items_longer_than_one_character(self, bridge_lexicon):
+        with pytest.raises(DataError):
+            match_sentence(bridge_lexicon, ("南京", "市"))
+
     def test_accepts_sentence_objects(self, bridge_lexicon):
         from lexner import Sentence
         sent = Sentence(BRIDGE_SENTENCE, None, "x")

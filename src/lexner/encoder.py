@@ -35,14 +35,19 @@ GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
 
 
-def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """LeCun-uniform weights, zero biases."""
-    gates = {}
+def gate_shapes(d_in: int, d_h: int) -> dict[str, tuple]:
+    """Shape of each of one direction's gates, in GATE_NAMES order."""
+    shapes = {}
     for g in ("z", "r", "h"):
-        gates[f"W_{g}"] = rng.uniform(-1, 1, (d_h, d_in)) * np.sqrt(3.0 / d_in)
-        gates[f"U_{g}"] = rng.uniform(-1, 1, (d_h, d_h)) * np.sqrt(3.0 / d_h)
-        gates[f"b_{g}"] = np.zeros(d_h)
-    return gates
+        shapes.update({f"W_{g}": (d_h, d_in), f"U_{g}": (d_h, d_h), f"b_{g}": (d_h,)})
+    return shapes
+
+
+def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """LeCun-uniform weights (fan-in = columns), zero biases."""
+    return {name: np.zeros(shape) if len(shape) == 1
+            else rng.uniform(-1, 1, shape) * np.sqrt(3.0 / shape[1])
+            for name, shape in gate_shapes(d_in, d_h).items()}
 
 
 def _run_direction(X, gates, reverse):

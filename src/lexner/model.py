@@ -57,31 +57,50 @@ class SentenceInputs:
         return len(self.char_ids)
 
 
+def param_shapes(cfg: ModelConfig, char_vocab_size: int, n_words: int) -> dict[str, tuple]:
+    """Name -> shape of every parameter `init_params` makes, in store order."""
+    two_dh = 2 * cfg.d_h
+    shapes = {"char_emb": (char_vocab_size, cfg.d_c)} if cfg.char_source == "table" else {}
+    for direction in ("fwd", "bwd"):
+        for name, shape in encoder.gate_shapes(cfg.d_c, cfg.d_h).items():
+            shapes[f"gru_{direction}.{name}"] = shape
+    shapes.update({
+        "fusion.W_u": (two_dh, cfg.d_w), "fusion.b_u": (two_dh,),
+        "word_emb": (n_words, cfg.d_w),
+        "crf.W_o": (cfg.num_tags, cfg.d_w + two_dh), "crf.b_o": (cfg.num_tags,),
+        "crf.T": (cfg.num_tags + 2, cfg.num_tags + 2),
+    })
+    return shapes
+
+
 def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
                 rng: np.random.Generator) -> ParamStore:
-    """Fresh parameters; embeddings and weights use the uniform +-sqrt(3/fan) rule."""
-    store = ParamStore()
+    """Fresh parameters; embeddings and weights use the uniform +-sqrt(3/fan) rule.
 
-    def add(name, arr):
-        # np.array copies, so the store never aliases caller-owned buffers
-        store.add(name, np.array(arr, dtype=cfg.dtype))
-
-    if cfg.char_source == "table":
-        b = uniform_bound(cfg.d_c)
-        add("char_emb", rng.uniform(-b, b, (char_vocab_size, cfg.d_c)))
-    for direction in ("fwd", "bwd"):
-        for name, arr in encoder.init_gru_gates(cfg.d_c, cfg.d_h, rng).items():
-            add(f"gru_{direction}.{name}", arr)
-    two_dh = 2 * cfg.d_h
-    add("fusion.W_u", rng.uniform(-1, 1, (two_dh, cfg.d_w)) * np.sqrt(3.0 / cfg.d_w))
-    add("fusion.b_u", np.zeros(two_dh))
+    The two embedding tables get their gradients by rows (see `GradBuffer`).
+    """
     word_init = np.asarray(word_init)
     if word_init.ndim != 2 or word_init.shape[1] != cfg.d_w:
         raise ShapeError(f"word embedding matrix {word_init.shape} does not match d_w={cfg.d_w}")
-    add("word_emb", word_init)
-    r_dim = cfg.d_w + two_dh
-    add("crf.W_o", rng.uniform(-1, 1, (cfg.num_tags, r_dim)) * np.sqrt(3.0 / r_dim))
-    add("crf.b_o", np.zeros(cfg.num_tags))
+    shapes = param_shapes(cfg, char_vocab_size, len(word_init))
+    store = ParamStore()
+
+    def add(name, arr, table=False):
+        # np.array copies, so the store never aliases caller-owned buffers
+        store.add(name, np.array(arr, dtype=cfg.dtype), table)
+
+    if cfg.char_source == "table":
+        b = uniform_bound(cfg.d_c)
+        add("char_emb", rng.uniform(-b, b, shapes["char_emb"]), table=True)
+    for direction in ("fwd", "bwd"):
+        for name, arr in encoder.init_gru_gates(cfg.d_c, cfg.d_h, rng).items():
+            add(f"gru_{direction}.{name}", arr)
+    add("fusion.W_u", rng.uniform(-1, 1, shapes["fusion.W_u"]) * np.sqrt(3.0 / cfg.d_w))
+    add("fusion.b_u", np.zeros(shapes["fusion.b_u"]))
+    add("word_emb", word_init, table=True)
+    r_dim = shapes["crf.W_o"][1]
+    add("crf.W_o", rng.uniform(-1, 1, shapes["crf.W_o"]) * np.sqrt(3.0 / r_dim))
+    add("crf.b_o", np.zeros(shapes["crf.b_o"]))
     add("crf.T", crf.init_transitions(cfg.num_tags))
     return store
 

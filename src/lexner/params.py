@@ -33,16 +33,34 @@ _DTYPE_CODES = {np.dtype("float64"): 1, np.dtype("float32"): 2}
 
 
 class Param:
-    """One named tensor: value, gradient, and Adam moment buffers."""
+    """One named tensor: value, gradient, Adam moment buffers and live rows.
 
-    __slots__ = ("value", "grad", "m", "v")
+    `live` is None for a tensor whose gradient arrives whole. For a table
+    whose gradient arrives by rows (see `GradBuffer`), it marks the rows that
+    have ever had a gradient: every other row has zero gradient and zero
+    moments, and Adam leaves such a row as it is.
+    """
+
+    __slots__ = ("value", "grad", "m", "v", "live")
 
     def __init__(self, value: np.ndarray, m: np.ndarray | None = None,
-                 v: np.ndarray | None = None):
+                 v: np.ndarray | None = None, live: np.ndarray | None = None):
         self.value = value
         self.grad = np.zeros_like(value)
         self.m = np.zeros_like(value) if m is None else m
         self.v = np.zeros_like(value) if v is None else v
+        self.live = live
+
+    def mark_live(self, rows: np.ndarray) -> None:
+        if self.live is None:   # first rows into a loaded or copied table: read its moments
+            self.live = _nonzero_rows(self.m) | _nonzero_rows(self.v)
+        self.live[rows] = True
+
+
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    # bits, not values: the update turns a -0.0 moment into +0.0, so such a row is live
+    bits = a.reshape(len(a), math.prod(a.shape[1:])).view(f"u{a.dtype.itemsize}")
+    return np.any(bits != 0, axis=1)
 
 
 class ParamStore:
@@ -51,11 +69,15 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Param] = {}
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
+    def add(self, name: str, value: np.ndarray, table: bool = False) -> np.ndarray:
+        """A fresh tensor with zero moments; a `table` gets its gradient by rows,
+        so it starts with no live row."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = Param(np.ascontiguousarray(value))
-        return self._params[name].value
+        value = np.ascontiguousarray(value)
+        live = np.zeros(len(value), dtype=bool) if table else None
+        self._params[name] = Param(value, live=live)
+        return value
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -89,7 +111,8 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, p in self._params.items():
-            out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy())
+            live = None if p.live is None else p.live.copy()
+            out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy(), live)
         return out
 
     def save(self, path, meta: dict | None = None) -> None:
@@ -108,7 +131,12 @@ class ParamStore:
         store = cls()
         for name, arr in arrays.items():
             if "!" not in name:
-                store._params[name] = Param(arr, arrays.get(name + "!m"), arrays.get(name + "!v"))
+                m, v = arrays.get(name + "!m"), arrays.get(name + "!v")
+                for moment in (m, v):
+                    if moment is not None and (moment.shape, moment.dtype) != (arr.shape, arr.dtype):
+                        raise FormatError(f"{path}: Adam moments of {name!r} do not match "
+                                          f"its {arr.dtype} values of shape {arr.shape}")
+                store._params[name] = Param(arr, m, v)
         return store, meta
 
 
@@ -193,6 +221,7 @@ class GradBuffer:
     matter how many workers ran.
     `rows` maps a table's name to the sorted, unique ids of the rows a
     sentence touches; its buffer then holds row ids[k] of the table in row k.
+    Reducing such a buffer marks those rows live in the table's `Param`.
     """
 
     def __init__(self, store: ParamStore, rows: dict[str, np.ndarray] | None = None):
@@ -213,8 +242,17 @@ class GradBuffer:
         return self._bufs.items()
 
     def reduce_into(self, store: ParamStore) -> None:
+        """Finite-check each buffer and add it into the store's gradient.
+
+        A listed table gets its block added at its rows, and those rows
+        become live, so Adam updates them from now on.
+        """
         for name, buf in self._bufs.items():
             if not np.all(np.isfinite(buf)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            # listed ids are unique, so no update is lost
-            store[name].grad[self._rows.get(name, ...)] += buf
+            p, rows = store[name], self._rows.get(name)
+            if rows is None:
+                p.grad += buf
+            else:
+                p.grad[rows] += buf   # listed ids are unique, so no update is lost
+                p.mark_live(rows)

@@ -5,6 +5,11 @@ order before the optimizer step, so results are bit-identical for any
 worker count. Dropout randomness is drawn as one child seed per sentence
 from the main generator, in batch order, which keeps resumed runs on the
 exact trajectory of uninterrupted ones.
+
+Adam touches only the rows of an embedding table that have ever had a
+gradient (the table's live rows, see `params.Param`). Any other row has
+zero gradient and zero moments, which the full update would leave exactly
+as they are, so the trained bits are those of a dense update.
 """
 from __future__ import annotations
 
@@ -19,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, TagScheme, build_char_vocab
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
 from .model import (UNK, ModelConfig, SentenceInputs, decode_sentence, init_params,
-                    prepare_sentences, sentence_loss)
+                    param_shapes, prepare_sentences, sentence_loss)
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
@@ -87,53 +92,79 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Rebuild a config from `to_dict` output; every value must have its field's type."""
+        for f in dataclasses.fields(cls):
+            if f.name in d:
+                kinds, value = _FIELD_TYPES[f.type], d[f.name]
+                # bool is an int to isinstance, but no int field takes one
+                if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
+                    raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         return cls(**d)
+
+
+# JSON types each annotation of a TrainConfig field accepts
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
+                "str": (str,), "bool": (bool,)}
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8, t: int = 1, clip_norm: float | None = None,
-              skip=()) -> None:
-    """Bias-corrected Adam update over every parameter; zeroes gradients after.
+              skip=()) -> int:
+    """Bias-corrected Adam update; zeroes the gradients after.
 
-    Works in place, in the operation order of the textbook expressions, so the
-    bits match them. The scratch space is the gradient and one shared array.
+    Returns the number of values it updated. A tensor with a live-row mask
+    is updated on its live rows only: they are gathered, updated and
+    scattered back. Every other row has zero gradient and zero moments, where
+    the full update keeps m = v = 0 and subtracts 0.0 from the value (for
+    lr > 0 and eps > 0), so skipping it gives the same bits. The finite check
+    and the zeroing run on the live rows too; the `clip_norm` total is summed
+    over the full gradients, so clipping rounds as a dense update would.
+    Works in place, in the operation order of the textbook expressions, so
+    the bits match them. The scratch space is the gradient and one array.
     """
     if t < 1:
         raise ValueError(f"Adam step count must be >= 1, got {t}")
+    parts = []
     for name, p in store.items():
-        if not np.all(np.isfinite(p.grad)):
+        rows = ... if p.live is None else np.flatnonzero(p.live)
+        g = p.grad[rows]   # a view of the whole gradient, or a copy of the live rows
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
+        parts.append((name, p, rows, g))
     if clip_norm is not None:
         total = np.sqrt(sum(float(np.sum(p.grad ** 2)) for _, p in store.items()))
         if total > clip_norm:
             scale = clip_norm / total
-            for _, p in store.items():
-                p.grad *= scale
-    scratch = np.empty(max((p.value.nbytes for _, p in store.items()), default=0), np.uint8)
-    for name, p in store.items():
-        g = p.grad
-        if name in skip:
-            g[...] = 0.0
-            continue
-        tmp = scratch[:g.nbytes].view(g.dtype).reshape(g.shape)
-        # m = beta1 * m + (1 - beta1) * g
-        np.multiply(p.m, beta1, out=p.m)
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        np.add(p.m, tmp, out=p.m)
-        # v = beta2 * v + (1 - beta2) * g ** 2
-        np.multiply(p.v, beta2, out=p.v)
-        np.square(g, out=g)
-        np.multiply(g, 1.0 - beta2, out=g)
-        np.add(p.v, g, out=p.v)
-        # value = value - (lr * m_hat) / (sqrt(v_hat) + eps)
-        np.divide(p.v, 1.0 - beta2 ** t, out=g)
-        np.sqrt(g, out=g)
-        np.add(g, eps, out=g)
-        np.divide(p.m, 1.0 - beta1 ** t, out=tmp)
-        np.multiply(tmp, lr, out=tmp)
-        np.divide(tmp, g, out=tmp)
-        np.subtract(p.value, tmp, out=p.value)
-        g[...] = 0.0
+            for *_, g in parts:
+                g *= scale
+    scratch = np.empty(max((g.nbytes for *_, g in parts), default=0), np.uint8)
+    updated = 0
+    for name, p, rows, g in parts:
+        if name not in skip:
+            m, v, value = p.m[rows], p.v[rows], p.value[rows]
+            tmp = scratch[:g.nbytes].view(g.dtype).reshape(g.shape)
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1.0 - beta1, out=tmp)
+            np.add(m, tmp, out=m)
+            # v = beta2 * v + (1 - beta2) * g ** 2
+            np.multiply(v, beta2, out=v)
+            np.square(g, out=g)
+            np.multiply(g, 1.0 - beta2, out=g)
+            np.add(v, g, out=v)
+            # value = value - (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(v, 1.0 - beta2 ** t, out=g)
+            np.sqrt(g, out=g)
+            np.add(g, eps, out=g)
+            np.divide(m, 1.0 - beta1 ** t, out=tmp)
+            np.multiply(tmp, lr, out=tmp)
+            np.divide(tmp, g, out=tmp)
+            np.subtract(value, tmp, out=value)
+            if rows is not ...:
+                p.m[rows], p.v[rows], p.value[rows] = m, v, value
+            updated += g.size
+        p.grad[rows] = 0.0
+    return updated
 
 
 # (field, JSON type, type of each item or value) of the checkpoint metadata
@@ -202,12 +233,22 @@ class Checkpoint:
         words, char_vocab = tuple(meta["words"]), meta["char_vocab"]
         if UNK not in char_vocab or min(char_vocab.values()) < 0:
             raise FormatError(f"{path}: checkpoint char_vocab lacks {UNK!r} or has a negative id")
-        emb = store.value("word_emb") if "word_emb" in store else None
-        if emb is None or emb.shape != (len(words), config.d_w):
-            raise FormatError(f"{path}: word_emb does not hold one row of {config.d_w} "
-                              f"values for each of the {len(words)} words")
-        if "char_emb" in store and max(char_vocab.values()) >= len(store.value("char_emb")):
-            raise FormatError(f"{path}: char_vocab ids reach beyond the char_emb rows")
+        if max(char_vocab.values()) >= len(char_vocab):
+            raise FormatError(f"{path}: checkpoint char_vocab ids reach beyond its size")
+        try:
+            num_tags = TagScheme(meta["scheme_kind"], meta["labels"]).size
+        except SchemeError as exc:
+            raise FormatError(f"{path}: bad checkpoint tag scheme ({exc})") from None
+        source = "table" if "char_emb" in store else "file"
+        mcfg = config.model_config(num_tags, source)
+        want = {name: f"{mcfg.dtype} {shape}" for name, shape in
+                param_shapes(mcfg, len(char_vocab), len(words)).items()}
+        got = {name: f"{p.value.dtype} {p.value.shape}" for name, p in store.items()}
+        if got != want:
+            bad = [f"{name}: {got.get(name, 'none')}, expected {want.get(name, 'none')}"
+                   for name in dict.fromkeys([*want, *got]) if got.get(name) != want.get(name)]
+            raise FormatError(f"{path}: checkpoint parameters do not fit its config "
+                              f"({source} mode, {len(words)} words): {'; '.join(bad)}")
         fields = {key: meta[key] for key, *_ in _CHECKPOINT_META}
         fields.update(config=config, best_dev_f1=float(meta["best_dev_f1"]),
                       labels=tuple(meta["labels"]), words=words)
@@ -311,7 +352,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
         for epoch in range(start_epoch, config.epochs + 1):
             t0 = time.perf_counter()
             order = rng.permutation(len(inputs))
-            total_nll = 0.0
+            total_nll, adam_values = 0.0, 0
             for at in range(0, len(order), config.batch_size):
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
                 seeds = [int(rng.integers(0, 2 ** 63)) for _ in batch]
@@ -322,8 +363,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                     total_nll += loss
                     grads.reduce_into(store)
                 adam_t += 1
-                adam_step(store, config.lr, t=adam_t,
-                          clip_norm=config.clip_norm, skip=skip)
+                adam_values += adam_step(store, config.lr, t=adam_t,
+                                         clip_norm=config.clip_norm, skip=skip)
             p, r, f1 = evaluate(store, dev_inputs, dev_gold, scheme, mcfg,
                                 config.decode_mask)
             record = {
@@ -333,6 +374,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 "dev_r": r,
                 "dev_f1": f1,
                 "seconds": time.perf_counter() - t0,
+                "adam_values": adam_values,
             }
             history.append(record)
             if log_fh:

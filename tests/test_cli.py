@@ -56,6 +56,28 @@ MALFORMED_META = {
     "one-word-removed": lambda meta, arrays: meta.update(words=meta["words"][1:]),
     "char-id-beyond-table": lambda meta, arrays: meta["char_vocab"].update(
         extra=len(arrays["char_emb"])),
+    "config-epochs-is-a-bool": lambda meta, arrays: meta["config"].update(epochs=True),
+    "config-clip-norm-is-a-string": lambda meta, arrays: meta["config"].update(clip_norm="1"),
+}
+
+
+def _replace(arrays, name, value):
+    for suffix in ("", "!m", "!v"):
+        arrays.pop(name + suffix)
+        if value is not None:
+            arrays[name + suffix] = value
+
+
+# each edit leaves well-formed metadata whose config the parameters do not fit;
+# the error names the parameter given first
+MISFIT_PARAMS = {
+    "crf-T-missing": ("crf.T", lambda arrays: _replace(arrays, "crf.T", None)),
+    "crf-T-is-2x2": ("crf.T", lambda arrays: _replace(arrays, "crf.T", np.zeros((2, 2)))),
+    "word-emb-is-float32": ("word_emb", lambda arrays: _replace(
+        arrays, "word_emb", arrays["word_emb"].astype(np.float32))),
+    "extra-parameter": ("extra", lambda arrays: arrays.update(extra=np.zeros(3))),
+    "moment-of-the-wrong-shape": ("crf.b_o", lambda arrays: arrays.update(
+        {"crf.b_o!v": np.zeros(2)})),
 }
 
 
@@ -252,6 +274,38 @@ class TestTagEval:
                         "-o", f"checkpoint_path={bad}", str(text_path))
         assert code == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MISFIT_PARAMS))
+    def test_tag_rejects_parameters_that_do_not_fit_the_config(self, workspace, capsys, caplog,
+                                                               checkpoint_contents, case):
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        arrays = dict(arrays)
+        named, edit = MISFIT_PARAMS[case]
+        edit(arrays)
+        bad = tmp_path / "bad.ckpt"
+        save_arrays(bad, arrays, meta)
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n", encoding="utf-8")
+        code, out = run(capsys, "tag", "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={bad}", str(text_path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+        assert named in caplog.text
+
+    def test_tag_names_a_mistyped_config_field(self, workspace, capsys, caplog,
+                                               checkpoint_contents):
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        meta = copy.deepcopy(meta)
+        meta["config"]["seed"] = "x"
+        bad = tmp_path / "bad.ckpt"
+        save_arrays(bad, arrays, meta)
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n", encoding="utf-8")
+        code, _ = run(capsys, "tag", "-c", str(cfg_path),
+                      "-o", f"checkpoint_path={bad}", str(text_path))
+        assert code == 2 and "seed must be of type int" in caplog.text
 
     def test_dump_attention_runs_one_forward_per_sentence(self, trained, capsys, monkeypatch):
         tmp_path, cfg_path, text_path, *_ = trained

@@ -7,8 +7,9 @@ from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
-from lexner.model import (ModelConfig, decode_sentence, init_params, prepare_sentence,
-                          prepare_sentences, sentence_loss, sentence_nll, tag_sentence)
+from lexner.model import (ModelConfig, decode_sentence, init_params, param_shapes,
+                          prepare_sentence, prepare_sentences, sentence_loss, sentence_nll,
+                          tag_sentence)
 
 
 def setup_model(seed=0, char_source="table", fusion="global_attention",
@@ -78,6 +79,18 @@ class TestSentenceLoss:
         grads.reduce_into(store)
         untouched = [w for w in range(len(lex)) if w not in matched]
         assert np.all(store["word_emb"].grad[untouched] == 0.0)
+        assert set(np.flatnonzero(store["word_emb"].live)) == matched
+        chars = {vocab[c] for c in sent.chars}
+        assert set(np.flatnonzero(store["char_emb"].live)) == chars
+
+    @pytest.mark.parametrize("char_source", ["table", "file"])
+    def test_param_shapes_are_the_shapes_init_params_makes(self, char_source):
+        store, _, lex, vocab, mcfg, _ = setup_model(char_source=char_source)
+        shapes = param_shapes(mcfg, len(vocab), len(lex))
+        assert {name: p.value.shape for name, p in store.items()} == shapes
+        assert store.names() == list(shapes)   # in store order
+        tables = {name for name, p in store.items() if p.live is not None}
+        assert tables == ({"char_emb", "word_emb"} if char_source == "table" else {"word_emb"})
 
     def test_word_init_width_checked(self):
         rng = np.random.default_rng(0)

@@ -1,16 +1,19 @@
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexner import (Checkpoint, ParamStore, TrainConfig, adam_step,
+from lexner import (Checkpoint, GradBuffer, ParamStore, TrainConfig, adam_step,
                     build_lexicon, make_synthetic_corpus, train)
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
-from lexner.model import prepare_sentence, sentence_loss
+from lexner.model import prepare_sentence, prepare_sentences, sentence_loss
 from lexner.trainer import evaluate, gold_spans
 
 
@@ -162,6 +165,95 @@ class TestAdamStep:
         assert run() == run()
 
 
+class TestLiveRowAdam:
+    """Tables whose gradients arrive by rows are updated on their live rows only."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_textbook_bit_for_bit(self, data):
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        n = {"emb": draw(st.integers(1, 9)), "vec": draw(st.integers(1, 9))}
+        shapes = {"emb": (n["emb"], draw(st.integers(1, 4))), "vec": (n["vec"],), "w": (3, 2)}
+        ours, ref, start = ParamStore(), ParamStore(), {}
+        for name, shape in shapes.items():
+            dtype = draw(st.sampled_from([np.float32, np.float64]), label=f"{name} dtype")
+            start[name] = (1e-3 * rng.normal(size=shape)).astype(dtype)   # steps show in the bits
+            # a fresh table starts with an empty mask; any other builds it from its moments
+            ours.add(name, start[name].copy(), table=name in n and draw(st.booleans()))
+            ref.add(name, start[name].copy())
+        kw = {"skip": draw(st.sampled_from([(), ("emb",), ("w",)]), label="skip"),
+              "clip_norm": draw(st.sampled_from([None, 0.5, 1e3]), label="clip_norm")}
+        steps = draw(st.integers(2, 5), label="steps")
+        copy_at, save_at = (draw(st.integers(1, steps - 1), label=f"{what} after step")
+                            for what in ("copy", "save"))
+        listed = {name: set() for name in n}
+        for t in range(1, steps + 1):
+            for _ in range(draw(st.integers(0, 3), label="sentences")):
+                rows = {name: np.array(sorted(draw(st.sets(st.integers(0, n[name] - 1)))),
+                                       dtype=np.int64) for name in n}
+                grads = GradBuffer(ours, rows=rows)
+                for name in shapes:
+                    buf = grads.get(name)
+                    buf += rng.normal(size=buf.shape)
+                for name in n:
+                    listed[name].update(rows[name].tolist())
+                grads.reduce_into(ours)
+                grads.reduce_into(ref)   # the same additions, for the dense reference
+            assert adam_step(ours, 1e-2, t=t, **kw) <= sum(v.size for v in start.values())
+            textbook_adam(ref, 1e-2, t=t, **kw)
+            for name in shapes:
+                for field in ("value", "m", "v"):
+                    got, want = getattr(ours[name], field), getattr(ref[name], field)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (t, name, field)
+                assert not np.any(ours[name].grad)
+            for name in n:
+                never = np.setdiff1d(np.arange(n[name]), sorted(listed[name]))
+                p = ours[name]
+                assert not np.any(p.m[never]) and not np.any(p.v[never])
+                assert p.value[never].tobytes() == start[name][never].tobytes()
+            if t == copy_at:
+                ours = ours.copy()
+            if t == save_at:
+                with tempfile.TemporaryDirectory() as tmp:
+                    ours.save(Path(tmp) / "store.bin")
+                    ours, _ = ParamStore.load(Path(tmp) / "store.bin")
+
+    def test_counts_the_values_it_updates(self):
+        store = ParamStore()
+        store.add("emb", np.ones((5, 3)), table=True)
+        store.add("w", np.ones(4))
+        grads = GradBuffer(store, rows={"emb": np.array([1, 3])})
+        grads.get("emb")[...] = 1.0
+        grads.reduce_into(store)
+        assert np.array_equal(store["emb"].live, [False, True, False, True, False])
+        assert adam_step(store, 1e-2, t=1) == 2 * 3 + 4
+        assert adam_step(store, 1e-2, t=2, skip=("w",)) == 2 * 3
+        assert np.array_equal(store.value("emb")[[0, 2, 4]], np.ones((3, 3)))
+
+    def test_copy_keeps_the_mask(self):
+        store = ParamStore()
+        store.add("emb", np.ones((4, 2)), table=True)
+        store["emb"].live[2] = True
+        copy = store.copy()
+        assert np.array_equal(copy["emb"].live, store["emb"].live)
+        assert copy["emb"].live is not store["emb"].live
+
+    def test_loaded_mask_comes_from_the_moments(self, tmp_path):
+        store = ParamStore()
+        store.add("emb", np.ones((4, 2)))
+        store["emb"].m[1, 1] = 0.5
+        store["emb"].v[2, 0] = -0.0   # the update would turn it into +0.0
+        store.save(tmp_path / "store.bin")
+        loaded, _ = ParamStore.load(tmp_path / "store.bin")
+        assert loaded["emb"].live is None
+        grads = GradBuffer(loaded, rows={"emb": np.array([3])})
+        grads.get("emb")
+        grads.reduce_into(loaded)
+        assert np.array_equal(loaded["emb"].live, [False, True, True, True])
+
+
 class TestTrainConfig:
     def test_defaults_match_reference_settings(self):
         cfg = TrainConfig()
@@ -180,6 +272,19 @@ class TestTrainConfig:
         cfg = tiny_config()
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("epochs", True), ("epochs", 2.0), ("lr", "0.1"), ("lr", False),
+        ("freeze_word_emb", 1), ("clip_norm", "1"), ("knowledge_mode", 3),
+    ])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict({**tiny_config().to_dict(), key: value})
+
+    def test_from_dict_takes_ints_for_floats_and_no_clip_norm(self):
+        base = tiny_config().to_dict()
+        assert TrainConfig.from_dict({**base, "lr": 1, "clip_norm": 5}).clip_norm == 5
+        assert TrainConfig.from_dict({**base, "clip_norm": None}).clip_norm is None
+
 
 class TestTrainLoop:
     def test_empty_train_set_rejected(self):
@@ -195,7 +300,10 @@ class TestTrainLoop:
         assert len(result.history) == 2
         for rec in result.history:
             assert rec["train_nll"] >= 0.0 and np.isfinite(rec["train_nll"])
-            assert set(rec) == {"epoch", "train_nll", "dev_p", "dev_r", "dev_f1", "seconds"}
+            assert set(rec) == {"epoch", "train_nll", "dev_p", "dev_r", "dev_f1", "seconds",
+                                "adam_values"}
+            # one step per epoch: every dense value, plus the live rows of both tables
+            assert 0 < rec["adam_values"] < result.last.store.num_values()
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
 
@@ -216,6 +324,45 @@ class TestTrainLoop:
         r2 = train(ds, ds, lex, tiny_config(epochs=2, workers=3))
         for name in r1.last.store.names():
             assert r1.last.store.value(name).tobytes() == r2.last.store.value(name).tobytes()
+
+    def test_resume_with_several_steps_per_epoch(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        cfg = dict(epochs=4, batch_size=2)   # three Adam steps an epoch
+        full = train(ds, ds, lex, tiny_config(**cfg))
+        half = train(ds, ds, lex, tiny_config(**{**cfg, "epochs": 2}))
+        path = tmp_path / "half.ckpt"
+        half.last.save(path)
+        loaded = Checkpoint.load(path)
+        assert all(p.live is None for _, p in loaded.store.items())
+        resumed = train(ds, ds, lex, tiny_config(**cfg), resume=loaded)
+        for name, p in full.last.store.items():
+            q = resumed.last.store[name]
+            for a, b in ((p.value, q.value), (p.m, q.m), (p.v, q.v)):
+                assert a.tobytes() == b.tobytes(), name
+            # the resumed tables rebuilt their masks from the loaded moments
+            assert (p.live is None) == (q.live is None), name
+            assert p.live is None or np.array_equal(p.live, q.live), name
+
+    def test_fresh_run_updates_only_the_rows_it_matched(self):
+        ds, lex, _ = tiny_corpus()
+        result = train(ds, ds, lex, tiny_config(epochs=1))
+        inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
+        rows = np.unique(np.concatenate([item.words.rows for item in inputs]))
+        assert 0 < len(rows) < len(lex)
+        p = result.last.store["word_emb"]
+        assert np.array_equal(np.flatnonzero(p.live), rows)
+        dead = ~p.live
+        assert p.value[dead].tobytes() == lex.embeddings[dead].tobytes()
+        assert not np.any(p.m[dead]) and not np.any(p.v[dead])
+        assert np.all(p.m[rows].any(axis=1))
+
+    def test_nan_in_a_live_row_gradient_names_the_table(self):
+        ds, lex, _ = tiny_corpus()
+        store = train(ds, ds, lex, tiny_config(epochs=1)).last.store.copy()
+        row = np.flatnonzero(store["word_emb"].live)[-1]
+        store["word_emb"].grad[row, 0] = np.nan
+        with pytest.raises(NumericError, match="word_emb"):
+            adam_step(store, 1e-2, t=2)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         ds, lex, _ = tiny_corpus()

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, NumericError
 from .evaluation import evaluation_report
 from .lexicon import build_lexicon, match_sentence
-from .model import prepare_sentences, tag_sentence
+from .model import prepare_sentences, tag_sentences
 from .trainer import Checkpoint, TrainConfig, gold_spans, predict_spans, train
 
 log = logging.getLogger(__name__)
@@ -216,7 +217,16 @@ def _read_plain_sentences(path) -> list[Sentence]:
             fh.close()
 
 
-def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> int:
+def _print_summary(sentences, seconds: float) -> None:
+    """One JSON line on stderr: how much text a command tagged, and how fast."""
+    chars = sum(len(s.chars) for s in sentences)
+    print(json.dumps({"sentences": len(sentences), "chars": chars, "seconds": seconds,
+                      "chars_per_s": chars / seconds if seconds > 0 else 0.0}),
+          file=sys.stderr)
+
+
+def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
+            verbose=False) -> int:
     _require_keys(cfg, "checkpoint_path")
     _check_input_files(cfg, "checkpoint_path", "char_vectors_path")
     if input_path != "-" and not os.path.exists(input_path):
@@ -226,13 +236,15 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> in
     mcfg = ckpt.model_config()
     legal = scheme.legal_mask() if ckpt.config.decode_mask else None
     sentences = _read_plain_sentences(input_path)
+    t0 = time.perf_counter()
     inputs = prepare_sentences(sentences, lexicon, ckpt.char_vocab,
                                ckpt.config.knowledge_mode, _load_char_vectors(cfg))
+    tagged = tag_sentences(ckpt.store, inputs, mcfg, legal)
+    seconds = time.perf_counter() - t0
 
     out = open(output_path, "w", encoding="utf-8") if output_path else sys.stdout
     try:
-        for sent, item in zip(sentences, inputs):
-            tags, alphas = tag_sentence(ckpt.store, item, mcfg, legal)
+        for sent, item, (tags, alphas) in zip(sentences, inputs, tagged):
             if dump_attention:
                 ids, offsets = item.words.ids, item.words.offsets
                 record = {
@@ -257,6 +269,8 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False) -> in
     finally:
         if out is not sys.stdout:
             out.close()
+    if verbose:
+        _print_summary(sentences, seconds)
     return 0
 
 
@@ -270,9 +284,10 @@ def _format_report_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_eval(cfg: dict, text_table: bool = False) -> int:
+def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
     _require_keys(cfg, "test_path")
     _check_input_files(cfg, "test_path", "pred_path", "char_vectors_path")
+    t0 = time.perf_counter()
     if cfg.get("pred_path"):
         scheme = _scheme_from_config(cfg, cfg["test_path"])
         gold_set = read_conll(cfg["test_path"], scheme, "test", cfg["max_len"])
@@ -293,12 +308,15 @@ def cmd_eval(cfg: dict, text_table: bool = False) -> int:
         _check_input_files(cfg, "checkpoint_path")
         ckpt, lexicon = _restore(cfg)
         scheme = ckpt.scheme()
-        test_set = read_conll(cfg["test_path"], scheme, "test", ckpt.config.max_len)
-        inputs = prepare_sentences(test_set.sentences, lexicon, ckpt.char_vocab,
+        gold_set = read_conll(cfg["test_path"], scheme, "test", ckpt.config.max_len)
+        t0 = time.perf_counter()   # the summary leaves out the checkpoint load
+        inputs = prepare_sentences(gold_set.sentences, lexicon, ckpt.char_vocab,
                                    ckpt.config.knowledge_mode, _load_char_vectors(cfg))
         pred = predict_spans(ckpt.store, inputs, scheme, ckpt.model_config(),
                              ckpt.config.decode_mask)
-        report = evaluation_report(test_set.sentences, gold_spans(test_set), pred)
+        report = evaluation_report(gold_set.sentences, gold_spans(gold_set), pred)
+    if verbose:
+        _print_summary(gold_set.sentences, time.perf_counter() - t0)
     if text_table:
         print(_format_report_table(report))
     else:
@@ -381,9 +399,10 @@ def main(argv=None) -> int:
         if args.command == "train":
             code = cmd_train(cfg)
         elif args.command == "tag":
-            code = cmd_tag(cfg, args.input, args.output, args.dump_attention)
+            code = cmd_tag(cfg, args.input, args.output, args.dump_attention,
+                           args.verbose)
         elif args.command == "eval":
-            code = cmd_eval(cfg, args.text)
+            code = cmd_eval(cfg, args.text, args.verbose)
         elif args.command == "lexicon-inspect":
             code = cmd_lexicon_inspect(cfg, args.input)
         elif args.command == "gradcheck":

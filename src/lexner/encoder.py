@@ -1,4 +1,4 @@
-"""Bidirectional GRU over per-character vectors.
+"""Bidirectional GRU over per-character vectors, one call per batch of sentences.
 
 One step (the update gate drives the candidate):
 
@@ -7,14 +7,27 @@ One step (the update gate drives the candidate):
     c = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * c
 
-Each direction runs over the whole sentence. The input terms X W_g^T + b_g
-do not depend on the recurrence, so they are computed for every position
-before the loop, one GEMM per gate; a step then does only the three U
-matvecs and the gate arithmetic. The forward pass caches the previous
-states and z, r, c as (n, d_h) arrays.
+A call takes the character rows of one or more sentences, one sentence
+after another, with their lengths; one sentence is a batch of one. The
+sentences are ranked by length, longest first, and step t runs position t
+(counted from the end for the backward direction) of the k_t sentences
+that are still that long. They are the first k_t ranks, so every step
+works on a prefix of rows and needs no mask. The rows of all steps are
+packed one step after another (`_Layout`), as `pack_padded_sequence` does.
 
-The backward loop carries only d loss / d h from step to step and stores
-the gradients of the three gate pre-activations, each (n, d_h). After the
+The input terms X W_g^T + b_g do not depend on the recurrence, so one GEMM
+over every row computes them before the loop; a step then does only the
+recurrent products, over its k_t rows at once, and the gate arithmetic in
+place. sigmoid(a) = 0.5 * (1 + tanh(a / 2)); the halving is folded into
+the z and r weights and biases, which is exact, so z and r share one tanh
+and keep the bits of `numerics.sigmoid`. With one row, z and r also share
+one matrix-vector product with the stacked [U_z; U_r]; with more rows two
+separate GEMMs are faster. States are rows of one array that starts with
+k_0 zero rows, the initial states; the forward pass keeps it, the gates
+and r * h for the backward pass.
+
+The backward loop carries d loss / d h for the running rows from step to
+step and stores the gradients of the three gate pre-activations. After the
 loop, every weight and bias gradient, and dX, is a few GEMMs over them.
 Every buffer takes the dtype of the input X.
 
@@ -26,10 +39,11 @@ first instead.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import sigmoid, tanh
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
@@ -50,70 +64,197 @@ def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, n
             for name, shape in gate_shapes(d_in, d_h).items()}
 
 
-def _run_direction(X, gates, reverse):
+@dataclass(frozen=True)
+class _Layout:
+    """Where the rows of a batch run.
+
+    Step t runs packed rows off[t]:off[t + 1], k[t] of them, one per running
+    sentence in rank order. It reads its states from rows prev[t]:prev[t] + k[t]
+    of the state array and writes them to rows k[0] + off[t] onwards. pos[d][j]
+    is the packed row of input row j in direction d (0 forward, 1 backward),
+    and rows[d] is the inverse map.
+    """
+
+    k: list
+    off: list
+    prev: list
+    pos: tuple
+    rows: tuple
+
+    @classmethod
+    def of(cls, lengths) -> "_Layout":
+        if len(lengths) == 1:   # one sentence: one row per step, the same rows each way
+            n = int(lengths[0])
+            at = np.arange(n)
+            return cls([1] * n, list(range(n + 1)), list(range(n)), (at, at[::-1]),
+                       (at, at[::-1]))
+        L = np.asarray(lengths, dtype=np.int64)
+        B, T = len(L), int(L.max(initial=0))
+        rank = np.empty(B, dtype=np.int64)
+        rank[np.argsort(-L, kind="stable")] = np.arange(B)
+        k = B - np.cumsum(np.bincount(L, minlength=T + 1))[:T]   # sentences longer than t
+        off = np.concatenate([[0], np.cumsum(k)])
+        sent = np.repeat(np.arange(B), L)
+        at = np.arange(off[-1]) - np.repeat(np.cumsum(L) - L, L)   # position in its sentence
+        pos = (off[at] + rank[sent], off[L[sent] - 1 - at] + rank[sent])
+        rows = []
+        for p in pos:
+            inv = np.empty_like(p)
+            inv[p] = np.arange(len(p))
+            rows.append(inv)
+        k0 = int(k[0]) if T else 0
+        prev = [0] + [k0 + int(o) for o in off[:-2]]
+        return cls(k.tolist(), off.tolist(), prev, pos, tuple(rows))
+
+    def prev_rows(self) -> np.ndarray:
+        """State-array row of the state each packed row started from."""
+        return (np.repeat(np.subtract(self.prev, self.off[:-1]), self.k)
+                + np.arange(self.off[-1]))
+
+
+def _check(X, gates):
     d_h, d_in = gates["W_z"].shape
     if X.ndim != 2 or X.shape[1] != d_in or gates["U_z"].shape != (d_h, d_h):
         raise ShapeError(
             f"encoder shapes do not conform: X {X.shape}, "
             f"W_z {gates['W_z'].shape}, U_z {gates['U_z'].shape}"
         )
-    n = X.shape[0]
-    A_z = X @ gates["W_z"].T + gates["b_z"]
-    A_r = X @ gates["W_r"].T + gates["b_r"]
-    A_c = X @ gates["W_h"].T + gates["b_h"]
-    U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
-    H, H_prev, Z, R, C = (np.empty((n, d_h), dtype=X.dtype) for _ in range(5))
-    h = np.zeros(d_h, dtype=X.dtype)
-    for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        H_prev[t] = h
-        z = Z[t] = sigmoid(A_z[t] + U_z @ h)
-        r = R[t] = sigmoid(A_r[t] + U_r @ h)
-        c = C[t] = tanh(A_c[t] + U_h @ (r * h))
-        h = H[t] = (1.0 - z) * h + z * c
-    return H, (X, H_prev, Z, R, C)
 
 
-def _run_direction_backward(dH, cache, gates, grads, reverse):
-    X, H_prev, Z, R, C = cache
-    # per-position factors of the pre-activation gradients; only dh varies
+def _run_direction(X, lay, rows, gates):
+    """Forward recurrence of one direction over the packed rows.
+
+    Returns the state array S ((k_0 + N, d_h), the packed states after k_0
+    zero rows), the gates [z | r | c] (N, 3 d_h) and r * h (N, d_h).
+    """
+    d_h = gates["b_z"].shape[0]
+    dt = X.dtype
+    A = np.empty((len(X), 3 * d_h), dtype=dt)
+    for i, (g, scale) in enumerate((("z", 0.5), ("r", 0.5), ("h", 1.0))):
+        # one GEMM per gate: a wider product rounds some small batches differently
+        part = A[:, i * d_h:(i + 1) * d_h]
+        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=part)
+        np.add(part, scale * gates[f"b_{g}"], out=part)
+    A = A[rows]
+    U_zr = 0.5 * np.vstack([gates["U_z"], gates["U_r"]])
+    U_h = gates["U_h"]
+    k0 = lay.k[0] if lay.k else 0
+    if k0 > 1:   # a GEMM is fastest with contiguous right operands
+        U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
+    S = np.zeros((k0 + len(A), d_h), dtype=dt)
+    RH = np.empty((len(A), d_h), dtype=dt)
+    P = np.empty((k0, 2 * d_h), dtype=dt)
+    for k, o, p in zip(lay.k, lay.off, lay.prev):
+        h = S[p:p + k]
+        a = A[o:o + k]
+        zr, c = a[:, :2 * d_h], a[:, 2 * d_h:]
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        q = P[:k]
+        if k == 1:   # a transposed view: the same matrix-vector product as U @ h
+            np.matmul(h, U_zr.T, out=q)
+        else:
+            np.matmul(h, U_zT, out=q[:, :d_h])
+            np.matmul(h, U_rT, out=q[:, d_h:])
+        np.add(zr, q, out=zr)
+        np.tanh(zr, out=zr)
+        np.add(zr, 1.0, out=zr)
+        np.multiply(zr, 0.5, out=zr)
+        rh = RH[o:o + k]
+        np.multiply(r, h, out=rh)
+        q = P[:k, :d_h]
+        np.matmul(rh, U_h.T if k == 1 else U_hT, out=q)
+        np.add(c, q, out=c)
+        np.tanh(c, out=c)
+        h_new = S[k0 + o:k0 + o + k]
+        np.subtract(1.0, z, out=h_new)
+        np.multiply(h_new, h, out=h_new)
+        np.multiply(z, c, out=q)
+        np.add(h_new, q, out=h_new)
+    return S, A, RH
+
+
+def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
+    """Backward recurrence of one direction; dH holds packed rows and is consumed.
+
+    Returns dX for the packed rows.
+    """
+    S, A, RH = cache
+    d_h = S.shape[1]
+    Z, R, C = A[:, :d_h], A[:, d_h:2 * d_h], A[:, 2 * d_h:]
+    H_prev = S[lay.prev_rows()]
+    # per-row factors of the pre-activation gradients; only dh varies
     K_z = (C - H_prev) * Z * (1.0 - Z)
     K_r = H_prev * R * (1.0 - R)
     K_c = Z * (1.0 - C * C)
     keep = 1.0 - Z
     U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
-    G_z, G_r, G_c = (np.empty_like(Z) for _ in range(3))
-    carry = np.zeros(Z.shape[1], dtype=Z.dtype)
-    for t in (range(Z.shape[0]) if reverse else range(Z.shape[0] - 1, -1, -1)):
-        dh = dH[t] + carry
-        g_c = G_c[t] = dh * K_c[t]
-        drh = g_c @ U_h
-        g_z = G_z[t] = dh * K_z[t]
-        g_r = G_r[t] = drh * K_r[t]
-        carry = dh * keep[t] + drh * R[t] + g_z @ U_z + g_r @ U_r
-    for g, G, inputs in (("z", G_z, H_prev), ("r", G_r, H_prev), ("h", G_c, R * H_prev)):
-        grads[f"W_{g}"] += G.T @ X
-        grads[f"U_{g}"] += G.T @ inputs
-        grads[f"b_{g}"] += G.sum(axis=0)
-    return G_z @ gates["W_z"] + G_r @ gates["W_r"] + G_c @ gates["W_h"]
+    U_zr = np.vstack([U_z, U_r])
+    G = np.empty_like(A)                     # [g_z | g_r | g_c]
+    k0 = lay.k[0] if lay.k else 0
+    carry = np.zeros((k0, d_h), dtype=A.dtype)
+    drh = np.empty_like(carry)
+    tmp = np.empty_like(carry)
+    for k, o in zip(reversed(lay.k), reversed(lay.off[:-1])):
+        dh = dH[o:o + k]
+        np.add(dh, carry[:k], out=dh)   # rows that end at this step carry 0
+        g_zr, g_c = G[o:o + k, :2 * d_h], G[o:o + k, 2 * d_h:]
+        g_z, g_r = g_zr[:, :d_h], g_zr[:, d_h:]
+        d_rh, t, cy = drh[:k], tmp[:k], carry[:k]
+        np.multiply(dh, K_c[o:o + k], out=g_c)
+        np.matmul(g_c, U_h, out=d_rh)
+        np.multiply(dh, K_z[o:o + k], out=g_z)
+        np.multiply(d_rh, K_r[o:o + k], out=g_r)
+        np.multiply(dh, keep[o:o + k], out=cy)
+        np.multiply(d_rh, R[o:o + k], out=t)
+        np.add(cy, t, out=cy)
+        if k == 1:
+            np.matmul(g_zr, U_zr, out=t)
+        else:
+            np.matmul(g_z, U_z, out=t)
+            np.add(cy, t, out=cy)
+            np.matmul(g_r, U_r, out=t)
+        np.add(cy, t, out=cy)
+    dW = G.T @ X[rows]
+    dU_zr = G[:, :2 * d_h].T @ H_prev
+    db = G.sum(axis=0)
+    for i, g in enumerate("zrh"):
+        part = slice(i * d_h, (i + 1) * d_h)
+        grads[f"W_{g}"] += dW[part]
+        grads[f"b_{g}"] += db[part]
+        if g != "h":
+            grads[f"U_{g}"] += dU_zr[part]
+    grads["U_h"] += G[:, 2 * d_h:].T @ RH
+    return G @ np.vstack([gates["W_z"], gates["W_r"], gates["W_h"]])
 
 
-def encode_chars(X, fwd_gates, bwd_gates):
-    """Run both directions over row vectors X (n, d_c).
+def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
+    """Run both directions over the character rows X (N, d_c) of a batch.
 
-    Returns (H, cache) with H of shape (n, 2*d_h); row i is [fwd_i ; bwd_i].
+    X holds the sentences one after another, `lengths` their lengths (by
+    default X is one sentence). Returns (H, cache) with H of shape
+    (N, 2*d_h) in the rows of X; row i is [fwd_i ; bwd_i] of its sentence.
     """
-    Hf, cf = _run_direction(X, fwd_gates, reverse=False)
-    Hb, cb = _run_direction(X, bwd_gates, reverse=True)
-    return np.hstack([Hf, Hb]), (cf, cb)
+    _check(X, fwd_gates)
+    _check(X, bwd_gates)
+    lay = _Layout.of([len(X)] if lengths is None else lengths)
+    if lay.off[-1] != len(X):
+        raise ShapeError(f"sentence lengths sum to {lay.off[-1]}, X has {len(X)} rows")
+    cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
+    cb = _run_direction(X, lay, lay.rows[1], bwd_gates)
+    k0 = lay.k[0] if lay.k else 0
+    H = np.hstack([cf[0][k0 + lay.pos[0]], cb[0][k0 + lay.pos[1]]])
+    return H, (X, lay, cf, cb)
 
 
 def encode_backward(dH, cache, fwd_gates, bwd_gates, fwd_grads, bwd_grads):
-    """Backprop through both directions; returns dX of shape (n, d_c)."""
-    cf, cb = cache
+    """Backprop through both directions; returns dX of shape (N, d_c)."""
+    X, lay, cf, cb = cache
     d_h = fwd_gates["b_z"].shape[0]
-    dH = np.asarray(dH, dtype=cf[0].dtype)
-    dX = _run_direction_backward(dH[:, :d_h], cf, fwd_gates, fwd_grads, reverse=False)
-    dX += _run_direction_backward(dH[:, d_h:], cb, bwd_gates, bwd_grads, reverse=True)
+    dH = np.asarray(dH, dtype=X.dtype)
+    dX = _run_direction_backward(dH[lay.rows[0], :d_h], X, lay, lay.rows[0], cf,
+                                 fwd_gates, fwd_grads)[lay.pos[0]]
+    dX += _run_direction_backward(dH[lay.rows[1], d_h:], X, lay, lay.rows[1], cb,
+                                  bwd_gates, bwd_grads)[lay.pos[1]]
     return dX
 
 

@@ -1,4 +1,8 @@
-"""End-to-end per-sentence computation: embed, encode, fuse, score, decode.
+"""End-to-end computation: embed, encode, fuse, score, decode.
+
+The encoder runs once over a batch of sentences (a training mini-batch or a
+chunk of sentences to tag); embedding, dropout, fusion and the CRF run per
+sentence.
 
 Parameter names in the store:
 
@@ -22,6 +26,7 @@ from .numerics import check_finite, dropout, dropout_backward
 from .params import GradBuffer, ParamStore
 
 UNK = "<unk>"
+TAG_CHUNK = 8   # sentences per encoder call in tag_sentences
 
 
 @dataclass
@@ -144,68 +149,98 @@ def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> n
     return store.value("char_emb")[inputs.char_ids]
 
 
-def _forward(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
-             train: bool, rng: np.random.Generator | None):
-    """Returns (lattice, alphas, cache); alphas are the flat fusion weights."""
-    X = _char_rows(store, inputs, cfg)
+def _forward(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+             train: bool, rngs):
+    """One encoder call over the batch; dropout, fusion and the CRF per sentence.
+
+    rngs holds each sentence's dropout generator (None in eval mode). Returns
+    (results, enc_cache): results[b] is (lattice, alphas, cache) of items[b];
+    alphas are the flat fusion weights.
+    """
+    lengths = [len(item) for item in items]
+    X = np.concatenate([_char_rows(store, item, cfg) for item in items])
     fwd_gates = store.values_with_prefix("gru_fwd.")
     bwd_gates = store.values_with_prefix("gru_bwd.")
-    H_raw, enc_cache = encoder.encode_chars(X, fwd_gates, bwd_gates)
-    H, mask_h = dropout(H_raw, cfg.dropout, train, rng)
-    g = encoder.global_feature(H, cfg.d_h, cfg.g_mode)
-
-    Hsw_raw, alphas, fuse_cache = fusion.fuse_sentence(
-        inputs.words, store.value("word_emb"), g, store.value("fusion.W_u"),
-        store.value("fusion.b_u"), cfg.fusion_strategy,
-    )
-    Hsw, mask_sw = dropout(Hsw_raw, cfg.dropout, train, rng)
-
-    R = np.hstack([Hsw, H])
-    O = crf.emissions(R, store.value("crf.W_o"), store.value("crf.b_o"))
-    check_finite("emissions", O)
+    H_all, enc_cache = encoder.encode_chars(X, fwd_gates, bwd_gates, lengths)
+    word_emb, W_u, b_u = (store.value(n) for n in ("word_emb", "fusion.W_u", "fusion.b_u"))
+    W_o, b_o = store.value("crf.W_o"), store.value("crf.b_o")
     # the CRF always runs in float64 log space, whatever the training precision
-    lattice = crf.TagLattice(O, np.asarray(store.value("crf.T"), dtype=np.float64))
-    fwd_cache = (X, enc_cache, mask_h, fuse_cache, mask_sw, R)
-    return lattice, alphas, fwd_cache
+    T = np.asarray(store.value("crf.T"), dtype=np.float64)
+    results = []
+    at = 0
+    for item, rng in zip(items, rngs):
+        H, mask_h = dropout(H_all[at:at + len(item)], cfg.dropout, train, rng)
+        at += len(item)
+        g = encoder.global_feature(H, cfg.d_h, cfg.g_mode)
+        Hsw_raw, alphas, fuse_cache = fusion.fuse_sentence(
+            item.words, word_emb, g, W_u, b_u, cfg.fusion_strategy)
+        Hsw, mask_sw = dropout(Hsw_raw, cfg.dropout, train, rng)
+        R = np.hstack([Hsw, H])
+        O = crf.emissions(R, W_o, b_o)
+        check_finite("emissions", O)
+        results.append((crf.TagLattice(O, T), alphas, (mask_h, fuse_cache, mask_sw, R)))
+    return results, enc_cache
+
+
+def _require_gold(items) -> None:
+    for item in items:
+        if item.gold is None:
+            raise DataError(f"sentence {item.sid!r} has no gold tags")
+
+
+def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+               train: bool = True, rngs=None):
+    """NLL of each sentence's gold tags plus one gradient buffer for the batch.
+
+    The encoder runs once, forward and backward, over the whole batch.
+    rngs holds one dropout generator per sentence (needed in train mode).
+    Per-sentence contributions are added into the buffer in batch order.
+    """
+    _require_gold(items)
+    results, enc_cache = _forward(store, items, cfg, train, rngs or [None] * len(items))
+    word_rows = np.unique(np.concatenate([item.words.rows for item in items]))
+    char_ids = np.concatenate([item.char_ids for item in items])
+    char_rows, char_local = np.unique(char_ids, return_inverse=True)
+    grads = GradBuffer(store, rows={"word_emb": word_rows, "char_emb": char_rows})
+    W_o, W_u = store.value("crf.W_o"), store.value("fusion.W_u")
+    losses, dH_all = [], np.empty((len(char_ids), 2 * cfg.d_h), dtype=cfg.dtype)
+    at = 0
+    for item, (lattice, _, (mask_h, fuse_cache, mask_sw, R)) in zip(items, results):
+        loss, dO, dT = crf.nll(lattice, item.gold)
+        losses.append(loss)
+        # the CRF works in float64; the backward pass below stays in cfg.dtype
+        dO = dO.astype(cfg.dtype, copy=False)
+        grads.get("crf.T")[...] += dT
+        dR, dW_o, db_o = crf.emissions_backward(dO, R, W_o)
+        grads.get("crf.W_o")[...] += dW_o
+        grads.get("crf.b_o")[...] += db_o
+
+        dHsw_raw = dropout_backward(dR[:, :cfg.d_w], mask_sw)
+        word_grad = np.zeros((len(item.words.rows), cfg.d_w), dtype=cfg.dtype)
+        dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, W_u, word_grad,
+                                           grads.get("fusion.W_u"), grads.get("fusion.b_u"))
+        grads.get("word_emb")[np.searchsorted(word_rows, item.words.rows)] += word_grad
+        dH = dR[:, cfg.d_w:].copy()
+        encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
+        dH_all[at:at + len(item)] = dropout_backward(dH, mask_h)
+        at += len(item)
+
+    fwd_gates = store.values_with_prefix("gru_fwd.")
+    bwd_gates = store.values_with_prefix("gru_bwd.")
+    fwd_grads = {name: grads.get(f"gru_fwd.{name}") for name in encoder.GATE_NAMES}
+    bwd_grads = {name: grads.get(f"gru_bwd.{name}") for name in encoder.GATE_NAMES}
+    dX = encoder.encode_backward(dH_all, enc_cache, fwd_gates, bwd_gates,
+                                 fwd_grads, bwd_grads)
+    if cfg.char_source == "table":
+        np.add.at(grads.get("char_emb"), char_local, dX)
+    return losses, grads
 
 
 def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
                   train: bool = True, rng: np.random.Generator | None = None):
     """NLL of the gold tags plus a filled per-sentence gradient buffer."""
-    if inputs.gold is None:
-        raise DataError(f"sentence {inputs.sid!r} has no gold tags")
-    lattice, _, fwd_cache = _forward(store, inputs, cfg, train, rng)
-    loss, dO, dT = crf.nll(lattice, inputs.gold)
-    # the CRF works in float64; the backward pass below stays in cfg.dtype
-    dO = dO.astype(cfg.dtype, copy=False)
-
-    X, enc_cache, mask_h, fuse_cache, mask_sw, R = fwd_cache
-    char_rows, char_local = np.unique(inputs.char_ids, return_inverse=True)
-    grads = GradBuffer(store, rows={"word_emb": inputs.words.rows, "char_emb": char_rows})
-    grads.get("crf.T")[...] += dT
-    dR, dW_o, db_o = crf.emissions_backward(dO, R, store.value("crf.W_o"))
-    grads.get("crf.W_o")[...] += dW_o
-    grads.get("crf.b_o")[...] += db_o
-
-    dHsw = dR[:, :cfg.d_w]
-    dH = dR[:, cfg.d_w:].copy()
-    dHsw_raw = dropout_backward(dHsw, mask_sw)
-
-    dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, store.value("fusion.W_u"),
-                                       grads.get("word_emb"), grads.get("fusion.W_u"),
-                                       grads.get("fusion.b_u"))
-    encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
-
-    dH_raw = dropout_backward(dH, mask_h)
-    fwd_gates = store.values_with_prefix("gru_fwd.")
-    bwd_gates = store.values_with_prefix("gru_bwd.")
-    fwd_grads = {name: grads.get(f"gru_fwd.{name}") for name in encoder.GATE_NAMES}
-    bwd_grads = {name: grads.get(f"gru_bwd.{name}") for name in encoder.GATE_NAMES}
-    dX = encoder.encode_backward(dH_raw, enc_cache, fwd_gates, bwd_gates,
-                                 fwd_grads, bwd_grads)
-    if cfg.char_source == "table":
-        np.add.at(grads.get("char_emb"), char_local, dX)
-    return loss, grads
+    losses, grads = batch_loss(store, [inputs], cfg, train, [rng])
+    return losses[0], grads
 
 
 def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> float:
@@ -214,10 +249,29 @@ def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) ->
     Equals the loss of `sentence_loss(..., train=False)` bit for bit; gradient
     checks use it to evaluate the loss at perturbed parameters.
     """
-    if inputs.gold is None:
-        raise DataError(f"sentence {inputs.sid!r} has no gold tags")
-    lattice, _, _ = _forward(store, inputs, cfg, train=False, rng=None)
+    _require_gold([inputs])
+    (lattice, _, _), = _forward(store, [inputs], cfg, train=False, rngs=[None])[0]
     return crf.nll_loss(lattice, inputs.gold)
+
+
+def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+                  legal: np.ndarray | None = None) -> list:
+    """(Viterbi tag indices, flat fusion weights) of every item, in input order.
+
+    Eval mode. The items run longest first in chunks of TAG_CHUNK, one
+    encoder call per chunk. A sentence's scores can differ from those of a
+    batch of one in the last bits, since the recurrent products then run
+    as GEMMs over several rows.
+    """
+    order = sorted(range(len(items)), key=lambda i: -len(items[i]))
+    out = [None] * len(items)
+    for at in range(0, len(order), TAG_CHUNK):
+        chunk = order[at:at + TAG_CHUNK]
+        results, _ = _forward(store, [items[i] for i in chunk], cfg, train=False,
+                              rngs=[None] * len(chunk))
+        for i, (lattice, alphas, _) in zip(chunk, results):
+            out[i] = (crf.viterbi(lattice, legal)[0], alphas)
+    return out
 
 
 def tag_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
@@ -226,9 +280,7 @@ def tag_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
 
     alphas[words.offsets[i]:words.offsets[i + 1]] weigh position i's words.
     """
-    lattice, alphas, _ = _forward(store, inputs, cfg, train=False, rng=None)
-    path, _ = crf.viterbi(lattice, legal)
-    return path, alphas
+    return tag_sentences(store, [inputs], cfg, legal)[0]
 
 
 def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,

@@ -109,10 +109,20 @@ class ParamStore:
         return sum(p.value.size for p in self._params.values())
 
     def copy(self) -> "ParamStore":
+        """Values, moments and live-row masks; gradients start at zero.
+
+        A table with a live-row mask has zero moments outside its live rows,
+        so only the live rows of `m` and `v` are copied, into zeroed arrays.
+        """
         out = ParamStore()
         for name, p in self._params.items():
-            live = None if p.live is None else p.live.copy()
-            out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy(), live)
+            if p.live is None:
+                out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy())
+                continue
+            rows = np.flatnonzero(p.live)
+            m, v = np.zeros_like(p.m), np.zeros_like(p.v)
+            m[rows], v[rows] = p.m[rows], p.v[rows]
+            out._params[name] = Param(p.value.copy(), m, v, p.live.copy())
         return out
 
     def save(self, path, meta: dict | None = None) -> None:
@@ -213,14 +223,13 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 class GradBuffer:
-    """Per-sentence gradient accumulator, reduced into the store in order.
+    """Gradient accumulator of a sentence or a mini-batch, reduced into the store.
 
-    Buffers are allocated lazily so untouched parameters cost nothing;
-    workers each fill their own buffer, and the trainer sums buffers in a
-    fixed sentence order, which makes the reduction deterministic no
-    matter how many workers ran.
-    `rows` maps a table's name to the sorted, unique ids of the rows a
-    sentence touches; its buffer then holds row ids[k] of the table in row k.
+    Buffers are allocated lazily so untouched parameters cost nothing. The
+    model fills one buffer per mini-batch, adding each sentence's part in
+    sentence order, so the reduction is deterministic.
+    `rows` maps a table's name to the sorted, unique ids of the rows the
+    sentences touch; its buffer then holds row ids[k] of the table in row k.
     Reducing such a buffer marks those rows live in the table's `Param`.
     """
 

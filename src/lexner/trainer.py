@@ -1,10 +1,12 @@
 """Mini-batch Adam training with dev-F1 model selection and checkpointing.
 
-Per-sentence gradients go into private buffers and are summed in sentence
-order before the optimizer step, so results are bit-identical for any
-worker count. Dropout randomness is drawn as one child seed per sentence
-from the main generator, in batch order, which keeps resumed runs on the
-exact trajectory of uninterrupted ones.
+Each mini-batch is one `batch_loss` call: the encoder runs once over the
+batch, and the per-sentence parts add their gradients into one buffer in
+sentence order, so a rerun gives the same bits. Dropout randomness is
+drawn as one child seed per sentence from the main generator, in batch
+order, which keeps resumed runs on the exact trajectory of uninterrupted
+ones. The `workers` setting is accepted for old configurations and
+checkpoints and has no effect.
 
 Adam touches only the rows of an embedding table that have ever had a
 gradient (the table's live rows, see `params.Param`). Any other row has
@@ -18,7 +20,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
-from .model import (UNK, ModelConfig, SentenceInputs, decode_sentence, init_params,
-                    param_shapes, prepare_sentences, sentence_loss)
+from .model import (UNK, ModelConfig, SentenceInputs, batch_loss, init_params,
+                    param_shapes, prepare_sentences, tag_sentences)
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
@@ -54,7 +55,7 @@ class TrainConfig:
     fusion_strategy: str = "global_attention"
     freeze_word_emb: bool = False
     clip_norm: float | None = None
-    workers: int = 1
+    workers: int = 1          # accepted and checked, has no effect
     g_mode: str = "last"
     decode_mask: bool = False
     precision: str = "float64"
@@ -270,29 +271,15 @@ def predict_spans(store: ParamStore, inputs: list[SentenceInputs], scheme: TagSc
                   mcfg: ModelConfig, decode_mask: bool = False) -> dict:
     """Decode every sentence; its entity spans by sentence id."""
     legal = scheme.legal_mask() if decode_mask else None
-    pred = {}
-    for item in inputs:
-        tags = decode_sentence(store, item, mcfg, legal)
-        pred[item.sid] = extract_entities(tags, scheme)[0]
-    return pred
+    tagged = tag_sentences(store, inputs, mcfg, legal)
+    return {item.sid: extract_entities(tags, scheme)[0]
+            for item, (tags, _) in zip(inputs, tagged)}
 
 
 def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
              scheme: TagScheme, mcfg: ModelConfig, decode_mask: bool = False):
     """Decode every sentence and return micro (P, R, F1)."""
     return prf1(gold, predict_spans(store, inputs, scheme, mcfg, decode_mask))
-
-
-def _batch_losses(store, batch, mcfg, seeds, workers):
-    def run(args):
-        item, seed = args
-        return sentence_loss(store, item, mcfg, train=True,
-                             rng=np.random.default_rng(seed))
-    jobs = list(zip(batch, seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
 
 
 def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
@@ -355,13 +342,13 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
             total_nll, adam_values = 0.0, 0
             for at in range(0, len(order), config.batch_size):
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
-                seeds = [int(rng.integers(0, 2 ** 63)) for _ in batch]
-                results = _batch_losses(store, batch, mcfg, seeds, config.workers)
-                for loss, grads in results:
+                rngs = [np.random.default_rng(int(rng.integers(0, 2 ** 63))) for _ in batch]
+                losses, grads = batch_loss(store, batch, mcfg, train=True, rngs=rngs)
+                for loss in losses:
                     if not np.isfinite(loss) or loss < -1e-9:
                         raise NumericError(f"bad batch loss {loss}")
                     total_nll += loss
-                    grads.reduce_into(store)
+                grads.reduce_into(store)
                 adam_t += 1
                 adam_values += adam_step(store, config.lr, t=adam_t,
                                          clip_norm=config.clip_norm, skip=skip)

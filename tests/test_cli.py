@@ -307,14 +307,15 @@ class TestTagEval:
                       "-o", f"checkpoint_path={bad}", str(text_path))
         assert code == 2 and "seed must be of type int" in caplog.text
 
-    def test_dump_attention_runs_one_forward_per_sentence(self, trained, capsys, monkeypatch):
+    def test_dump_attention_runs_one_encoder_call_per_chunk(self, trained, capsys,
+                                                            monkeypatch):
         tmp_path, cfg_path, text_path, *_ = trained
         calls, encodes = [], []
         forward, encode_chars = model._forward, encoder.encode_chars
 
-        def counting(store, inputs, *args, **kwargs):
-            calls.append(inputs.sid)
-            return forward(store, inputs, *args, **kwargs)
+        def counting(store, items, *args, **kwargs):
+            calls.append([item.sid for item in items])
+            return forward(store, items, *args, **kwargs)
 
         def counting_encode(*args):
             encodes.append(1)
@@ -327,8 +328,13 @@ class TestTagEval:
         monkeypatch.undo()
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 4 and calls == [rec["id"] for rec in records]
-        assert len(encodes) == len(records)   # the encoder runs once per sentence
+        # the four sentences fit in one chunk: one forward, one encoder call,
+        # longest first; the records keep the input order
+        assert [rec["id"] for rec in records] == ["t0", "t1", "t2", "t3"]
+        lengths = {rec["id"]: len(rec["chars"]) for rec in records}
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(lengths)
+        assert [lengths[sid] for sid in calls[0]] == sorted(lengths.values(), reverse=True)
+        assert len(encodes) == 1
         # the weights recomputed position by position from the checkpoint,
         # with the encoder and the word projection run on their own
         ckpt = Checkpoint.load(tmp_path / "model.ckpt")
@@ -361,6 +367,30 @@ class TestTagEval:
         report = json.loads(out)
         assert 0.0 <= report["overall"]["f1"] <= 1.0
         assert "buckets" in report and "per_type" in report
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_verbose_prints_a_json_summary_to_stderr(self, trained, capsys, command):
+        _, cfg_path, text_path, ds, _ = trained
+        args = ["-c", str(cfg_path)] + ([str(text_path)] if command == "tag" else [])
+        sentences = ds.sentences[:4] if command == "tag" else ds.sentences
+        code, quiet = run(capsys, command, *args)
+        assert code == 0
+        assert main(["-v", command, *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == quiet
+        summaries = []
+        for line in captured.err.splitlines():
+            try:
+                summaries.append(json.loads(line))
+            except ValueError:
+                continue
+        assert len(summaries) == 1
+        summary = summaries[0]
+        assert set(summary) == {"sentences", "chars", "seconds", "chars_per_s"}
+        assert summary["sentences"] == len(sentences)
+        assert summary["chars"] == sum(len(s.chars) for s in sentences)
+        assert summary["seconds"] > 0
+        assert summary["chars_per_s"] == pytest.approx(summary["chars"] / summary["seconds"])
 
     def test_missing_checkpoint_exits_2(self, workspace, capsys):
         _, cfg_path, *_ = workspace

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner import ParamStore
 from lexner.encoder import (GATE_NAMES, encode_backward, encode_chars,
@@ -223,3 +225,92 @@ class TestEncodeChars:
             return float(np.dot(g, upg))
 
         assert grad_check(f, store) < 1e-4
+
+
+def batch_grads(X, lengths, dH, fwd, bwd):
+    """(H, dX, fwd grads, bwd grads) of one encoder call over a batch."""
+    H, cache = encode_chars(X, fwd, bwd, lengths)
+    fg = {name: np.zeros_like(arr) for name, arr in fwd.items()}
+    bg = {name: np.zeros_like(arr) for name, arr in bwd.items()}
+    dX = encode_backward(dH, cache, fwd, bwd, fg, bg)
+    return H, dX, fg, bg
+
+
+def random_gates(rng, d_in, d_h, dtype=np.float64):
+    gates = make_gates(rng, d_in, d_h)
+    for b in ("b_z", "b_r", "b_h"):
+        gates[b][...] = rng.normal(size=d_h)
+    return {name: arr.astype(dtype) for name, arr in gates.items()}
+
+
+def assert_batch_is_per_sentence(rng, lengths, d_in=3, d_h=4):
+    """One call over the batch against one call per sentence, both passes."""
+    fwd, bwd = random_gates(rng, d_in, d_h), random_gates(rng, d_in, d_h)
+    X = rng.normal(size=(sum(lengths), d_in))
+    dH = rng.normal(size=(sum(lengths), 2 * d_h))
+    H, dX, fg, bg = batch_grads(X, lengths, dH, fwd, bwd)
+    assert H.shape == (len(X), 2 * d_h) and dX.shape == X.shape
+    sums = ({name: np.zeros_like(a) for name, a in fwd.items()},
+            {name: np.zeros_like(a) for name, a in bwd.items()})
+    at = 0
+    for n in lengths:
+        rows = slice(at, at + n)
+        H1, dX1, fg1, bg1 = batch_grads(X[rows], None, dH[rows], fwd, bwd)
+        assert np.allclose(H[rows], H1, rtol=0, atol=1e-12)
+        assert np.allclose(dX[rows], dX1, rtol=0, atol=1e-12)
+        for total, part in zip(sums, (fg1, bg1)):
+            for name in GATE_NAMES:
+                total[name] += part[name]
+        at += n
+    for got, want in zip((fg, bg), sums):
+        for name in GATE_NAMES:
+            assert np.allclose(got[name], want[name], rtol=0, atol=1e-12), name
+    return X, H, fwd, bwd
+
+
+class TestBatch:
+    """One call over several sentences of mixed lengths."""
+
+    def test_matches_hand_chains(self):
+        rng = np.random.default_rng(12)
+        # unsorted, with ties and single characters
+        lengths = [3, 1, 5, 3, 1, 6, 2]
+        X, H, fwd, bwd = assert_batch_is_per_sentence(rng, lengths)
+        at = 0
+        for n in lengths:
+            want = hand_encode(X[at:at + n], fwd, bwd)
+            assert np.allclose(H[at:at + n], want, rtol=0, atol=1e-12)
+            at += n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+    def test_any_lengths_match_per_sentence_calls(self, lengths, seed):
+        assert_batch_is_per_sentence(np.random.default_rng(seed), lengths)
+
+    def test_single_sentence_is_a_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        fwd, bwd = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
+        X, dH = rng.normal(size=(6, 3)), rng.normal(size=(6, 8))
+        a = batch_grads(X, None, dH, fwd, bwd)
+        b = batch_grads(X, [6], dH, fwd, bwd)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(14)
+        fwd = random_gates(rng, 3, 4, np.float32)
+        bwd = random_gates(rng, 3, 4, np.float32)
+        X = rng.normal(size=(9, 3)).astype(np.float32)
+        dH = rng.normal(size=(9, 8)).astype(np.float32)
+        H, dX, fg, bg = batch_grads(X, [4, 2, 3], dH, fwd, bwd)
+        assert H.dtype == dX.dtype == np.float32
+        assert all(g.dtype == np.float32 for grads in (fg, bg) for g in grads.values())
+        H64, *_ = batch_grads(X.astype(np.float64), [4, 2, 3], dH,
+                              *({n: a.astype(np.float64) for n, a in g.items()}
+                                for g in (fwd, bwd)))
+        assert np.allclose(H, H64, rtol=0, atol=1e-5)
+
+    def test_lengths_must_cover_the_rows(self):
+        rng = np.random.default_rng(15)
+        fwd, bwd = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
+        with pytest.raises(ShapeError):
+            encode_chars(rng.normal(size=(5, 3)), fwd, bwd, [2, 2])

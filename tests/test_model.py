@@ -7,9 +7,10 @@ from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
-from lexner.model import (ModelConfig, decode_sentence, init_params, param_shapes,
-                          prepare_sentence, prepare_sentences, sentence_loss, sentence_nll,
-                          tag_sentence)
+from lexner.model import (TAG_CHUNK, ModelConfig, batch_loss, decode_sentence, init_params,
+                          param_shapes, prepare_sentence, prepare_sentences, sentence_loss,
+                          sentence_nll, tag_sentence, tag_sentences)
+from lexner.numerics import grad_check
 
 
 def setup_model(seed=0, char_source="table", fusion="global_attention",
@@ -240,3 +241,84 @@ class TestPrepareSentences:
         assert items[0].char_vectors is rows
         with pytest.raises(DataError, match="no precomputed character vectors for sentence 'm1'"):
             prepare_sentences([sent, other], lex, vocab, "slk", {"m0": rows})
+
+
+def mixed_batch(seed=3, n_sentences=4, max_n=7):
+    """A C3-size model and a batch whose sentences have at least three lengths."""
+    store, inputs, mcfg = tiny_problem(seed, n_sentences=n_sentences, max_n=max_n)
+    assert len({len(item) for item in inputs}) >= 3
+    return store, inputs, mcfg
+
+
+class TestBatchLoss:
+    def test_finite_differences(self):
+        store, inputs, mcfg = mixed_batch()
+
+        def f():
+            losses, grads = batch_loss(store, inputs, mcfg, train=False)
+            grads.reduce_into(store)
+            return sum(losses)
+
+        def loss_only():
+            return sum(sentence_nll(store, item, mcfg) for item in inputs)
+
+        assert grad_check(f, store, loss_only=loss_only) < 1e-4
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_equals_summed_sentence_losses(self, train):
+        store, inputs, mcfg = mixed_batch()
+        mcfg = ModelConfig(**{**mcfg.__dict__, "dropout": 0.3})
+        seeds = [11, 12, 13, 14]
+
+        def rngs():
+            return [np.random.default_rng(s) for s in seeds] if train else None
+
+        losses, grads = batch_loss(store, inputs, mcfg, train=train, rngs=rngs())
+        grads.reduce_into(store)
+        got = {name: store[name].grad.copy() for name in store.names()}
+        store.zero_grads()
+        for item, rng, loss in zip(inputs, rngs() or [None] * len(inputs), losses):
+            want, one = sentence_loss(store, item, mcfg, train=train, rng=rng)
+            assert abs(loss - want) <= 1e-12
+            one.reduce_into(store)
+        for name in store.names():
+            assert np.allclose(got[name], store[name].grad, rtol=0, atol=1e-10), name
+
+    def test_one_buffer_holds_the_rows_of_the_batch(self):
+        store, inputs, mcfg = mixed_batch()
+        _, grads = batch_loss(store, inputs, mcfg, train=False)
+        blocks = dict(grads.items())
+        words = np.unique(np.concatenate([item.words.rows for item in inputs]))
+        chars = np.unique(np.concatenate([item.char_ids for item in inputs]))
+        assert blocks["word_emb"].shape == (len(words), mcfg.d_w)
+        assert blocks["char_emb"].shape == (len(chars), mcfg.d_c)
+
+    def test_missing_gold_rejected(self):
+        store, inputs, mcfg = mixed_batch()
+        inputs[1].gold = None
+        with pytest.raises(DataError):
+            batch_loss(store, inputs, mcfg, train=False)
+
+
+class TestTagSentences:
+    @pytest.mark.parametrize("fusion", STRATEGIES)
+    def test_matches_one_sentence_at_a_time(self, fusion):
+        store, sent, lex, vocab, mcfg, scheme = setup_model(fusion=fusion)
+        texts = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城",
+                 "去去去", "江城里看去江", "里", "看看"]
+        assert len(texts) > TAG_CHUNK
+        items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
+                 for k, t in enumerate(texts)]
+        assert any(len(item.words.ids) == 0 for item in items)   # "去": no words
+        legal = scheme.legal_mask()
+        tagged = tag_sentences(store, items, mcfg, legal)
+        assert len(tagged) == len(items)
+        for item, (path, alphas) in zip(items, tagged):
+            want_path, want_alphas = tag_sentence(store, item, mcfg, legal)
+            assert path == want_path and len(path) == len(item)
+            assert alphas.shape == want_alphas.shape and alphas.dtype == mcfg.dtype
+            assert np.allclose(alphas, want_alphas, rtol=0, atol=1e-12)
+
+    def test_empty_list(self):
+        store, _, _, _, mcfg, _ = setup_model()
+        assert tag_sentences(store, [], mcfg) == []

@@ -10,11 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexner import (Checkpoint, GradBuffer, ParamStore, TrainConfig, adam_step,
-                    build_lexicon, make_synthetic_corpus, train)
+                    build_lexicon, encoder, make_synthetic_corpus, train)
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
 from lexner.model import prepare_sentence, prepare_sentences, sentence_loss
-from lexner.trainer import evaluate, gold_spans
+from lexner.trainer import evaluate, gold_spans, predict_spans
+
+
+def whole_copy(store):
+    """Reference snapshot: every array copied in full, the mask too."""
+    out = ParamStore()
+    for name, p in store.items():
+        out.add(name, p.value.copy())
+        out[name].m[...], out[name].v[...] = p.m, p.v
+        out[name].live = None if p.live is None else p.live.copy()
+    return out
+
+
+def assert_same_store(a, b):
+    assert a.names() == b.names()
+    for name, p in a.items():
+        q = b[name]
+        for x, y in ((p.value, q.value), (p.m, q.m), (p.v, q.v)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert (p.live is None) == (q.live is None), name
+        assert p.live is None or np.array_equal(p.live, q.live), name
 
 
 def tiny_config(**kw):
@@ -240,6 +260,32 @@ class TestLiveRowAdam:
         assert np.array_equal(copy["emb"].live, store["emb"].live)
         assert copy["emb"].live is not store["emb"].live
 
+    def test_copy_equals_a_whole_copy(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        store = train(ds, ds, lex, tiny_config(epochs=2)).last.store
+        assert 0 < store["word_emb"].live.sum() < len(lex)
+        copy, want = store.copy(), whole_copy(store)
+        assert_same_store(copy, want)
+        assert not any(copy[name].grad.any() for name in copy.names())
+        copy.save(tmp_path / "copy.bin")
+        want.save(tmp_path / "want.bin")
+        assert (tmp_path / "copy.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        loaded, _ = ParamStore.load(tmp_path / "copy.bin")
+        assert all(p.live is None for _, p in loaded.items())
+        assert_same_store(loaded.copy(), whole_copy(loaded))
+
+    def test_resume_from_a_copy_equals_resume_from_a_whole_copy(self):
+        ds, lex, _ = tiny_corpus()
+        half = train(ds, ds, lex, tiny_config(epochs=2)).last
+        runs = []
+        for store in (half.store.copy(), whole_copy(half.store)):
+            ckpt = Checkpoint(store, *(getattr(half, f) for f in
+                                       ("config", "epoch", "best_dev_f1", "rng_state",
+                                        "adam_t", "char_vocab", "scheme_kind", "labels",
+                                        "words")))
+            runs.append(train(ds, ds, lex, tiny_config(epochs=4), resume=ckpt).last.store)
+        assert_same_store(*runs)
+
     def test_loaded_mask_comes_from_the_moments(self, tmp_path):
         store = ParamStore()
         store.add("emb", np.ones((4, 2)))
@@ -324,6 +370,34 @@ class TestTrainLoop:
         r2 = train(ds, ds, lex, tiny_config(epochs=2, workers=3))
         for name in r1.last.store.names():
             assert r1.last.store.value(name).tobytes() == r2.last.store.value(name).tobytes()
+
+    def test_one_encoder_call_per_batch_and_per_chunk(self, monkeypatch):
+        ds, lex, _ = tiny_corpus(n=10)
+        calls = []
+        encode_chars, encode_backward = encoder.encode_chars, encoder.encode_backward
+
+        def spy_forward(X, *args):
+            calls.append(("forward", len(X)))
+            return encode_chars(X, *args)
+
+        def spy_backward(dH, *args):
+            calls.append(("backward", len(dH)))
+            return encode_backward(dH, *args)
+
+        monkeypatch.setattr(encoder, "encode_chars", spy_forward)
+        monkeypatch.setattr(encoder, "encode_backward", spy_backward)
+        result = train(ds, ds, lex, tiny_config(epochs=1, batch_size=4))
+        chars = sum(len(s) for s in ds.sentences)
+        # three mini-batches (4 + 4 + 2 sentences), then dev tagging in chunks of 8
+        kinds = [kind for kind, _ in calls]
+        assert kinds == ["forward", "backward"] * 3 + ["forward"] * 2
+        assert sum(n for kind, n in calls[:6] if kind == "forward") == chars
+        assert sum(n for _, n in calls[6:]) == chars
+        calls.clear()
+        inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
+        predict_spans(result.last.store, inputs, ds.scheme,
+                      result.last.model_config())
+        assert [kind for kind, _ in calls] == ["forward"] * 2
 
     def test_resume_with_several_steps_per_epoch(self, tmp_path):
         ds, lex, _ = tiny_corpus()

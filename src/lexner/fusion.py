@@ -16,7 +16,10 @@ A sentence's word sets are laid out flat, position by position
 (`WordSets`). Every strategy is a flat weight vector alpha over that
 layout (1/m for the average, one-hot for the word picks), and one
 segment sum mixes it, so a sentence costs one call whatever its length.
-Each distinct word is projected once.
+Global attention projects no word: u_j . g = x_j . (W_u^T g) + b_u . g,
+so the scores are one product of the distinct words with W_u^T g, and the
+backward pass is rank-one the same way. Self-attention projects each
+distinct word once.
 
 Word sets arrive already ordered by (length, lexicographic), so the
 shortest pick is the first entry and the longest pick is the first entry
@@ -82,15 +85,15 @@ def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
     X_rows = word_emb[words.rows]
     X = X_rows[words.local]                                 # (L, d_w)
 
-    U = S = None
-    if strategy in ("global_attention", "self_attention"):
+    U = S = v = None
+    if strategy == "global_attention":
+        v = g @ W_u                                         # W_u^T g, (d_w,)
+        alpha = softmax((X_rows @ v + b_u @ g)[words.local], starts)
+    elif strategy == "self_attention":
         U = (X_rows @ W_u.T + b_u)[words.local]             # (L, 2*d_h)
-        if strategy == "global_attention":
-            scores = U @ g
-        else:   # S: sum of u_k over the entry's position
-            S = np.repeat(np.add.reduceat(U, starts), sizes, axis=0)
-            scores = np.einsum("ij,ij->i", U, S)
-        alpha = softmax(scores, starts)
+        # S: sum of u_k over the entry's position
+        S = np.repeat(np.add.reduceat(U, starts), sizes, axis=0)
+        alpha = softmax(np.einsum("ij,ij->i", U, S), starts)
     elif strategy == "average":
         alpha = np.repeat(1.0 / sizes, sizes).astype(X.dtype)
     else:
@@ -105,7 +108,7 @@ def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
 
     h = np.zeros((len(counts), word_emb.shape[1]), dtype=X.dtype)
     h[filled] = np.add.reduceat(alpha[:, None] * X, starts)
-    return h, alpha, (words, strategy, starts, sizes, counts, X, U, S, g, alpha)
+    return h, alpha, (words, strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha)
 
 
 def fuse_sentence_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
@@ -114,18 +117,22 @@ def fuse_sentence_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
     word_emb_grad holds table row words.rows[k] in row k. dg is zero unless
     the strategy uses g.
     """
-    words, strategy, starts, sizes, counts, X, U, S, g, alpha = cache
+    words, strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha = cache
     dh_entry = np.repeat(dh, counts, axis=0)                # (L, d_w)
     dX = alpha[:, None] * dh_entry                          # from h = sum alpha x
     dg = np.zeros_like(g)
-    if U is not None:
+    if strategy in ("global_attention", "self_attention"):
         dscores = softmax_backward(np.einsum("ij,ij->i", X, dh_entry), alpha, starts)
-        if strategy == "global_attention":
-            dU = np.outer(dscores, g)
-            dg = dscores @ U
-        else:  # self_attention: scores_j = u_j . S with S = sum_k u_k
-            dU = dscores[:, None] * S + np.repeat(
-                np.add.reduceat(dscores[:, None] * U, starts), sizes, axis=0)
+    if strategy == "global_attention":
+        # scores_j = x_j . v + b_u . g with v = W_u^T g
+        s, total = dscores @ X, dscores.sum()
+        W_u_grad += np.outer(g, s)
+        b_u_grad += g * total
+        dg = W_u @ s + b_u * total
+        dX += dscores[:, None] * v
+    elif strategy == "self_attention":   # scores_j = u_j . S with S = sum_k u_k
+        dU = dscores[:, None] * S + np.repeat(
+            np.add.reduceat(dscores[:, None] * U, starts), sizes, axis=0)
         W_u_grad += dU.T @ X
         b_u_grad += dU.sum(axis=0)
         dX += dU @ W_u

@@ -5,7 +5,7 @@ import pytest
 
 from lexner import ParamStore
 from lexner.fusion import STRATEGIES, WordSets, fuse_sentence, fuse_sentence_backward
-from lexner.numerics import grad_check
+from lexner.numerics import grad_check, softmax_backward
 
 
 def hand_fuse_position(X, lengths, W_u, b_u, g, strategy):
@@ -274,3 +274,27 @@ class TestFuseBackward:
             at = int(np.searchsorted(words.rows, ids[pick]))
             assert np.array_equal(block[at], up)
             assert np.all(np.delete(block, at, axis=0) == 0.0)
+
+    def test_global_attention_backward_equals_the_projection_form(self):
+        # the rank-one gradients against the ones of u_j = W_u x_j + b_u, scores u_j . g
+        rng = np.random.default_rng(9)
+        _, store, _ = self._grad_setup(rng, 4, "global_attention")
+        word_emb, W_u, b_u, g = (store.value(n) for n in ("word_emb", "W_u", "b_u", "g"))
+        sets = [[], [0, 2, 5], [], [2, 5], [0], []]
+        words = WordSets.from_sets(sets, [[2] * len(s) for s in sets])
+        up = rng.normal(size=(len(sets), 3))
+        _, alpha, cache = fuse_sentence(words, word_emb, g, W_u, b_u, "global_attention")
+        block, dW, db = np.zeros((len(words.rows), 3)), np.zeros_like(W_u), np.zeros_like(b_u)
+        dg = fuse_sentence_backward(up, cache, W_u, block, dW, db)
+
+        X = word_emb[words.ids]
+        U = X @ W_u.T + b_u
+        starts = words.offsets[:-1][np.diff(words.offsets) > 0]
+        dh_entry = np.repeat(up, np.diff(words.offsets), axis=0)
+        ds = softmax_backward(np.einsum("ij,ij->i", X, dh_entry), alpha, starts)
+        dU = np.outer(ds, g)
+        want_block = np.zeros_like(block)
+        np.add.at(want_block, words.local, alpha[:, None] * dh_entry + dU @ W_u)
+        for got, want in ((dW, dU.T @ X), (db, dU.sum(axis=0)), (dg, ds @ U),
+                          (block, want_block)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)

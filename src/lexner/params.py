@@ -46,9 +46,10 @@ class Param:
     def __init__(self, value: np.ndarray, m: np.ndarray | None = None,
                  v: np.ndarray | None = None, live: np.ndarray | None = None):
         self.value = value
-        self.grad = np.zeros_like(value)
-        self.m = np.zeros_like(value) if m is None else m
-        self.v = np.zeros_like(value) if v is None else v
+        # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
+        self.grad = np.zeros(value.shape, value.dtype)
+        self.m = np.zeros(value.shape, value.dtype) if m is None else m
+        self.v = np.zeros(value.shape, value.dtype) if v is None else v
         self.live = live
 
     def mark_live(self, rows: np.ndarray) -> None:
@@ -120,9 +121,8 @@ class ParamStore:
                 out._params[name] = Param(p.value.copy(), p.m.copy(), p.v.copy())
                 continue
             rows = np.flatnonzero(p.live)
-            m, v = np.zeros_like(p.m), np.zeros_like(p.v)
-            m[rows], v[rows] = p.m[rows], p.v[rows]
-            out._params[name] = Param(p.value.copy(), m, v, p.live.copy())
+            out._params[name] = q = Param(p.value.copy(), live=p.live.copy())
+            q.m[rows], q.v[rows] = p.m[rows], p.v[rows]
         return out
 
     def save(self, path, meta: dict | None = None) -> None:

@@ -83,7 +83,7 @@ class _Layout:
 
     @classmethod
     def of(cls, lengths) -> "_Layout":
-        if len(lengths) == 1:   # one sentence: one row per step, the same rows each way
+        if len(lengths) == 1:   # nothing to rank: step t runs position t, or n - 1 - t
             n = int(lengths[0])
             at = np.arange(n)
             return cls([1] * n, list(range(n + 1)), list(range(n)), (at, at[::-1]),
@@ -102,9 +102,13 @@ class _Layout:
             inv = np.empty_like(p)
             inv[p] = np.arange(len(p))
             rows.append(inv)
-        k0 = int(k[0]) if T else 0
-        prev = [0] + [k0 + int(o) for o in off[:-2]]
+        prev = [0] + [int(k[0]) + int(o) for o in off[:-2]]
         return cls(k.tolist(), off.tolist(), prev, pos, tuple(rows))
+
+    @property
+    def k0(self) -> int:
+        """Rows of the first step: the batch's sentences that are not empty."""
+        return self.k[0] if self.k else 0
 
     def prev_rows(self) -> np.ndarray:
         """State-array row of the state each packed row started from."""
@@ -138,7 +142,7 @@ def _run_direction(X, lay, rows, gates):
     A = A[rows]
     U_zr = 0.5 * np.vstack([gates["U_z"], gates["U_r"]])
     U_h = gates["U_h"]
-    k0 = lay.k[0] if lay.k else 0
+    k0 = lay.k0
     if k0 > 1:   # a GEMM is fastest with contiguous right operands
         U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
     S = np.zeros((k0 + len(A), d_h), dtype=dt)
@@ -190,8 +194,7 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
     U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
     U_zr = np.vstack([U_z, U_r])
     G = np.empty_like(A)                     # [g_z | g_r | g_c]
-    k0 = lay.k[0] if lay.k else 0
-    carry = np.zeros((k0, d_h), dtype=A.dtype)
+    carry = np.zeros((lay.k0, d_h), dtype=A.dtype)
     drh = np.empty_like(carry)
     tmp = np.empty_like(carry)
     for k, o in zip(reversed(lay.k), reversed(lay.off[:-1])):
@@ -241,8 +244,7 @@ def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
         raise ShapeError(f"sentence lengths sum to {lay.off[-1]}, X has {len(X)} rows")
     cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
     cb = _run_direction(X, lay, lay.rows[1], bwd_gates)
-    k0 = lay.k[0] if lay.k else 0
-    H = np.hstack([cf[0][k0 + lay.pos[0]], cb[0][k0 + lay.pos[1]]])
+    H = np.hstack([cf[0][lay.k0 + lay.pos[0]], cb[0][lay.k0 + lay.pos[1]]])
     return H, (X, lay, cf, cb)
 
 

@@ -17,8 +17,8 @@ from .lexicon import (Lexicon, MatchSets, build_lexicon, knowledge_select,
                       match_sentence)
 from .model import (ModelConfig, SentenceInputs, batch_loss, decode_sentence,
                     init_params, prepare_sentence, prepare_sentences, sentence_loss,
-                    tag_sentence, tag_sentences)
-from .params import GradBuffer, ParamStore
+                    tag_sentences)
+from .params import ParamStore
 from .synthetic import make_synthetic_corpus
 from .trainer import Checkpoint, TrainConfig, TrainResult, adam_step, evaluate, train
 

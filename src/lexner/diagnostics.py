@@ -53,9 +53,10 @@ def end_to_end_grad_check(seed: int, eps: float = 1e-5,
                           denom_floor: float = 1e-5, **kwargs) -> float:
     """Max relative error of the full-model NLL gradients vs central differences.
 
-    The analytic gradients come from one `sentence_loss` pass per sentence;
-    the central-difference probes evaluate the same loss with
-    `sentence_nll`, which skips the backward pass.
+    The analytic gradients come from one `sentence_loss` pass per sentence,
+    each adding into the store's gradients; the central-difference probes
+    evaluate the same loss with `sentence_nll`, which skips the backward
+    pass.
 
     For float32 models use a coarser step and floor (eps ~ 1e-2,
     denom_floor ~ 1e-3): finite differences through a float32 forward
@@ -64,17 +65,9 @@ def end_to_end_grad_check(seed: int, eps: float = 1e-5,
     store, inputs, mcfg = tiny_problem(seed, **kwargs)
 
     def f():
-        total = 0.0
-        for item in inputs:
-            loss, grads = sentence_loss(store, item, mcfg, train=False)
-            grads.reduce_into(store)
-            total += loss
-        return total
+        return sum(sentence_loss(store, item, mcfg, train=False) for item in inputs)
 
     def loss_only():
-        total = 0.0
-        for item in inputs:
-            total += sentence_nll(store, item, mcfg)
-        return total
+        return sum(sentence_nll(store, item, mcfg) for item in inputs)
 
     return grad_check(f, store, eps=eps, denom_floor=denom_floor, loss_only=loss_only)

@@ -18,11 +18,12 @@ packed one step after another (`_Layout`), as `pack_padded_sequence` does.
 The input terms X W_g^T + b_g do not depend on the recurrence, so one GEMM
 over every row computes them before the loop; a step then does only the
 recurrent products, over its k_t rows at once, and the gate arithmetic in
-place. sigmoid(a) = 0.5 * (1 + tanh(a / 2)); the halving is folded into
-the z and r weights and biases, which is exact, so z and r share one tanh
-and keep the bits of `numerics.sigmoid`. With one row, z and r also share
-one matrix-vector product with the stacked [U_z; U_r]; with more rows two
-separate GEMMs are faster. States are rows of one array that starts with
+place. The logistic function is computed by the identity
+sigmoid(a) = 0.5 * (1 + tanh(a / 2)), which cannot overflow; the halving
+is folded into the z and r weights and biases, which is exact, so z and r
+share one tanh. With one row, z and r also share one matrix-vector
+product with the stacked [U_z; U_r]; with more rows two separate GEMMs
+are faster. States are rows of one array that starts with
 k_0 zero rows, the initial states; the forward pass keeps it, the gates
 and r * h for the backward pass.
 

@@ -23,7 +23,7 @@ from .corpus import uniform_bound
 from .errors import DataError, ShapeError
 from .lexicon import Lexicon, knowledge_select, match_sentence
 from .numerics import check_finite, dropout, dropout_backward
-from .params import GradBuffer, ParamStore
+from .params import ParamStore
 
 UNK = "<unk>"
 TAG_CHUNK = 8   # sentences per encoder call in tag_sentences
@@ -82,7 +82,7 @@ def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
                 rng: np.random.Generator) -> ParamStore:
     """Fresh parameters; embeddings and weights use the uniform +-sqrt(3/fan) rule.
 
-    The two embedding tables get their gradients by rows (see `GradBuffer`).
+    The two embedding tables get their gradients by rows (see `batch_loss`).
     """
     word_init = np.asarray(word_init)
     if word_init.ndim != 2 or word_init.shape[1] != cfg.d_w:
@@ -189,20 +189,22 @@ def _require_gold(items) -> None:
 
 
 def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
-               train: bool = True, rngs=None):
-    """NLL of each sentence's gold tags plus one gradient buffer for the batch.
+               train: bool = True, rngs=None) -> list[float]:
+    """NLL of each sentence's gold tags; adds their gradients into the store.
 
     The encoder runs once, forward and backward, over the whole batch.
     rngs holds one dropout generator per sentence (needed in train mode).
-    Per-sentence contributions are added into the buffer in batch order.
+    Each sentence's part is added into `store[name].grad` in batch order.
+    An embedding table's part is first summed into a block of only the rows
+    it touches (per sentence for words, per batch for characters), which is
+    then added at those rows; those rows become live. The gradients are
+    not checked here: `adam_step` checks them before it moves any value.
     """
     _require_gold(items)
     results, enc_cache = _forward(store, items, cfg, train, rngs or [None] * len(items))
-    word_rows = np.unique(np.concatenate([item.words.rows for item in items]))
-    char_ids = np.concatenate([item.char_ids for item in items])
-    char_rows, char_local = np.unique(char_ids, return_inverse=True)
-    grads = GradBuffer(store, rows={"word_emb": word_rows, "char_emb": char_rows})
+    grad = {name: p.grad for name, p in store.items()}
     W_o, W_u = store.value("crf.W_o"), store.value("fusion.W_u")
+    char_ids = np.concatenate([item.char_ids for item in items])
     losses, dH_all = [], np.empty((len(char_ids), 2 * cfg.d_h), dtype=cfg.dtype)
     at = 0
     for item, (lattice, _, (mask_h, fuse_cache, mask_sw, R)) in zip(items, results):
@@ -210,16 +212,17 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
         losses.append(loss)
         # the CRF works in float64; the backward pass below stays in cfg.dtype
         dO = dO.astype(cfg.dtype, copy=False)
-        grads.get("crf.T")[...] += dT
+        grad["crf.T"] += dT
         dR, dW_o, db_o = crf.emissions_backward(dO, R, W_o)
-        grads.get("crf.W_o")[...] += dW_o
-        grads.get("crf.b_o")[...] += db_o
+        grad["crf.W_o"] += dW_o
+        grad["crf.b_o"] += db_o
 
         dHsw_raw = dropout_backward(dR[:, :cfg.d_w], mask_sw)
         word_grad = np.zeros((len(item.words.rows), cfg.d_w), dtype=cfg.dtype)
         dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, W_u, word_grad,
-                                           grads.get("fusion.W_u"), grads.get("fusion.b_u"))
-        grads.get("word_emb")[np.searchsorted(word_rows, item.words.rows)] += word_grad
+                                           grad["fusion.W_u"], grad["fusion.b_u"])
+        grad["word_emb"][item.words.rows] += word_grad   # rows are unique: no update is lost
+        store["word_emb"].mark_live(item.words.rows)
         dH = dR[:, cfg.d_w:].copy()
         encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
         dH_all[at:at + len(item)] = dropout_backward(dH, mask_h)
@@ -227,20 +230,23 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
 
     fwd_gates = store.values_with_prefix("gru_fwd.")
     bwd_gates = store.values_with_prefix("gru_bwd.")
-    fwd_grads = {name: grads.get(f"gru_fwd.{name}") for name in encoder.GATE_NAMES}
-    bwd_grads = {name: grads.get(f"gru_bwd.{name}") for name in encoder.GATE_NAMES}
+    fwd_grads = {name: grad[f"gru_fwd.{name}"] for name in encoder.GATE_NAMES}
+    bwd_grads = {name: grad[f"gru_bwd.{name}"] for name in encoder.GATE_NAMES}
     dX = encoder.encode_backward(dH_all, enc_cache, fwd_gates, bwd_gates,
                                  fwd_grads, bwd_grads)
     if cfg.char_source == "table":
-        np.add.at(grads.get("char_emb"), char_local, dX)
-    return losses, grads
+        rows, local = np.unique(char_ids, return_inverse=True)
+        char_grad = np.zeros((len(rows), cfg.d_c), dtype=cfg.dtype)
+        np.add.at(char_grad, local, dX)
+        grad["char_emb"][rows] += char_grad
+        store["char_emb"].mark_live(rows)
+    return losses
 
 
 def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
-                  train: bool = True, rng: np.random.Generator | None = None):
-    """NLL of the gold tags plus a filled per-sentence gradient buffer."""
-    losses, grads = batch_loss(store, [inputs], cfg, train, [rng])
-    return losses[0], grads
+                  train: bool = True, rng: np.random.Generator | None = None) -> float:
+    """`batch_loss` of a batch of one: the NLL, its gradient added into the store."""
+    return batch_loss(store, [inputs], cfg, train, [rng])[0]
 
 
 def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> float:
@@ -261,7 +267,8 @@ def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConf
     Eval mode. The items run longest first in chunks of TAG_CHUNK, one
     encoder call per chunk. A sentence's scores can differ from those of a
     batch of one in the last bits, since the recurrent products then run
-    as GEMMs over several rows.
+    as GEMMs over several rows. An item's alphas[words.offsets[i]:
+    words.offsets[i + 1]] weigh the words of its position i.
     """
     order = sorted(range(len(items)), key=lambda i: -len(items[i]))
     out = [None] * len(items)
@@ -274,16 +281,7 @@ def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConf
     return out
 
 
-def tag_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
-                 legal: np.ndarray | None = None):
-    """Viterbi tag indices and flat fusion weights from one eval-mode forward.
-
-    alphas[words.offsets[i]:words.offsets[i + 1]] weigh position i's words.
-    """
-    return tag_sentences(store, [inputs], cfg, legal)[0]
-
-
 def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
                     legal: np.ndarray | None = None) -> list[int]:
     """Viterbi tag indices for one sentence (eval mode, no dropout)."""
-    return tag_sentence(store, inputs, cfg, legal)[0]
+    return tag_sentences(store, [inputs], cfg, legal)[0][0]

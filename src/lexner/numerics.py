@@ -52,15 +52,6 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray, starts=(0,)) -> np.ndarray:
     return p * (dp - np.repeat(np.add.reduceat(p * dp, starts), sizes))
 
 
-def sigmoid(x):
-    """Logistic function via tanh: cannot overflow, keeps the input dtype."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def tanh(x):
-    return np.tanh(x)
-
-
 def dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | None = None):
     """Inverted dropout: survivors are scaled by 1/(1-p); identity in eval mode.
 
@@ -86,11 +77,11 @@ def grad_check(f, store, eps: float = 1e-5, max_components: int | None = None,
     """Compare the store's analytic gradients of f against central differences.
 
     `f()` must return a scalar computed from the store's current parameter
-    values and leave d f / d theta accumulated in the store's gradient
-    buffers. `f` runs once, at the unperturbed values. The difference
-    probes call `loss_only()` when it is given, else `f()`: it must
-    compute the same scalar as `f` from the same parameters and must not
-    touch the gradient buffers, so the probes skip the backward pass.
+    values and leave d f / d theta, which must be finite, accumulated in
+    the store's gradients. `f` runs once, at the unperturbed values. The
+    difference probes call `loss_only()` when it is given, else `f()`: it
+    must compute the same scalar as `f` from the same parameters and must
+    not touch the gradients, so the probes skip the backward pass.
     Components are sampled per parameter when `max_components` is set.
     Returns the max relative error, where the relative error of a pair
     (a, fd) is |a - fd| / max(|a|, |fd|, denom_floor) so that components
@@ -101,6 +92,8 @@ def grad_check(f, store, eps: float = 1e-5, max_components: int | None = None,
     if not np.isfinite(loss):
         raise NumericError(f"grad_check: non-finite loss {loss}")
     analytic = {name: store[name].grad.copy() for name in store.names()}
+    for name, a in analytic.items():   # a NaN would compare as no error at all
+        check_finite(f"the gradient of {name}", a)
     probe = f if loss_only is None else loss_only
 
     worst = 0.0

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, NumericError
+from .errors import FormatError
 
 _MAGIC = b"LXC1"
 _VERSION = 1
@@ -35,9 +35,11 @@ _DTYPE_CODES = {np.dtype("float64"): 1, np.dtype("float32"): 2}
 class Param:
     """One named tensor: value, gradient, Adam moment buffers and live rows.
 
-    `live` is None for a tensor whose gradient arrives whole. For a table
-    whose gradient arrives by rows (see `GradBuffer`), it marks the rows that
-    have ever had a gradient: every other row has zero gradient and zero
+    `grad` is the one home of the tensor's gradient: `model.batch_loss` adds
+    into it and `trainer.adam_step` checks, consumes and zeroes it. `live`
+    is None for a tensor whose gradient arrives whole. For a table whose
+    gradient arrives by rows, it marks the rows that have ever had a
+    gradient (`mark_live`): every other row has zero gradient and zero
     moments, and Adam leaves such a row as it is.
     """
 
@@ -220,48 +222,3 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise FormatError(f"{path}: truncated container")
             arrays[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
     return arrays, meta
-
-
-class GradBuffer:
-    """Gradient accumulator of a sentence or a mini-batch, reduced into the store.
-
-    Buffers are allocated lazily so untouched parameters cost nothing. The
-    model fills one buffer per mini-batch, adding each sentence's part in
-    sentence order, so the reduction is deterministic.
-    `rows` maps a table's name to the sorted, unique ids of the rows the
-    sentences touch; its buffer then holds row ids[k] of the table in row k.
-    Reducing such a buffer marks those rows live in the table's `Param`.
-    """
-
-    def __init__(self, store: ParamStore, rows: dict[str, np.ndarray] | None = None):
-        self._store = store
-        self._rows = rows or {}
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def get(self, name: str) -> np.ndarray:
-        buf = self._bufs.get(name)
-        if buf is None:
-            value = self._store.value(name)
-            n_rows = len(self._rows.get(name, value))   # every row unless listed
-            buf = np.zeros((n_rows,) + value.shape[1:], dtype=value.dtype)
-            self._bufs[name] = buf
-        return buf
-
-    def items(self):
-        return self._bufs.items()
-
-    def reduce_into(self, store: ParamStore) -> None:
-        """Finite-check each buffer and add it into the store's gradient.
-
-        A listed table gets its block added at its rows, and those rows
-        become live, so Adam updates them from now on.
-        """
-        for name, buf in self._bufs.items():
-            if not np.all(np.isfinite(buf)):
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            p, rows = store[name], self._rows.get(name)
-            if rows is None:
-                p.grad += buf
-            else:
-                p.grad[rows] += buf   # listed ids are unique, so no update is lost
-                p.mark_live(rows)

@@ -1,12 +1,13 @@
 """Mini-batch Adam training with dev-F1 model selection and checkpointing.
 
 Each mini-batch is one `batch_loss` call: the encoder runs once over the
-batch, and the per-sentence parts add their gradients into one buffer in
-sentence order, so a rerun gives the same bits. Dropout randomness is
-drawn as one child seed per sentence from the main generator, in batch
-order, which keeps resumed runs on the exact trajectory of uninterrupted
-ones. The `workers` setting is accepted for old configurations and
-checkpoints and has no effect.
+batch, and the per-sentence parts add their gradients straight into the
+store's gradients (`Param.grad`) in sentence order, so a rerun gives the
+same bits. `adam_step` then checks those gradients, applies them and
+zeroes them. Dropout randomness is drawn as one child seed per sentence
+from the main generator, in batch order, which keeps resumed runs on the
+exact trajectory of uninterrupted ones. The `workers` setting is accepted
+for old configurations and checkpoints and has no effect.
 
 Adam touches only the rows of an embedding table that have ever had a
 gradient (the table's live rows, see `params.Param`). Any other row has
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset, TagScheme, build_char_vocab
+from .encoder import G_MODES
 from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
@@ -67,7 +69,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.bigru_total % 2 != 0 or self.bigru_total < 2:
             raise ConfigError(f"bigru_total must be a positive even number, got {self.bigru_total}")
-        for name in ("lr", "batch_size", "max_len", "d_c", "d_w", "epochs", "workers"):
+        for name in ("lr", "batch_size", "max_len", "d_c", "d_w", "epochs", "patience",
+                     "workers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
@@ -76,6 +79,11 @@ class TrainConfig:
             raise ConfigError(f"knowledge_mode {self.knowledge_mode!r} not in {KNOWLEDGE_MODES}")
         if self.fusion_strategy not in STRATEGIES:
             raise ConfigError(f"fusion_strategy {self.fusion_strategy!r} not in {STRATEGIES}")
+        if self.g_mode not in G_MODES:
+            raise ConfigError(f"g_mode {self.g_mode!r} not in {G_MODES}")
+        # a clip of 0 freezes every weight, and a negative one turns descent into ascent
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be positive or none, got {self.clip_norm}")
 
     @property
     def d_h(self) -> int:
@@ -343,12 +351,10 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
             for at in range(0, len(order), config.batch_size):
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
                 rngs = [np.random.default_rng(int(rng.integers(0, 2 ** 63))) for _ in batch]
-                losses, grads = batch_loss(store, batch, mcfg, train=True, rngs=rngs)
-                for loss in losses:
+                for loss in batch_loss(store, batch, mcfg, train=True, rngs=rngs):
                     if not np.isfinite(loss) or loss < -1e-9:
                         raise NumericError(f"bad batch loss {loss}")
                     total_nll += loss
-                grads.reduce_into(store)
                 adam_t += 1
                 adam_values += adam_step(store, config.lr, t=adam_t,
                                          clip_norm=config.clip_norm, skip=skip)

@@ -159,8 +159,8 @@ def test_c5_single_sentence_memorization():
                           knowledge_mode="slk")
         result = train(ds, ds, lex, cfg)
         item = prepare_sentence(sent, lex, result.last.char_vocab, "slk")
-        loss, _ = sentence_loss(result.last.store, item,
-                                cfg.model_config(scheme.size), train=False)
+        loss = sentence_loss(result.last.store, item,
+                             cfg.model_config(scheme.size), train=False)
         assert loss < 0.01, f"NLL after 200 epochs: {loss}"
 
 

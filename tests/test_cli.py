@@ -58,6 +58,7 @@ MALFORMED_META = {
         extra=len(arrays["char_emb"])),
     "config-epochs-is-a-bool": lambda meta, arrays: meta["config"].update(epochs=True),
     "config-clip-norm-is-a-string": lambda meta, arrays: meta["config"].update(clip_norm="1"),
+    "config-g-mode-is-bogus": lambda meta, arrays: meta["config"].update(g_mode="bogus"),
 }
 
 

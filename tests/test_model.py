@@ -9,7 +9,7 @@ from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
 from lexner.model import (TAG_CHUNK, ModelConfig, batch_loss, decode_sentence, init_params,
                           param_shapes, prepare_sentence, prepare_sentences, sentence_loss,
-                          sentence_nll, tag_sentence, tag_sentences)
+                          sentence_nll, tag_sentences)
 from lexner.numerics import grad_check
 
 
@@ -32,19 +32,19 @@ class TestSentenceLoss:
     def test_eval_mode_deterministic(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         item = prepare_sentence(sent, lex, vocab, "slk")
-        l1, _ = sentence_loss(store, item, mcfg, train=False)
-        l2, _ = sentence_loss(store, item, mcfg, train=False)
+        l1 = sentence_loss(store, item, mcfg, train=False)
+        l2 = sentence_loss(store, item, mcfg, train=False)
         assert l1 == l2
 
     def test_train_mode_uses_dropout_rng(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         item = prepare_sentence(sent, lex, vocab, "slk")
-        l1, _ = sentence_loss(store, item, mcfg, train=True,
-                              rng=np.random.default_rng(1))
-        l2, _ = sentence_loss(store, item, mcfg, train=True,
-                              rng=np.random.default_rng(1))
-        l3, _ = sentence_loss(store, item, mcfg, train=True,
-                              rng=np.random.default_rng(2))
+        l1 = sentence_loss(store, item, mcfg, train=True,
+                           rng=np.random.default_rng(1))
+        l2 = sentence_loss(store, item, mcfg, train=True,
+                           rng=np.random.default_rng(1))
+        l3 = sentence_loss(store, item, mcfg, train=True,
+                           rng=np.random.default_rng(2))
         assert l1 == l2 and l1 != l3
 
     def test_missing_gold_rejected(self):
@@ -57,9 +57,7 @@ class TestSentenceLoss:
     def test_char_gradient_reaches_present_rows(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         item = prepare_sentence(sent, lex, vocab, "slk")
-        loss, grads = sentence_loss(store, item, mcfg, train=False)
-        assert loss > 0
-        grads.reduce_into(store)
+        assert sentence_loss(store, item, mcfg, train=False) > 0
         emb_grad = store["char_emb"].grad
         for ch in sent.chars:
             assert np.any(emb_grad[vocab[ch]] != 0.0), ch
@@ -73,11 +71,7 @@ class TestSentenceLoss:
         item = prepare_sentence(sent, lex, vocab, "slk")
         matched = set(item.words.ids.tolist())
         assert 0 < len(matched) < len(lex)
-        _, grads = sentence_loss(store, item, mcfg, train=False)
-        blocks = dict(grads.items())
-        assert blocks["word_emb"].shape == (len(matched), mcfg.d_w)
-        assert blocks["char_emb"].shape == (len(set(sent.chars)), mcfg.d_c)
-        grads.reduce_into(store)
+        sentence_loss(store, item, mcfg, train=False)
         untouched = [w for w in range(len(lex)) if w not in matched]
         assert np.all(store["word_emb"].grad[untouched] == 0.0)
         assert set(np.flatnonzero(store["word_emb"].live)) == matched
@@ -118,11 +112,9 @@ class TestFloat32:
 
         monkeypatch.setattr(encoder, "encode_chars", spy_forward)
         monkeypatch.setattr(encoder, "encode_backward", spy_backward)
-        _, grads = sentence_loss(store, inputs[0], mcfg, train=False)
+        sentence_loss(store, inputs[0], mcfg, train=False)
         assert seen == {"H": np.float32, "dX": np.float32}
-        bufs = dict(grads.items())
-        assert set(bufs) == set(store.names())
-        assert all(buf.dtype == np.float32 for buf in bufs.values())
+        assert all(p.grad.dtype == np.float32 and p.grad.any() for _, p in store.items())
 
 
 class TestSentenceNll:
@@ -132,7 +124,7 @@ class TestSentenceNll:
         store, sent, lex, vocab, mcfg, _ = setup_model(fusion=fusion)
         mcfg = ModelConfig(**{**mcfg.__dict__, "g_mode": g_mode})
         item = prepare_sentence(sent, lex, vocab, "slk")
-        loss, _ = sentence_loss(store, item, mcfg, train=False)
+        loss = sentence_loss(store, item, mcfg, train=False)
         assert sentence_nll(store, item, mcfg) == loss
 
     def test_leaves_gradients_untouched(self):
@@ -158,8 +150,8 @@ class TestPrecomputedVectors:
         # a file-mode store carries no character table
         item_t = prepare_sentence(sent, lex, vocab, "slk")
         item_f = prepare_sentence(sent, lex, vocab, "slk", char_vectors=rows)
-        l_t, _ = sentence_loss(store, item_t, mcfg, train=False)
-        l_f, _ = sentence_loss(store_file, item_f, mcfg_file, train=False)
+        l_t = sentence_loss(store, item_t, mcfg, train=False)
+        l_f = sentence_loss(store_file, item_f, mcfg_file, train=False)
         assert l_t == l_f
 
     def test_missing_vectors_rejected(self):
@@ -211,7 +203,7 @@ class TestAttentionProfile:
     def test_alphas_sum_to_one_where_words_exist(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         item = prepare_sentence(sent, lex, vocab, "slk")
-        _, alphas = tag_sentence(store, item, mcfg)
+        [(_, alphas)] = tag_sentences(store, [item], mcfg)
         offsets = item.words.offsets
         assert len(offsets) == len(sent.chars) + 1
         any_words = False
@@ -227,7 +219,7 @@ class TestTagSentence:
     def test_path_is_decode_and_alphas_are_fusion_weights(self, fusion):
         store, sent, lex, vocab, mcfg, scheme = setup_model(fusion=fusion)
         item = prepare_sentence(sent, lex, vocab, "slk")
-        path, alphas = tag_sentence(store, item, mcfg, scheme.legal_mask())
+        [(path, alphas)] = tag_sentences(store, [item], mcfg, scheme.legal_mask())
         assert path == decode_sentence(store, item, mcfg, scheme.legal_mask())
         assert alphas.shape == item.words.ids.shape and alphas.dtype == mcfg.dtype
 
@@ -255,9 +247,7 @@ class TestBatchLoss:
         store, inputs, mcfg = mixed_batch()
 
         def f():
-            losses, grads = batch_loss(store, inputs, mcfg, train=False)
-            grads.reduce_into(store)
-            return sum(losses)
+            return sum(batch_loss(store, inputs, mcfg, train=False))
 
         def loss_only():
             return sum(sentence_nll(store, item, mcfg) for item in inputs)
@@ -273,25 +263,39 @@ class TestBatchLoss:
         def rngs():
             return [np.random.default_rng(s) for s in seeds] if train else None
 
-        losses, grads = batch_loss(store, inputs, mcfg, train=train, rngs=rngs())
-        grads.reduce_into(store)
+        losses = batch_loss(store, inputs, mcfg, train=train, rngs=rngs())
         got = {name: store[name].grad.copy() for name in store.names()}
         store.zero_grads()
         for item, rng, loss in zip(inputs, rngs() or [None] * len(inputs), losses):
-            want, one = sentence_loss(store, item, mcfg, train=train, rng=rng)
+            want = sentence_loss(store, item, mcfg, train=train, rng=rng)
             assert abs(loss - want) <= 1e-12
-            one.reduce_into(store)
         for name in store.names():
             assert np.allclose(got[name], store[name].grad, rtol=0, atol=1e-10), name
 
-    def test_one_buffer_holds_the_rows_of_the_batch(self):
+    def test_adds_into_the_store_and_marks_only_the_batch_rows_live(self):
         store, inputs, mcfg = mixed_batch()
-        _, grads = batch_loss(store, inputs, mcfg, train=False)
-        blocks = dict(grads.items())
-        words = np.unique(np.concatenate([item.words.rows for item in inputs]))
-        chars = np.unique(np.concatenate([item.char_ids for item in inputs]))
-        assert blocks["word_emb"].shape == (len(words), mcfg.d_w)
-        assert blocks["char_emb"].shape == (len(chars), mcfg.d_c)
+        batch = inputs[:3]   # the fourth sentence holds the words no other one matches
+        assert not store["word_emb"].live.any() and not store["char_emb"].live.any()
+        batch_loss(store, batch, mcfg, train=False)
+        words = np.unique(np.concatenate([item.words.rows for item in batch]))
+        chars = np.unique(np.concatenate([item.char_ids for item in batch]))
+        for name, rows in (("word_emb", words), ("char_emb", chars)):
+            assert 0 < len(rows) < len(store.value(name)), name
+            assert np.array_equal(np.flatnonzero(store[name].live), rows), name
+            assert not np.delete(store[name].grad, rows, axis=0).any(), name
+
+    def test_a_sentence_adds_each_part_once(self):
+        # so two calls on a zeroed store leave exactly twice one call's gradients
+        store, inputs, mcfg = mixed_batch()
+        item = max(inputs, key=len)
+        assert len(set(item.char_ids.tolist())) < len(item)   # a repeated character
+        first = sentence_loss(store, item, mcfg, train=False)
+        once = {name: p.grad.copy() for name, p in store.items()}
+        # b_u . g shifts each position's scores alike, so b_u gets no gradient
+        assert [name for name, g in once.items() if not g.any()] == ["fusion.b_u"]
+        assert sentence_loss(store, item, mcfg, train=False) == first
+        for name, p in store.items():
+            assert p.grad.tobytes() == (once[name] + once[name]).tobytes(), name
 
     def test_missing_gold_rejected(self):
         store, inputs, mcfg = mixed_batch()
@@ -314,7 +318,7 @@ class TestTagSentences:
         tagged = tag_sentences(store, items, mcfg, legal)
         assert len(tagged) == len(items)
         for item, (path, alphas) in zip(items, tagged):
-            want_path, want_alphas = tag_sentence(store, item, mcfg, legal)
+            [(want_path, want_alphas)] = tag_sentences(store, [item], mcfg, legal)
             assert path == want_path and len(path) == len(item)
             assert alphas.shape == want_alphas.shape and alphas.dtype == mcfg.dtype
             assert np.allclose(alphas, want_alphas, rtol=0, atol=1e-12)

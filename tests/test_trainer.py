@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexner import (Checkpoint, GradBuffer, ParamStore, TrainConfig, adam_step,
+from lexner import (Checkpoint, ParamStore, TrainConfig, adam_step,
                     build_lexicon, encoder, make_synthetic_corpus, train)
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
@@ -212,14 +212,14 @@ class TestLiveRowAdam:
             for _ in range(draw(st.integers(0, 3), label="sentences")):
                 rows = {name: np.array(sorted(draw(st.sets(st.integers(0, n[name] - 1)))),
                                        dtype=np.int64) for name in n}
-                grads = GradBuffer(ours, rows=rows)
                 for name in shapes:
-                    buf = grads.get(name)
-                    buf += rng.normal(size=buf.shape)
+                    at = rows.get(name, ...)
+                    part = rng.normal(size=ours[name].grad[at].shape)
+                    ours[name].grad[at] += part
+                    ref[name].grad[at] += part   # the same additions, for the dense reference
                 for name in n:
                     listed[name].update(rows[name].tolist())
-                grads.reduce_into(ours)
-                grads.reduce_into(ref)   # the same additions, for the dense reference
+                    ours[name].mark_live(rows[name])
             assert adam_step(ours, 1e-2, t=t, **kw) <= sum(v.size for v in start.values())
             textbook_adam(ref, 1e-2, t=t, **kw)
             for name in shapes:
@@ -244,9 +244,8 @@ class TestLiveRowAdam:
         store = ParamStore()
         store.add("emb", np.ones((5, 3)), table=True)
         store.add("w", np.ones(4))
-        grads = GradBuffer(store, rows={"emb": np.array([1, 3])})
-        grads.get("emb")[...] = 1.0
-        grads.reduce_into(store)
+        store["emb"].grad[[1, 3]] = 1.0
+        store["emb"].mark_live(np.array([1, 3]))
         assert np.array_equal(store["emb"].live, [False, True, False, True, False])
         assert adam_step(store, 1e-2, t=1) == 2 * 3 + 4
         assert adam_step(store, 1e-2, t=2, skip=("w",)) == 2 * 3
@@ -294,9 +293,7 @@ class TestLiveRowAdam:
         store.save(tmp_path / "store.bin")
         loaded, _ = ParamStore.load(tmp_path / "store.bin")
         assert loaded["emb"].live is None
-        grads = GradBuffer(loaded, rows={"emb": np.array([3])})
-        grads.get("emb")
-        grads.reduce_into(loaded)
+        loaded["emb"].mark_live(np.array([3]))
         assert np.array_equal(loaded["emb"].live, [False, True, True, True])
 
 
@@ -321,6 +318,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("key,value", [
         ("seed", "x"), ("epochs", True), ("epochs", 2.0), ("lr", "0.1"), ("lr", False),
         ("freeze_word_emb", 1), ("clip_norm", "1"), ("knowledge_mode", 3),
+        # well typed, but clip_norm -1 turns descent into ascent, 0 freezes every
+        # weight, and a bad g_mode would fail only at the first forward pass
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("patience", 0), ("patience", -1), ("g_mode", "bogus"),
     ])
     def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -507,8 +508,7 @@ class TestTrainLoop:
             store.zero_grads()
             for sent in ds.sentences:
                 item = prepare_sentence(sent, lex, vocab, "slk")
-                _, grads = sentence_loss(store, item, mcfg, train=True, rng=rng)
-                grads.reduce_into(store)
+                sentence_loss(store, item, mcfg, train=True, rng=rng)
             got = {name for name in store.names()
                    if np.any(store[name].grad != 0.0)}
             covered = got if covered is None else covered | got
@@ -525,8 +525,8 @@ class TestTrainLoop:
         cfg = tiny_config(dropout=0.0, epochs=120, batch_size=4)
         result = train(ds, ds, lex, cfg)
         item = prepare_sentence(sent, lex, result.last.char_vocab, "slk")
-        loss, _ = sentence_loss(result.last.store, item,
-                                cfg.model_config(scheme.size), train=False)
+        loss = sentence_loss(result.last.store, item,
+                             cfg.model_config(scheme.size), train=False)
         assert loss < 0.01
         # 5-epoch moving average of the training loss never increases
         nll = np.array([h["train_nll"] for h in result.history])

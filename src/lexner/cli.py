@@ -58,16 +58,11 @@ def default_config() -> dict:
     return cfg
 
 
-_CASTERS = {
-    "lr": float, "batch_size": int, "dropout": float, "max_len": int,
-    "d_c": int, "d_w": int, "bigru_total": int, "layers": int, "epochs": int,
-    "patience": int, "seed": int, "knowledge_mode": str.lower,
-    "fusion_strategy": str.lower, "freeze_word_emb": _bool,
-    "clip_norm": _opt_float, "workers": int, "g_mode": str,
-    "decode_mask": _bool, "precision": str.lower, "scheme": str,
-    "entity_types": str,
-}
-_CASTERS.update({key: str for key in _PATH_KEYS})
+# the caster of each TrainConfig field, by its annotation
+_ANNOTATION_CASTERS = {"int": int, "float": float, "float | None": _opt_float,
+                       "bool": _bool, "str": str.lower}
+_CASTERS = {f.name: _ANNOTATION_CASTERS[f.type] for f in dataclasses.fields(TrainConfig)}
+_CASTERS.update({key: str for key in _PATH_KEYS + ("scheme", "entity_types")})
 
 
 def parse_kv_file(path) -> dict:

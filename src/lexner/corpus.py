@@ -19,6 +19,11 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_LEN = 250
 
 _PREFIXES = {"BIO": ("B", "I"), "BIOES": ("B", "I", "E", "S")}
+# the prefixes that continue an entity left open by B or I
+_CONTINUATIONS = {"BIO": ("I",), "BIOES": ("I", "E")}
+# the prefix a cut entity tag takes at the start, and at the end, of a sentence
+_OPENING = {"I": "B", "E": "S"}
+_CLOSING = {"B": "S", "I": "E"}
 
 
 class TagScheme:
@@ -26,7 +31,7 @@ class TagScheme:
 
     Index 0 is always the outside tag "O"; entity tags follow, grouped by
     entity type in the order given. The index mapping is a bijection onto
-    0..size-1.
+    0..size-1. The whole tag grammar follows from one rule, `continues`.
 
     Args:
         kind: "BIO" or "BIOES".
@@ -43,10 +48,14 @@ class TagScheme:
             raise SchemeError("duplicate entity type in scheme labels")
         self.kind = kind
         self.labels = tuple(labels)
-        self.tags = ("O",) + tuple(
-            f"{p}-{t}" for t in self.labels for p in _PREFIXES[kind]
-        )
+        self._parts = (("O", None),) + tuple((p, t) for t in self.labels for p in _PREFIXES[kind])
+        self.tags = ("O",) + tuple(f"{p}-{t}" for p, t in self._parts[1:])
         self._index = {tag: i for i, tag in enumerate(self.tags)}
+        self._open = {i for i, (p, _) in enumerate(self._parts) if p in ("B", "I")}
+        self._continuing = {i for i, (p, _) in enumerate(self._parts)
+                            if p in _CONTINUATIONS[kind]}
+        # a scheme with an end tag must close every entity it opens
+        self._closed = "E" in _CONTINUATIONS[kind]
 
     @property
     def size(self) -> int:
@@ -63,42 +72,39 @@ class TagScheme:
 
     def split_tag(self, index: int) -> tuple[str, str | None]:
         """Return (prefix, entity type); ("O", None) for the outside tag."""
-        tag = self.tags[index]
-        if tag == "O":
-            return "O", None
-        prefix, etype = tag.split("-", 1)
-        return prefix, etype
+        return self._parts[index]
+
+    def continues(self, prev: int | None, nxt: int | None) -> bool:
+        """Whether tag `nxt` continues the entity that tag `prev` leaves open."""
+        return (prev in self._open and nxt in self._continuing
+                and self._parts[prev][1] == self._parts[nxt][1])
 
     def legal_transition(self, prev: int | None, nxt: int | None) -> bool:
         """Whether tag `nxt` may follow tag `prev`.
 
         `None` stands for the sentence boundary: prev=None asks whether a
         sentence may start with `nxt`, nxt=None whether it may end with
-        `prev`.
+        `prev`. A continuation tag must continue `prev`, and in BIOES an
+        open entity must be continued; every other transition is legal.
         """
-        if prev is None and nxt is None:
+        if self.continues(prev, nxt):
             return True
-        if self.kind == "BIO":
-            if nxt is None:
-                return True
-            np_, nt = self.split_tag(nxt)
-            if np_ != "I":
-                return True
-            if prev is None:
-                return False
-            pp, pt = self.split_tag(prev)
-            return pp in ("B", "I") and pt == nt
-        # BIOES
-        if prev is None:
-            np_, _ = self.split_tag(nxt)
-            return np_ in ("O", "B", "S")
-        pp, pt = self.split_tag(prev)
-        if nxt is None:
-            return pp in ("O", "E", "S")
-        np_, nt = self.split_tag(nxt)
-        if pp in ("B", "I"):
-            return np_ in ("I", "E") and nt == pt
-        return np_ in ("O", "B", "S")
+        return nxt not in self._continuing and not (self._closed and prev in self._open)
+
+    def fix_edges(self, tags) -> list[int]:
+        """`tags` with a cut entity at either end re-prefixed (I-X to B-X, and
+        in BIOES E-X to S-X at the start, B-X to S-X and I-X to E-X at the
+        end), so that the sequence may start and end a sentence."""
+        fixed = list(tags)
+        if fixed and not self.legal_transition(None, fixed[0]):
+            fixed[0] = self._reprefix(fixed[0], _OPENING)
+        if fixed and not self.legal_transition(fixed[-1], None):
+            fixed[-1] = self._reprefix(fixed[-1], _CLOSING)
+        return fixed
+
+    def _reprefix(self, index: int, forms: dict) -> int:
+        prefix, etype = self._parts[index]
+        return self._index[f"{forms[prefix]}-{etype}"]
 
     def legal_mask(self) -> np.ndarray:
         """(size+2, size+2) boolean transition-legality matrix.
@@ -160,25 +166,6 @@ class Dataset:
         }
 
 
-def _renormalize_edges(tags: list[int], scheme: TagScheme) -> list[int]:
-    """Fix entity prefixes cut by a max-length split so the piece stays legal."""
-    if not tags:
-        return tags
-    fixed = list(tags)
-    prefix, etype = scheme.split_tag(fixed[0])
-    if prefix == "I":
-        fixed[0] = scheme.index_of(f"B-{etype}")
-    elif prefix == "E":  # BIOES only
-        fixed[0] = scheme.index_of(f"S-{etype}")
-    prefix, etype = scheme.split_tag(fixed[-1])
-    if scheme.kind == "BIOES":
-        if prefix == "B":
-            fixed[-1] = scheme.index_of(f"S-{etype}")
-        elif prefix == "I":
-            fixed[-1] = scheme.index_of(f"E-{etype}")
-    return fixed
-
-
 def _check_transitions(tags, scheme: TagScheme, where: str) -> None:
     path = [None] + list(tags) + [None]
     for a, b in zip(path, path[1:]):
@@ -223,7 +210,7 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
                         where, len(chars), max_len, len(pieces))
             for k, a in enumerate(pieces):
                 piece_chars = chars[a:a + max_len]
-                piece_tags = _renormalize_edges(tags[a:a + max_len], scheme)
+                piece_tags = scheme.fix_edges(tags[a:a + max_len])
                 _check_transitions(piece_tags, scheme, where)
                 sentences.append(Sentence(tuple(piece_chars), tuple(piece_tags), f"{sid}.{k}"))
         chars, tags = [], []

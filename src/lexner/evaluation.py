@@ -2,7 +2,9 @@
 
 A predicted span counts only when start, end, and type all match a gold
 span (CoNLL convention); metrics are micro-averaged over sentences, and
-0/0 ratios are reported as 0.
+0/0 ratios are reported as 0. A malformed predicted run (one that breaks
+the scheme's grammar, such as a BIOES B-X never closed by E-X) is dropped
+and counted, not repaired into a span.
 """
 from __future__ import annotations
 
@@ -28,80 +30,40 @@ class EntitySpan:
 def extract_entities(tags, scheme: TagScheme) -> tuple[set[EntitySpan], int]:
     """Well-formed spans in a tag sequence, plus a count of malformed runs.
 
-    Malformed runs (a dangling I-X in BIOES, a B-X that never closes, ...)
-    are dropped, not repaired.
+    The tags split into maximal runs in which each tag continues the one
+    before (`TagScheme.continues`). A run is a span when it may both start
+    and end a sentence; any other run outside O (a dangling I-X, a B-X that
+    never closes in BIOES, ...) is malformed: dropped and counted, not
+    repaired.
     """
-    n = len(tags)
     spans: set[EntitySpan] = set()
     malformed = 0
-    i = 0
-    while i < n:
-        prefix, etype = scheme.split_tag(tags[i])
-        if prefix == "O":
-            i += 1
+    start = 0
+    for end in range(1, len(tags) + 1):
+        if end < len(tags) and scheme.continues(tags[end - 1], tags[end]):
             continue
-        if scheme.kind == "BIO":
-            if prefix == "B":
-                j = i + 1
-                while j < n and scheme.split_tag(tags[j]) == ("I", etype):
-                    j += 1
-                spans.add(EntitySpan(i + 1, j, etype))
-                i = j
-            else:  # dangling I-run
-                j = i + 1
-                while j < n and scheme.split_tag(tags[j]) == ("I", etype):
-                    j += 1
-                malformed += 1
-                i = j
-            continue
-        # BIOES
-        if prefix == "S":
-            spans.add(EntitySpan(i + 1, i + 1, etype))
-            i += 1
-        elif prefix == "B":
-            j = i + 1
-            while j < n and scheme.split_tag(tags[j]) == ("I", etype):
-                j += 1
-            if j < n and scheme.split_tag(tags[j]) == ("E", etype):
-                spans.add(EntitySpan(i + 1, j + 1, etype))
-                i = j + 1
+        first, last = tags[start], tags[end - 1]
+        etype = scheme.split_tag(first)[1]
+        if etype is not None:
+            if scheme.legal_transition(None, first) and scheme.legal_transition(last, None):
+                spans.add(EntitySpan(start + 1, end, etype))
             else:
                 malformed += 1
-                i = j
-        else:  # dangling I or E run
-            j = i
-            while j < n and scheme.split_tag(tags[j]) == ("I", etype):
-                j += 1
-            if j < n and scheme.split_tag(tags[j]) == ("E", etype):
-                j += 1
-            malformed += 1
-            i = max(j, i + 1)
+        start = end
     return spans, malformed
 
 
 def spans_to_tags(spans, n: int, scheme: TagScheme) -> list[int]:
     """Encode non-overlapping spans back into a tag-index sequence."""
-    tags = [scheme.index_of("O")] * n
-    occupied = [False] * n
+    outside = scheme.index_of("O")
+    tags = [outside] * n
     for span in sorted(spans):
         if not (1 <= span.start <= span.end <= n):
             raise ValueError(f"span {span} out of range for n={n}")
-        if any(occupied[span.start - 1:span.end]):
+        if any(tag != outside for tag in tags[span.start - 1:span.end]):
             raise ValueError(f"span {span} overlaps another span")
-        for pos in range(span.start - 1, span.end):
-            occupied[pos] = True
-        if scheme.kind == "BIO":
-            tags[span.start - 1] = scheme.index_of(f"B-{span.type}")
-            for pos in range(span.start, span.end):
-                tags[pos] = scheme.index_of(f"I-{span.type}")
-        else:
-            if span.start == span.end:
-                tags[span.start - 1] = scheme.index_of(f"S-{span.type}")
-            else:
-                tags[span.start - 1] = scheme.index_of(f"B-{span.type}")
-                for pos in range(span.start, span.end - 1):
-                    tags[pos] = scheme.index_of(f"I-{span.type}")
-                tags[span.end - 1] = scheme.index_of(f"E-{span.type}")
+        inside = [scheme.index_of(f"I-{span.type}")] * (span.end - span.start + 1)
+        tags[span.start - 1:span.end] = scheme.fix_edges(inside)
     return tags
 
 

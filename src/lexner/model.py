@@ -22,7 +22,7 @@ from . import crf, encoder, fusion
 from .corpus import uniform_bound
 from .errors import DataError, ShapeError
 from .lexicon import Lexicon, knowledge_select, match_sentence
-from .numerics import check_finite, dropout, dropout_backward
+from .numerics import dropout, dropout_backward
 from .params import ParamStore
 
 UNK = "<unk>"
@@ -177,7 +177,6 @@ def _forward(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
         Hsw, mask_sw = dropout(Hsw_raw, cfg.dropout, train, rng)
         R = np.hstack([Hsw, H])
         O = crf.emissions(R, W_o, b_o)
-        check_finite("emissions", O)
         results.append((crf.TagLattice(O, T), alphas, (mask_h, fuse_cache, mask_sw, R)))
     return results, enc_cache
 

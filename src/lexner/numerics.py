@@ -71,9 +71,8 @@ def dropout_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return dy * mask
 
 
-def grad_check(f, store, eps: float = 1e-5, max_components: int | None = None,
-               rng: np.random.Generator | None = None,
-               denom_floor: float = 1e-5, loss_only=None) -> float:
+def grad_check(f, store, eps: float = 1e-5, denom_floor: float = 1e-5,
+               loss_only=None) -> float:
     """Compare the store's analytic gradients of f against central differences.
 
     `f()` must return a scalar computed from the store's current parameter
@@ -82,7 +81,6 @@ def grad_check(f, store, eps: float = 1e-5, max_components: int | None = None,
     difference probes call `loss_only()` when it is given, else `f()`: it
     must compute the same scalar as `f` from the same parameters and must
     not touch the gradients, so the probes skip the backward pass.
-    Components are sampled per parameter when `max_components` is set.
     Returns the max relative error, where the relative error of a pair
     (a, fd) is |a - fd| / max(|a|, |fd|, denom_floor) so that components
     at roundoff scale do not dominate.
@@ -100,13 +98,8 @@ def grad_check(f, store, eps: float = 1e-5, max_components: int | None = None,
     for name in store.names():
         value = store[name].value
         flat = value.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_components is not None and flat.size > max_components:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idxs = rng.choice(flat.size, size=max_components, replace=False)
         a_flat = analytic[name].reshape(-1)
-        for i in idxs:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
             store.zero_grads()

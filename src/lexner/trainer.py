@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -69,10 +70,11 @@ class TrainConfig:
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.bigru_total % 2 != 0 or self.bigru_total < 2:
             raise ConfigError(f"bigru_total must be a positive even number, got {self.bigru_total}")
-        for name in ("lr", "batch_size", "max_len", "d_c", "d_w", "epochs", "patience",
-                     "workers"):
+        for name in ("batch_size", "max_len", "d_c", "d_w", "epochs", "patience", "workers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:   # false for NaN too
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.knowledge_mode not in KNOWLEDGE_MODES:

@@ -131,6 +131,14 @@ class TestEchoConfig:
         code, out = run(capsys, "echo-config", "-o", "precision=float32")
         assert code == 0 and json.loads(out)["precision"] == "float32"
 
+    def test_casters_follow_the_field_annotations(self, capsys):
+        code, out = run(capsys, "echo-config", "-o", "g_mode=LAST", "-o", "clip_norm=none",
+                        "-o", "decode_mask=yes", "-o", "lr=1", "-o", "epochs=3")
+        cfg = json.loads(out)
+        assert code == 0
+        assert (cfg["g_mode"], cfg["clip_norm"], cfg["decode_mask"]) == ("last", None, True)
+        assert type(cfg["lr"]) is float and type(cfg["epochs"]) is int
+
 
 class TestTrain:
     def test_missing_train_path_exits_1(self, capsys):

@@ -58,6 +58,16 @@ class TestTagScheme:
         assert scheme.legal_transition(e, None) and scheme.legal_transition(s, b)
         assert not scheme.legal_transition(None, e)
 
+    @pytest.mark.parametrize("kind,conts", [("BIO", ("I",)), ("BIOES", ("I", "E"))])
+    def test_continues(self, kind, conts):
+        scheme = TagScheme(kind, ("LOC", "PER"))
+        for prev in [None] + list(range(scheme.size)):
+            for nxt in [None] + list(range(scheme.size)):
+                p, pt = scheme.split_tag(prev) if prev is not None else ("O", None)
+                q, qt = scheme.split_tag(nxt) if nxt is not None else ("O", None)
+                want = p in ("B", "I") and q in conts and pt == qt
+                assert scheme.continues(prev, nxt) == want, (prev, nxt)
+
     def test_legal_mask_shape(self):
         scheme = TagScheme("BIOES", ("LOC",))
         mask = scheme.legal_mask()

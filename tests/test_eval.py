@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -39,7 +42,9 @@ class TestExtractEntities:
         assert spans == {EntitySpan(1, 2, "LOC"), EntitySpan(4, 4, "PER")}
         assert bad == 1   # the trailing I-LOC run
 
-    def test_round_trip_with_encoding(self, bioes_scheme):
+    @pytest.mark.parametrize("kind", ["BIO", "BIOES"])
+    def test_round_trip_with_encoding(self, kind):
+        scheme = TagScheme(kind, ("LOC", "PER"))
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(1, 12))
@@ -52,10 +57,56 @@ class TestExtractEntities:
                 if not occupied[a - 1:b].any():
                     occupied[a - 1:b] = True
                     spans.add(EntitySpan(a, b, str(rng.choice(["LOC", "PER"]))))
-            tags = spans_to_tags(spans, n, bioes_scheme)
-            got, bad = extract_entities(tags, bioes_scheme)
+            tags = spans_to_tags(spans, n, scheme)
+            got, bad = extract_entities(tags, scheme)
             assert got == spans and bad == 0
-            assert spans_to_tags(got, n, bioes_scheme) == tags
+            assert spans_to_tags(got, n, scheme) == tags
+
+    @pytest.mark.parametrize("tags,n_spans,n_bad", [
+        (("B-LOC", "E-LOC", "E-LOC"), 1, 1),
+        (("I-LOC", "E-LOC", "I-LOC", "E-LOC"), 0, 2),
+        (("E-LOC", "E-LOC"), 0, 2),
+        (("B-LOC", "I-PER"), 0, 2),
+        (("S-LOC", "I-LOC"), 1, 1),
+    ])
+    def test_malformed_runs_are_counted(self, bioes_scheme, tags, n_spans, n_bad):
+        spans, bad = extract_entities(idx(bioes_scheme, *tags), bioes_scheme)
+        assert (len(spans), bad) == (n_spans, n_bad)
+
+
+def pattern_spans(tags, scheme):
+    """Spans found by a regular expression over the tag strings, one
+    two-letter token per tag: B-t (I-t)* E-t and S-t in BIOES, B-t followed
+    by its maximal (I-t)* in BIO."""
+    letter = {t: chr(ord("a") + k) for k, t in enumerate(scheme.labels)}
+    text = "".join("Oo" if t == 0 else scheme.tag_of(t)[0] + letter[scheme.tag_of(t)[2:]]
+                   for t in tags)
+    if scheme.kind == "BIO":
+        pattern = r"B([a-z])(?:I\1)*"
+    else:
+        pattern = r"B([a-z])(?:I\1)*E\1|S([a-z])"
+    label = {v: t for t, v in letter.items()}
+    return {EntitySpan(m.start() // 2 + 1, m.end() // 2, label[m.group(1) or m.group(2)])
+            for m in re.finditer(pattern, text)}
+
+
+class TestExtractEnumeration:
+    """Every tag sequence up to a length, against a pattern oracle and the
+    scheme's transition rule."""
+
+    @pytest.mark.parametrize("kind,labels,max_n", [
+        ("BIO", ("A", "B"), 4), ("BIOES", ("A", "B"), 4),
+        ("BIO", ("A",), 6), ("BIOES", ("A",), 6),
+    ])
+    def test_every_sequence(self, kind, labels, max_n):
+        scheme = TagScheme(kind, labels)
+        for n in range(max_n + 1):
+            for tags in itertools.product(range(scheme.size), repeat=n):
+                spans, bad = extract_entities(tags, scheme)
+                assert spans == pattern_spans(tags, scheme), tags
+                path = (None,) + tags + (None,)
+                legal = all(scheme.legal_transition(a, b) for a, b in zip(path, path[1:]))
+                assert (bad == 0) == legal, tags
 
 
 class TestSpansToTags:

@@ -13,6 +13,25 @@ def idx(scheme, *tags):
     return [scheme.index_of(t) for t in tags]
 
 
+def check_round_trip(scheme):
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        # random well-formed tagging via random non-overlapping spans
+        spans = set()
+        occupied = np.zeros(n, dtype=bool)
+        for _ in range(int(rng.integers(0, 4))):
+            a = int(rng.integers(1, n + 1))
+            b = min(n, a + int(rng.integers(0, 3)))
+            if not occupied[a - 1:b].any():
+                occupied[a - 1:b] = True
+                spans.add(EntitySpan(a, b, str(rng.choice(["LOC", "PER"]))))
+        tags = spans_to_tags(spans, n, scheme)
+        got, bad = extract_entities(tags, scheme)
+        assert got == spans and bad == 0
+        assert spans_to_tags(got, n, scheme) == tags
+
+
 class TestExtractEntities:
     def test_bioes_pair(self, bioes_scheme):
         spans, bad = extract_entities(idx(bioes_scheme, "B-LOC", "E-LOC", "O"), bioes_scheme)
@@ -42,25 +61,11 @@ class TestExtractEntities:
         assert spans == {EntitySpan(1, 2, "LOC"), EntitySpan(4, 4, "PER")}
         assert bad == 1   # the trailing I-LOC run
 
-    @pytest.mark.parametrize("kind", ["BIO", "BIOES"])
-    def test_round_trip_with_encoding(self, kind):
-        scheme = TagScheme(kind, ("LOC", "PER"))
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            # random well-formed tagging via random non-overlapping spans
-            spans = set()
-            occupied = np.zeros(n, dtype=bool)
-            for _ in range(int(rng.integers(0, 4))):
-                a = int(rng.integers(1, n + 1))
-                b = min(n, a + int(rng.integers(0, 3)))
-                if not occupied[a - 1:b].any():
-                    occupied[a - 1:b] = True
-                    spans.add(EntitySpan(a, b, str(rng.choice(["LOC", "PER"]))))
-            tags = spans_to_tags(spans, n, scheme)
-            got, bad = extract_entities(tags, scheme)
-            assert got == spans and bad == 0
-            assert spans_to_tags(got, n, scheme) == tags
+    def test_round_trip_with_encoding(self, bioes_scheme):
+        check_round_trip(bioes_scheme)
+
+    def test_bio_round_trip_with_encoding(self):
+        check_round_trip(TagScheme("BIO", ("LOC", "PER")))
 
     @pytest.mark.parametrize("tags,n_spans,n_bad", [
         (("B-LOC", "E-LOC", "E-LOC"), 1, 1),

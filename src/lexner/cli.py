@@ -18,9 +18,9 @@ import time
 
 import numpy as np
 
-from .corpus import (Sentence, TagScheme, load_embeddings, read_conll)
+from .corpus import Sentence, TagScheme, load_embeddings, read_conll, read_lines
 from .diagnostics import end_to_end_grad_check
-from .errors import ConfigError, DataError, LexnerError, NumericError
+from .errors import ConfigError, DataError, LexnerError, NumericError, SchemeError
 from .evaluation import evaluation_report
 from .lexicon import build_lexicon, match_sentence
 from .model import prepare_sentences, tag_sentences
@@ -68,15 +68,14 @@ _CASTERS.update({key: str for key in _PATH_KEYS + ("scheme", "entity_types")})
 def parse_kv_file(path) -> dict:
     """key=value lines; blank lines and # comments are skipped."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, value = stripped.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -127,28 +126,30 @@ def _check_input_files(cfg: dict, *keys: str) -> None:
 def _scheme_from_config(cfg: dict, train_path=None) -> TagScheme:
     if cfg["entity_types"]:
         labels = tuple(t.strip() for t in cfg["entity_types"].split(",") if t.strip())
-        return TagScheme(cfg["scheme"], labels)
-    if train_path is None:
+    elif train_path is None:
         raise ConfigError("entity_types is not set and there is no corpus to infer it from")
-    return infer_scheme_from_file(train_path, cfg["scheme"])
+    else:
+        labels = infer_entity_types(train_path)
+    try:
+        return TagScheme(cfg["scheme"], labels)
+    except SchemeError as exc:   # the configured values are at fault, not the data
+        raise ConfigError(f"bad scheme or entity_types: {exc}") from None
 
 
-def infer_scheme_from_file(path, kind: str) -> TagScheme:
-    """Collect entity types from a corpus file's tag column."""
+def infer_entity_types(path) -> tuple[str, ...]:
+    """The entity types in a corpus file's tag column, sorted."""
     types = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) == 2 and parts[1] != "O" and "-" in parts[1]:
-                types.add(parts[1].split("-", 1)[1])
+    for line in read_lines(path):
+        parts = line.split()
+        if len(parts) == 2 and parts[1] != "O" and "-" in parts[1]:
+            types.add(parts[1].split("-", 1)[1])
     if not types:
         raise DataError(f"{path}: no entity tags found to infer a scheme from")
-    return TagScheme(kind, tuple(sorted(types)))
+    return tuple(sorted(types))
 
 
 def _read_words(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        words = [line.strip() for line in fh if line.strip()]
+    words = [line.strip() for line in read_lines(path) if line.strip()]
     if not words:
         raise DataError(f"{path}: empty lexicon word list")
     return words
@@ -199,23 +200,20 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _read_plain_sentences(path) -> list[Sentence]:
-    fh = sys.stdin if path == "-" else open(path, encoding="utf-8")
-    try:
-        sentences = []
-        for line in fh:
-            text = line.strip()
-            if text:
-                sentences.append(Sentence(tuple(text), None, f"t{len(sentences)}"))
-        return sentences
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    sentences = []
+    for line in read_lines(path):
+        text = line.strip()
+        if text:
+            sentences.append(Sentence(tuple(text), None, f"t{len(sentences)}"))
+    return sentences
 
 
-def _print_summary(sentences, seconds: float) -> None:
-    """One JSON line on stderr: how much text a command tagged, and how fast."""
+def _print_summary(sentences, seconds: float, setup_seconds: float) -> None:
+    """One JSON line on stderr: how much text a command tagged, how fast, and
+    how long the checkpoint load and lexicon rebuild took before it."""
     chars = sum(len(s.chars) for s in sentences)
     print(json.dumps({"sentences": len(sentences), "chars": chars, "seconds": seconds,
+                      "setup_seconds": setup_seconds,
                       "chars_per_s": chars / seconds if seconds > 0 else 0.0}),
           file=sys.stderr)
 
@@ -226,7 +224,9 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
     _check_input_files(cfg, "checkpoint_path", "char_vectors_path")
     if input_path != "-" and not os.path.exists(input_path):
         raise DataError(f"input file does not exist: {input_path}")
+    t0 = time.perf_counter()
     ckpt, lexicon = _restore(cfg)
+    setup_seconds = time.perf_counter() - t0
     scheme = ckpt.scheme()
     mcfg = ckpt.model_config()
     legal = scheme.legal_mask() if ckpt.config.decode_mask else None
@@ -265,7 +265,7 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
         if out is not sys.stdout:
             out.close()
     if verbose:
-        _print_summary(sentences, seconds)
+        _print_summary(sentences, seconds, setup_seconds)
     return 0
 
 
@@ -282,11 +282,12 @@ def _format_report_table(report: dict) -> str:
 def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
     _require_keys(cfg, "test_path")
     _check_input_files(cfg, "test_path", "pred_path", "char_vectors_path")
-    t0 = time.perf_counter()
+    t0, setup_seconds = time.perf_counter(), 0.0
     if cfg.get("pred_path"):
+        max_len = _train_config(cfg).max_len   # checks the settings as `train` does
         scheme = _scheme_from_config(cfg, cfg["test_path"])
-        gold_set = read_conll(cfg["test_path"], scheme, "test", cfg["max_len"])
-        pred_set = read_conll(cfg["pred_path"], scheme, "test", cfg["max_len"])
+        gold_set = read_conll(cfg["test_path"], scheme, "test", max_len)
+        pred_set = read_conll(cfg["pred_path"], scheme, "test", max_len)
         if len(pred_set.sentences) != len(gold_set.sentences):
             raise DataError(
                 f"prediction file has {len(pred_set.sentences)} sentences, "
@@ -302,6 +303,7 @@ def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
         _require_keys(cfg, "checkpoint_path")
         _check_input_files(cfg, "checkpoint_path")
         ckpt, lexicon = _restore(cfg)
+        setup_seconds = time.perf_counter() - t0
         scheme = ckpt.scheme()
         gold_set = read_conll(cfg["test_path"], scheme, "test", ckpt.config.max_len)
         t0 = time.perf_counter()   # the summary leaves out the checkpoint load
@@ -311,7 +313,7 @@ def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
                              ckpt.config.decode_mask)
         report = evaluation_report(gold_set.sentences, gold_spans(gold_set), pred)
     if verbose:
-        _print_summary(gold_set.sentences, time.perf_counter() - t0)
+        _print_summary(gold_set.sentences, time.perf_counter() - t0, setup_seconds)
     if text_table:
         print(_format_report_table(report))
     else:

@@ -1,18 +1,20 @@
 """Corpus ingestion: CoNLL files, tag schemes, embedding tables.
 
-All types here are immutable after construction and safe to share across
-worker threads. Loading itself is single-threaded.
+All types here are immutable after construction. Every text input is read
+through `read_lines`, so invalid UTF-8 is a data error that names its file.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParseError, SchemeError
+from .errors import DataError, FormatError, ParseError, SchemeError
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +26,16 @@ _CONTINUATIONS = {"BIO": ("I",), "BIOES": ("I", "E")}
 # the prefix a cut entity tag takes at the start, and at the end, of a sentence
 _OPENING = {"I": "B", "E": "S"}
 _CLOSING = {"B": "S", "I": "E"}
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file, or of standard input for "-"."""
+    with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            name = "standard input" if path == "-" else path
+            raise DataError(f"{name}: not valid UTF-8 ({exc})") from None
 
 
 class TagScheme:
@@ -215,29 +227,28 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
                 sentences.append(Sentence(tuple(piece_chars), tuple(piece_tags), f"{sid}.{k}"))
         chars, tags = [], []
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                flush()
-                block_start = lineno + 1
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'char tag', got {len(parts)} column(s)"
-                )
-            if len(parts[0]) != 1:
-                raise ParseError(
-                    f"{path}:{lineno}: character column must be a single character, got {parts[0]!r}"
-                )
-            try:
-                tag_idx = scheme.index_of(parts[1])
-            except SchemeError as exc:
-                raise SchemeError(f"{path}:{lineno}: {exc}") from None
-            chars.append(parts[0])
-            tags.append(tag_idx)
-        flush()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            flush()
+            block_start = lineno + 1
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(
+                f"{path}:{lineno}: expected 'char tag', got {len(parts)} column(s)"
+            )
+        if len(parts[0]) != 1:
+            raise ParseError(
+                f"{path}:{lineno}: character column must be a single character, got {parts[0]!r}"
+            )
+        try:
+            tag_idx = scheme.index_of(parts[1])
+        except SchemeError as exc:
+            raise SchemeError(f"{path}:{lineno}: {exc}") from None
+        chars.append(parts[0])
+        tags.append(tag_idx)
+    flush()
 
     ds = Dataset(sentences, split, scheme, oversize_split=oversize)
     log.info("dataset loaded: %s", json.dumps(ds.stats(), ensure_ascii=False))
@@ -290,38 +301,37 @@ def load_embeddings(path) -> EmbeddingTable:
     dim: int | None = None
     declared_rows: int | None = None
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if dim is None and len(parts) == 2:
-                try:
-                    declared_rows, dim = int(parts[0]), int(parts[1])
-                    continue
-                except ValueError:
-                    pass  # not a header; fall through as a data row
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise FormatError(f"{path}:{lineno}: row has no embedding values")
-            if len(values) != dim:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if dim is None and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: non-finite embedding value")
-            if word in vocab:
-                log.warning("%s:%d: duplicate word %r ignored (first occurrence kept)",
-                            path, lineno, word)
+                declared_rows, dim = int(parts[0]), int(parts[1])
                 continue
-            vocab[word] = len(rows)
-            rows.append(vec)
+            except ValueError:
+                pass  # not a header; fall through as a data row
+        word, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise FormatError(f"{path}:{lineno}: row has no embedding values")
+        if len(values) != dim:
+            raise FormatError(
+                f"{path}:{lineno}: expected {dim} values, got {len(values)}"
+            )
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{lineno}: non-finite embedding value")
+        if word in vocab:
+            log.warning("%s:%d: duplicate word %r ignored (first occurrence kept)",
+                        path, lineno, word)
+            continue
+        vocab[word] = len(rows)
+        rows.append(vec)
 
     if dim is None:
         raise FormatError(f"{path}: empty embedding file")

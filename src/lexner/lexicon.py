@@ -11,6 +11,7 @@ because the word list itself is sorted by (length, word), equals the
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,11 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
                   rng: np.random.Generator | None = None) -> Lexicon:
     """Index `words`, skipping entries outside the length range.
 
-    Words found in `table` take their rows from it; the rest (or all of
-    them when `table` is None) get rows of size `dim` (or the table's dim)
-    drawn uniformly from +-sqrt(3/dim), in one draw, in word-index order.
-    Duplicates are stored once. Word indices are assigned in (length,
-    lexicographic) order.
+    Duplicates are stored once, and word indices go in (length,
+    lexicographic) order. Words found in `table` take their rows from it.
+    The rest get rows of size `dim` (or the table's dim) from one uniform
+    draw over +-sqrt(3/dim), in word-index order; without a table, that
+    draw is the embedding table itself.
     """
     words = list(words)
     if not words:
@@ -62,23 +63,26 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
     if rng is None:
         rng = np.random.default_rng(0)
     d = table.dim if table is not None else dim
+    b = uniform_bound(d)
 
-    distinct = dict.fromkeys(words)   # keeps order, so a sorted list sorts in linear time
-    kept = sorted((w for w in distinct if min_word_len <= len(w) <= max_word_len),
-                  key=lambda w: (len(w), w))
+    distinct = dict.fromkeys(words)
+    ranked = sorted(sorted(distinct), key=len)   # stable: (length, word) order
+    kept = ranked[bisect_left(ranked, min_word_len, key=len):
+                  bisect_right(ranked, max_word_len, key=len)]
     n_skipped = len(distinct) - len(kept)
 
-    rows = np.empty((len(kept), d), dtype=np.float64)
-    missing = []
-    for k, w in enumerate(kept):
-        if table is not None and w in table:
-            rows[k] = table.lookup(w)
-        else:
-            missing.append(k)
-    b = uniform_bound(d)
-    rows[missing] = rng.uniform(-b, b, (len(missing), d))
+    if table is None:
+        rows, missing = rng.uniform(-b, b, (len(kept), d)), kept
+    else:
+        rows, missing = np.empty((len(kept), d)), []
+        for k, w in enumerate(kept):
+            if w in table:
+                rows[k] = table.lookup(w)
+            else:
+                missing.append(k)
+        rows[missing] = rng.uniform(-b, b, (len(missing), d))
 
-    index = {w: k for k, w in enumerate(kept)}
+    index = dict(zip(kept, range(len(kept))))
     longest = len(kept[-1]) if kept else 0
     return Lexicon(tuple(kept), index, rows, min_word_len, max_word_len, longest,
                    n_skipped, len(missing))

@@ -36,23 +36,34 @@ class Param:
     """One named tensor: value, gradient, Adam moment buffers and live rows.
 
     `grad` is the one home of the tensor's gradient: `model.batch_loss` adds
-    into it and `trainer.adam_step` checks, consumes and zeroes it. `live`
-    is None for a tensor whose gradient arrives whole. For a table whose
-    gradient arrives by rows, it marks the rows that have ever had a
-    gradient (`mark_live`): every other row has zero gradient and zero
+    into it and `trainer.adam_step` checks, consumes and zeroes it. A loaded
+    or copied tensor allocates it on first use, so a store only read holds
+    none. `live` is None for a tensor whose gradient arrives whole. For a
+    table whose gradient arrives by rows, it marks the rows that have ever
+    had a gradient (`mark_live`): every other row has zero gradient and zero
     moments, and Adam leaves such a row as it is.
     """
 
-    __slots__ = ("value", "grad", "m", "v", "live")
+    __slots__ = ("value", "_grad", "m", "v", "live")
 
     def __init__(self, value: np.ndarray, m: np.ndarray | None = None,
                  v: np.ndarray | None = None, live: np.ndarray | None = None):
         self.value = value
-        # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
-        self.grad = np.zeros(value.shape, value.dtype)
+        self._grad = None
         self.m = np.zeros(value.shape, value.dtype) if m is None else m
         self.v = np.zeros(value.shape, value.dtype) if v is None else v
         self.live = live
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
+            self._grad = np.zeros(self.value.shape, self.value.dtype)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:   # for `p.grad += g`
+        self._grad = value
 
     def mark_live(self, rows: np.ndarray) -> None:
         if self.live is None:   # first rows into a loaded or copied table: read its moments
@@ -73,13 +84,14 @@ class ParamStore:
         self._params: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray, table: bool = False) -> np.ndarray:
-        """A fresh tensor with zero moments; a `table` gets its gradient by rows,
-        so it starts with no live row."""
+        """A fresh tensor with zero moments and gradient; a `table` gets its
+        gradient by rows, so it starts with no live row."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         value = np.ascontiguousarray(value)
         live = np.zeros(len(value), dtype=bool) if table else None
-        self._params[name] = Param(value, live=live)
+        self._params[name] = p = Param(value, live=live)
+        p.grad = np.zeros(value.shape, value.dtype)   # made to be trained: allocate in set-up
         return value
 
     def __getitem__(self, name: str) -> Param:
@@ -112,7 +124,7 @@ class ParamStore:
         return sum(p.value.size for p in self._params.values())
 
     def copy(self) -> "ParamStore":
-        """Values, moments and live-row masks; gradients start at zero.
+        """Values, moments and live-row masks; no gradient is allocated.
 
         A table with a live-row mask has zero moments outside its live rows,
         so only the live rows of `m` and `v` are copied, into zeroed arrays.

@@ -233,8 +233,8 @@ class Checkpoint:
             raise FormatError(f"{path}: not a checkpoint container")
         wrong = [key for key, kind, item in _CHECKPOINT_META
                  if key not in meta or not isinstance(meta[key], kind) or isinstance(meta[key], bool)
-                 or item and not all(type(x) is item for x in
-                                     (meta[key].values() if kind is dict else meta[key]))]
+                 or item and not set(map(type, meta[key].values() if kind is dict
+                                         else meta[key])) <= {item}]
         if wrong:
             raise FormatError(f"{path}: checkpoint metadata lacks or mistypes {', '.join(wrong)}")
         try:

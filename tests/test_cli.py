@@ -1,6 +1,8 @@
 import copy
+import io
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +52,8 @@ MALFORMED_META = {
     "config-unknown-key": lambda meta, arrays: meta["config"].update(bogus=1),
     "config-not-a-dict": lambda meta, arrays: meta.update(config=[1]),
     "words-hold-ints": lambda meta, arrays: meta.update(words=list(range(len(meta["words"])))),
+    "one-word-is-an-int": lambda meta, arrays: meta["words"].__setitem__(0, 7),
+    "unk-id-is-false": lambda meta, arrays: meta["char_vocab"].update({"<unk>": False}),
     "char-vocab-is-a-list": lambda meta, arrays: meta.update(char_vocab=sorted(meta["char_vocab"])),
     "labels-is-an-int": lambda meta, arrays: meta.update(labels=3),
     "epoch-is-a-string": lambda meta, arrays: meta.update(epoch="x"),
@@ -395,16 +399,71 @@ class TestTagEval:
                 continue
         assert len(summaries) == 1
         summary = summaries[0]
-        assert set(summary) == {"sentences", "chars", "seconds", "chars_per_s"}
+        assert set(summary) == {"sentences", "chars", "seconds", "setup_seconds", "chars_per_s"}
         assert summary["sentences"] == len(sentences)
         assert summary["chars"] == sum(len(s.chars) for s in sentences)
-        assert summary["seconds"] > 0
+        assert summary["seconds"] > 0 and summary["setup_seconds"] > 0
         assert summary["chars_per_s"] == pytest.approx(summary["chars"] / summary["seconds"])
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_tag_input_of_invalid_utf8_exits_2(self, trained, capsys, caplog, monkeypatch,
+                                               source):
+        tmp_path, cfg_path, *_ = trained
+        data = "江城\n".encode("utf-8") + b"\xff\n"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            path, name = "-", "standard input"
+        else:
+            path = name = str(tmp_path / "bad.txt")
+            (tmp_path / "bad.txt").write_bytes(data)
+        code, out = run(capsys, "tag", "-c", str(cfg_path), path)
+        assert code == 2 and out == ""
+        assert f"{name}: not valid UTF-8" in caplog.text
 
     def test_missing_checkpoint_exits_2(self, workspace, capsys):
         _, cfg_path, *_ = workspace
         code, _ = run(capsys, "eval", "-c", str(cfg_path))
         assert code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", ["config", "lexicon", "inspected-text", "train-corpus",
+                                      "dev-corpus", "embeddings", "pred"])
+    def test_invalid_utf8_exits_2_naming_the_file(self, workspace, capsys, caplog, case):
+        tmp_path, cfg_path, *_ = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\n")
+        text = tmp_path / "text.txt"
+        text.write_text("江城\n", encoding="utf-8")
+        argv = {
+            "config": ["echo-config", "-c", str(bad)],
+            "lexicon": ["lexicon-inspect", "-o", f"lexicon_path={bad}", str(text)],
+            "inspected-text": ["lexicon-inspect", "-c", str(cfg_path), str(bad)],
+            "train-corpus": ["train", "-c", str(cfg_path), "-o", f"train_path={bad}"],
+            "dev-corpus": ["train", "-c", str(cfg_path), "-o", f"dev_path={bad}"],
+            "embeddings": ["train", "-c", str(cfg_path), "-o", f"embeddings_path={bad}"],
+            "pred": ["eval", "-c", str(cfg_path), "-o", f"pred_path={bad}"],
+        }[case]
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{bad}: not valid UTF-8" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["scheme=BIOX", "entity_types=,,"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_scheme_setting_exits_1(self, workspace, capsys, caplog, command, setting):
+        tmp_path, cfg_path, *_ = workspace
+        extra = ["-o", f"pred_path={tmp_path / 'train.conll'}"] if command == "eval" else []
+        code, out = run(capsys, command, "-c", str(cfg_path), "-o", setting, *extra)
+        assert code == 1 and out == ""
+        assert "bad scheme or entity_types" in caplog.text
+
+    def test_eval_of_a_prediction_file_checks_max_len(self, workspace, capsys, caplog):
+        tmp_path, cfg_path, *_ = workspace
+        code, out = run(capsys, "eval", "-c", str(cfg_path), "-o", "max_len=0",
+                        "-o", f"pred_path={tmp_path / 'train.conll'}")
+        assert code == 1 and out == ""
+        assert "max_len must be positive, got 0" in caplog.text
 
 
 class TestLexiconInspect:

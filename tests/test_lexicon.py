@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexner import build_lexicon, knowledge_select, match_sentence
+from lexner import (EmbeddingTable, build_lexicon, knowledge_select, match_sentence,
+                    uniform_bound)
 from lexner.lexicon import KNOWLEDGE_MODES
 from lexner.errors import DataError
 
@@ -75,6 +76,64 @@ class TestBuildLexicon:
         ref = build_lexicon(BRIDGE_WORDS, None, dim=4, rng=np.random.default_rng(0))
         assert lex.words == ref.words and lex.n_skipped == 0
         assert lex.embeddings.tobytes() == ref.embeddings.tobytes()
+
+
+def reference_lexicon(words, table, dim, min_len, max_len, rng):
+    """build_lexicon written plainly: a (length, word) key sort, one draw per
+    word the table does not cover, in index order, and a dict comprehension.
+    Returns (words, index, embeddings, longest, n_skipped, n_random_init)."""
+    distinct = list(dict.fromkeys(words))
+    kept = sorted((w for w in distinct if min_len <= len(w) <= max_len),
+                  key=lambda w: (len(w), w))
+    d = table.dim if table is not None else dim
+    b = uniform_bound(d)
+    rows = np.empty((len(kept), d))
+    n_random = 0
+    for k, w in enumerate(kept):
+        if table is not None and w in table:
+            rows[k] = table.lookup(w)
+        else:
+            rows[k] = rng.uniform(-b, b, d)
+            n_random += 1
+    index = {w: k for k, w in enumerate(kept)}
+    return (tuple(kept), index, rows, max(map(len, kept), default=0),
+            len(distinct) - len(kept), n_random)
+
+
+@st.composite
+def lexicon_cases(draw):
+    """Words with duplicates and lengths on both sides of the kept range, and
+    no table, or a table covering some of the words and some other strings."""
+    alphabet = draw(st.lists(st.characters(exclude_categories=("Cs",)),
+                             min_size=1, max_size=4, unique=True))
+    text = st.text(st.sampled_from(alphabet), min_size=1, max_size=7)
+    words = draw(st.lists(text, min_size=1, max_size=20))
+    words += draw(st.lists(st.sampled_from(words), max_size=5))
+    min_len = draw(st.integers(1, 3))
+    max_len = draw(st.integers(min_len - 1, 6))
+    dim = draw(st.integers(1, 4))
+    table = None
+    if draw(st.booleans()):
+        covered = draw(st.lists(st.sampled_from(words) | text, max_size=8, unique=True))
+        matrix = np.arange(len(covered) * dim, dtype=np.float64).reshape(-1, dim) + 0.5
+        table = EmbeddingTable({w: k for k, w in enumerate(covered)}, matrix)
+    return words, table, dim, min_len, max_len, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestBuildLexiconProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lexicon_cases())
+    def test_equals_the_plain_reference(self, case):
+        words, table, dim, min_len, max_len, seed = case
+        lex = build_lexicon(words, table, dim=dim, min_word_len=min_len, max_word_len=max_len,
+                            rng=np.random.default_rng(seed))
+        kept, index, rows, longest, n_skipped, n_random = reference_lexicon(
+            words, table, dim, min_len, max_len, np.random.default_rng(seed))
+        assert lex.words == kept
+        assert list(lex.word_index.items()) == list(index.items())
+        assert lex.embeddings.dtype == rows.dtype and lex.embeddings.shape == rows.shape
+        assert lex.embeddings.tobytes() == rows.tobytes()
+        assert (lex.longest, lex.n_skipped, lex.n_random_init) == (longest, n_skipped, n_random)
 
 
 class TestMatchSentence:

@@ -297,6 +297,23 @@ class TestLiveRowAdam:
         assert np.array_equal(loaded["emb"].live, [False, True, True, True])
 
 
+class TestLazyGradient:
+    def test_snapshots_and_loaded_stores_allocate_no_gradient(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        result = train(ds, ds, lex, tiny_config(epochs=2))
+        result.last.save(tmp_path / "model.ckpt")
+        stores = (result.best.store, result.last.store, result.last.store.copy(),
+                  Checkpoint.load(tmp_path / "model.ckpt").store)
+        for store in stores:
+            assert [name for name, p in store.items() if p._grad is not None] == []
+        p = stores[-1]["word_emb"]
+        grad = p.grad
+        assert p._grad is grad and not grad.any()
+        assert (grad.shape, grad.dtype) == (p.value.shape, p.value.dtype)
+        p.grad += 1.0
+        assert p.grad is grad and np.all(grad == 1.0)
+
+
 class TestTrainConfig:
     def test_defaults_match_reference_settings(self):
         cfg = TrainConfig()

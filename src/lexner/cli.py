@@ -5,6 +5,9 @@ Configuration comes from a key=value file (-c), LEXNER_* environment
 variables, and repeatable -o KEY=VALUE overrides, with precedence
 override > environment > file > built-in default. Unknown keys are
 rejected. Exit codes: 0 ok, 1 configuration, 2 data/IO, 3 numeric fault.
+Each error class carries its code (`errors.LexnerError.exit_code`), and
+`main` returns it; a failed file operation, allocation or output encoding
+exits 2. Any other exception is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -15,12 +18,13 @@ import logging
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from .corpus import Sentence, TagScheme, load_embeddings, read_conll, read_lines
 from .diagnostics import end_to_end_grad_check
-from .errors import ConfigError, DataError, LexnerError, NumericError, SchemeError
+from .errors import ConfigError, DataError, LexnerError, SchemeError
 from .evaluation import evaluation_report
 from .lexicon import build_lexicon, match_sentence
 from .model import prepare_sentences, tag_sentences
@@ -85,6 +89,8 @@ def merge_config(file_path=None, overrides=()) -> dict:
     def apply(key: str, raw: str, source: str):
         if key not in cfg:
             raise ConfigError(f"unknown configuration key {key!r} (from {source})")
+        if "\0" in raw:   # no value holds one, and open() refuses a path with one
+            raise ConfigError(f"bad value for {key!r} (from {source}): a NUL character")
         try:
             cfg[key] = _CASTERS[key](raw)
         except (ValueError, TypeError) as exc:
@@ -200,9 +206,11 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _read_plain_sentences(path) -> list[Sentence]:
+    """One sentence per non-blank line; whitespace is dropped, so the CoNLL
+    `char tag` lines that `tag` writes can be read back."""
     sentences = []
     for line in read_lines(path):
-        text = line.strip()
+        text = "".join(line.split())
         if text:
             sentences.append(Sentence(tuple(text), None, f"t{len(sentences)}"))
     return sentences
@@ -237,8 +245,7 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
     tagged = tag_sentences(ckpt.store, inputs, mcfg, legal)
     seconds = time.perf_counter() - t0
 
-    out = open(output_path, "w", encoding="utf-8") if output_path else sys.stdout
-    try:
+    with open(output_path, "w", encoding="utf-8") if output_path else nullcontext(sys.stdout) as out:
         for sent, item, (tags, alphas) in zip(sentences, inputs, tagged):
             if dump_attention:
                 ids, offsets = item.words.ids, item.words.offsets
@@ -261,9 +268,6 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
                 for ch, t in zip(sent.chars, tags):
                     out.write(f"{ch} {scheme.tag_of(t)}\n")
                 out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if verbose:
         _print_summary(sentences, seconds, setup_seconds)
     return 0
@@ -326,9 +330,10 @@ def cmd_lexicon_inspect(cfg: dict, input_path) -> int:
     _check_input_files(cfg, "lexicon_path", "embeddings_path")
     if input_path != "-" and not os.path.exists(input_path):
         raise DataError(f"input file does not exist: {input_path}")
+    tc = _train_config(cfg)
     table = load_embeddings(cfg["embeddings_path"]) if cfg.get("embeddings_path") else None
-    lexicon = build_lexicon(_read_words(cfg["lexicon_path"]), table, dim=cfg["d_w"],
-                            rng=np.random.default_rng(cfg["seed"]))
+    lexicon = build_lexicon(_read_words(cfg["lexicon_path"]), table, dim=tc.d_w,
+                            rng=np.random.default_rng(tc.seed))
     for sent in _read_plain_sentences(input_path):
         sets = match_sentence(lexicon, sent)
         for i, ch in enumerate(sent.chars):
@@ -345,7 +350,7 @@ def cmd_lexicon_inspect(cfg: dict, input_path) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    err = end_to_end_grad_check(cfg["seed"])
+    err = end_to_end_grad_check(_train_config(cfg).seed)
     threshold = 1e-4
     print(json.dumps({"max_rel_err": err, "threshold": threshold}))
     return 0 if err < threshold else 3
@@ -394,31 +399,23 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args.config, args.override)
         if args.command == "train":
-            code = cmd_train(cfg)
-        elif args.command == "tag":
-            code = cmd_tag(cfg, args.input, args.output, args.dump_attention,
-                           args.verbose)
-        elif args.command == "eval":
-            code = cmd_eval(cfg, args.text, args.verbose)
-        elif args.command == "lexicon-inspect":
-            code = cmd_lexicon_inspect(cfg, args.input)
-        elif args.command == "gradcheck":
-            code = cmd_gradcheck(cfg)
-        else:
-            code = cmd_echo_config(cfg)
-        return code
-    except (ConfigError, ValueError) as exc:
-        log.error("%s", exc)
-        return 1
-    except (DataError, OSError) as exc:
-        log.error("%s", exc)
-        return 2
-    except (NumericError, FloatingPointError) as exc:
-        log.error("%s", exc)
-        return 3
+            return cmd_train(cfg)
+        if args.command == "tag":
+            return cmd_tag(cfg, args.input, args.output, args.dump_attention, args.verbose)
+        if args.command == "eval":
+            return cmd_eval(cfg, args.text, args.verbose)
+        if args.command == "lexicon-inspect":
+            return cmd_lexicon_inspect(cfg, args.input)
+        if args.command == "gradcheck":
+            return cmd_gradcheck(cfg)
+        return cmd_echo_config(cfg)
     except LexnerError as exc:
         log.error("%s", exc)
-        return 1
+        return exc.exit_code
+    # UnicodeEncodeError, the one ValueError here: an output stream that cannot hold Chinese
+    except (OSError, MemoryError, UnicodeEncodeError) as exc:
+        log.error("%s: %s", type(exc).__name__, exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -335,6 +335,8 @@ def load_embeddings(path) -> EmbeddingTable:
 
     if dim is None:
         raise FormatError(f"{path}: empty embedding file")
+    if dim < 1:   # only a header can declare it
+        raise FormatError(f"{path}: header declares {dim} values per row")
     if declared_rows is not None and declared_rows != len(rows):
         log.warning("%s: header declares %d rows, file has %d", path, declared_rows, len(rows))
     matrix = np.vstack(rows) if rows else np.zeros((0, dim))

@@ -1,12 +1,15 @@
 """Exception hierarchy shared by all lexner modules.
 
-The CLI maps these onto its exit-code taxonomy: configuration problems
-exit 1, data/IO problems exit 2, numeric faults exit 3.
+Each class carries the exit code the CLI returns for it in `exit_code`,
+and every subclass inherits its parent's: configuration problems exit 1,
+data/IO problems 2, numeric faults 3.
 """
 
 
 class LexnerError(Exception):
     """Base class for all lexner errors."""
+
+    exit_code = 1
 
 
 class ConfigError(LexnerError):
@@ -15,6 +18,8 @@ class ConfigError(LexnerError):
 
 class DataError(LexnerError):
     """Problem with input data or files."""
+
+    exit_code = 2
 
 
 class ParseError(DataError):
@@ -35,3 +40,5 @@ class ShapeError(LexnerError):
 
 class NumericError(LexnerError):
     """NaN/Inf encountered, or a gradient check failed to evaluate."""
+
+    exit_code = 3

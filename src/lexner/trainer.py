@@ -37,6 +37,7 @@ from .model import (UNK, ModelConfig, SentenceInputs, batch_loss, init_params,
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
+MAX_DIM = 1 << 20   # far above any real model, far below where numpy array sizes overflow
 
 
 @dataclass
@@ -73,6 +74,11 @@ class TrainConfig:
         for name in ("batch_size", "max_len", "d_c", "d_w", "epochs", "patience", "workers"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("d_c", "d_w", "bigru_total"):
+            if getattr(self, name) > MAX_DIM:
+                raise ConfigError(f"{name} must be at most {MAX_DIM}, got {getattr(self, name)}")
+        if self.seed < 0:   # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:   # false for NaN too
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
@@ -210,18 +216,8 @@ class Checkpoint:
         return self.config.model_config(self.scheme().size, source)
 
     def save(self, path) -> None:
-        meta = {
-            "kind": "checkpoint",
-            "config": self.config.to_dict(),
-            "epoch": self.epoch,
-            "best_dev_f1": self.best_dev_f1,
-            "rng_state": self.rng_state,
-            "adam_t": self.adam_t,
-            "char_vocab": self.char_vocab,
-            "scheme_kind": self.scheme_kind,
-            "labels": list(self.labels),
-            "words": list(self.words),
-        }
+        meta = {key: getattr(self, key) for key, *_ in _CHECKPOINT_META}
+        meta.update(kind="checkpoint", config=self.config.to_dict())
         tmp = str(path) + ".tmp"
         self.store.save(tmp, meta)
         os.replace(tmp, path)

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from lexner import (Checkpoint, TrainConfig, build_lexicon, encoder, make_synthetic_corpus,
-                    model, train, write_conll)
+from lexner import (Checkpoint, TrainConfig, build_lexicon, cli, encoder,
+                    make_synthetic_corpus, model, train, trainer, write_conll)
 from lexner.cli import main
 from lexner.params import load_arrays, save_arrays
+from lexner.trainer import MAX_DIM
 
 
 @pytest.fixture
@@ -63,6 +64,8 @@ MALFORMED_META = {
     "config-epochs-is-a-bool": lambda meta, arrays: meta["config"].update(epochs=True),
     "config-clip-norm-is-a-string": lambda meta, arrays: meta["config"].update(clip_norm="1"),
     "config-g-mode-is-bogus": lambda meta, arrays: meta["config"].update(g_mode="bogus"),
+    "config-seed-is-negative": lambda meta, arrays: meta["config"].update(seed=-1),
+    "config-d-w-is-too-large": lambda meta, arrays: meta["config"].update(d_w=10**18),
 }
 
 
@@ -420,6 +423,30 @@ class TestTagEval:
         assert code == 2 and out == ""
         assert f"{name}: not valid UTF-8" in caplog.text
 
+    @pytest.mark.parametrize("command", ["tag", "lexicon-inspect"])
+    def test_a_stdout_that_cannot_encode_the_output_exits_2(self, trained, capsys, caplog,
+                                                           monkeypatch, command):
+        _, cfg_path, text_path, *_ = trained
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main([command, "-c", str(cfg_path), str(text_path)]) == 2
+        assert "UnicodeEncodeError" in caplog.text
+
+    def test_tag_output_reads_back_in_eval_with_whitespace_inside_lines(self, workspace, capsys):
+        tmp_path, cfg_path, ds, *_ = workspace
+        # a prediction file must hold legal transitions, which decode_mask guarantees
+        assert run(capsys, "train", "-c", str(cfg_path), "-o", "decode_mask=true")[0] == 0
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text("".join("".join(s.chars) + "\n" for s in ds.sentences), encoding="utf-8")
+        spaced.write_text("".join(" " + " ".join(s.chars[:2]) + "\u3000" + "".join(s.chars[2:])
+                                  + "\t\n" for s in ds.sentences), encoding="utf-8")
+        outputs = []
+        for text in (plain, spaced):
+            outputs.append(tmp_path / f"{text.stem}.conll")
+            assert main(["tag", "-c", str(cfg_path), str(text), "--output", str(outputs[-1])]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        code, out = run(capsys, "eval", "-c", str(cfg_path), "-o", f"pred_path={outputs[1]}")
+        assert code == 0 and 0.0 <= json.loads(out)["overall"]["f1"] <= 1.0
+
     def test_missing_checkpoint_exits_2(self, workspace, capsys):
         _, cfg_path, *_ = workspace
         code, _ = run(capsys, "eval", "-c", str(cfg_path))
@@ -449,6 +476,15 @@ class TestInputErrors:
         assert f"{bad}: not valid UTF-8" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_nul_character_in_a_setting_exits_1(self, workspace, capsys, caplog):
+        tmp_path, cfg_path, *_ = workspace
+        nul_cfg = tmp_path / "nul.cfg"
+        nul_cfg.write_text(cfg_path.read_text(encoding="utf-8") + "checkpoint_path=a\0b\n",
+                           encoding="utf-8")
+        code, out = run(capsys, "train", "-c", str(nul_cfg))
+        assert code == 1 and out == ""
+        assert "'checkpoint_path'" in caplog.text and "NUL" in caplog.text
+
     @pytest.mark.parametrize("setting", ["scheme=BIOX", "entity_types=,,"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_scheme_setting_exits_1(self, workspace, capsys, caplog, command, setting):
@@ -464,6 +500,49 @@ class TestInputErrors:
                         "-o", f"pred_path={tmp_path / 'train.conll'}")
         assert code == 1 and out == ""
         assert "max_len must be positive, got 0" in caplog.text
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command, setting, message", [
+        ("train", "seed=-1", "seed must be >= 0, got -1"),
+        ("gradcheck", "seed=-1", "seed must be >= 0, got -1"),
+        ("lexicon-inspect", "seed=-1", "seed must be >= 0, got -1"),
+        ("lexicon-inspect", "d_w=0", "d_w must be positive, got 0"),
+        # numpy cannot shape arrays this large: refused before any is made
+        ("train", f"d_c={10**18}", f"d_c must be at most {MAX_DIM}, got {10**18}"),
+        ("train", f"bigru_total={2**62}", f"bigru_total must be at most {MAX_DIM}"),
+        ("lexicon-inspect", f"d_w={10**18}", f"d_w must be at most {MAX_DIM}, got {10**18}"),
+    ])
+    def test_a_bad_setting_exits_1_naming_it(self, workspace, capsys, caplog, command, setting,
+                                             message):
+        tmp_path, cfg_path, *_ = workspace
+        text = tmp_path / "text.txt"
+        text.write_text("江城\n", encoding="utf-8")
+        extra = [str(text)] if command == "lexicon-inspect" else []
+        code, out = run(capsys, command, "-c", str(cfg_path), "-o", setting, *extra)
+        assert code == 1 and out == ""
+        assert message in caplog.text
+
+    def test_a_failed_allocation_exits_2_without_a_traceback(self, workspace, capsys, caplog,
+                                                             monkeypatch):
+        _, cfg_path, *_ = workspace
+
+        def init_params(*args):
+            raise MemoryError("Unable to allocate 30.6 TiB for an array")
+
+        monkeypatch.setattr(trainer, "init_params", init_params)
+        code, out = run(capsys, "train", "-c", str(cfg_path))
+        assert code == 2 and out == ""
+        assert "MemoryError: Unable to allocate" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_any_other_exception_is_a_bug_and_propagates(self, monkeypatch):
+        def cmd_echo_config(cfg):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_echo_config", cmd_echo_config)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["echo-config"])
 
 
 class TestLexiconInspect:

@@ -166,6 +166,11 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match=":2"):
             load_embeddings(write(tmp_path, text, "emb.txt"))
 
+    @pytest.mark.parametrize("text", ["3 0\n", "3 -1\n", "3 0\na\n"])
+    def test_header_without_values_rejected(self, tmp_path, text):
+        with pytest.raises(FormatError, match="header declares"):
+            load_embeddings(write(tmp_path, text, "emb.txt"))
+
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_embeddings(write(tmp_path, "a 1 nan 3\n", "emb.txt"))

@@ -20,6 +20,6 @@ from .model import (ModelConfig, SentenceInputs, batch_loss, decode_sentence,
                     tag_sentences)
 from .params import ParamStore
 from .synthetic import make_synthetic_corpus
-from .trainer import Checkpoint, TrainConfig, TrainResult, adam_step, evaluate, train
+from .trainer import Checkpoint, TrainConfig, TrainResult, adam_step, evaluate, restore, train
 
 __version__ = "0.1.0"

@@ -18,21 +18,24 @@ import logging
 import os
 import sys
 import time
-from contextlib import nullcontext
+from collections import Counter
+from contextlib import contextmanager, nullcontext
+from itertools import islice
 
 import numpy as np
 
-from .corpus import Sentence, TagScheme, load_embeddings, read_conll, read_lines
+from .corpus import Dataset, Sentence, TagScheme, load_embeddings, read_conll, read_lines
 from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, SchemeError
-from .evaluation import evaluation_report
-from .lexicon import build_lexicon, match_sentence
-from .model import prepare_sentences, tag_sentences
-from .trainer import Checkpoint, TrainConfig, gold_spans, predict_spans, train
+from .evaluation import evaluation_report, extract_entities
+from .lexicon import Lexicon, build_lexicon, match_sentence
+from .model import TAG_CHUNK, prepare_sentences, tag_sentences
+from .trainer import Checkpoint, TrainConfig, gold_spans, restore, train
 
 log = logging.getLogger(__name__)
 
 ENV_PREFIX = "LEXNER_"
+TAG_WINDOW = 32 * TAG_CHUNK   # sentences that `tag` and `eval` read, prepare and tag at a time
 
 _PATH_KEYS = (
     "train_path", "dev_path", "test_path", "lexicon_path", "embeddings_path",
@@ -154,11 +157,13 @@ def infer_entity_types(path) -> tuple[str, ...]:
     return tuple(sorted(types))
 
 
-def _read_words(path) -> list[str]:
-    words = [line.strip() for line in read_lines(path) if line.strip()]
+def _lexicon(cfg: dict, tc: TrainConfig) -> Lexicon:
+    """The lexicon over lexicon_path's words, with embeddings_path's vectors if set."""
+    table = load_embeddings(cfg["embeddings_path"]) if cfg.get("embeddings_path") else None
+    words = [line.strip() for line in read_lines(cfg["lexicon_path"]) if line.strip()]
     if not words:
-        raise DataError(f"{path}: empty lexicon word list")
-    return words
+        raise DataError(f"{cfg['lexicon_path']}: empty lexicon word list")
+    return build_lexicon(words, table, dim=tc.d_w, rng=np.random.default_rng(tc.seed))
 
 
 def _load_char_vectors(cfg: dict):
@@ -169,16 +174,6 @@ def _load_char_vectors(cfg: dict):
     return arrays
 
 
-def _restore(cfg: dict):
-    """Load a checkpoint and rebuild the lexicon over its word list."""
-    ckpt = Checkpoint.load(cfg["checkpoint_path"])
-    rng = np.random.default_rng(ckpt.config.seed)
-    lexicon = build_lexicon(ckpt.words, None, dim=ckpt.config.d_w, rng=rng)
-    if lexicon.words != ckpt.words:
-        raise DataError("checkpoint word list does not round-trip through build_lexicon")
-    return ckpt, lexicon
-
-
 def cmd_train(cfg: dict) -> int:
     _require_keys(cfg, "train_path", "dev_path", "lexicon_path", "checkpoint_path")
     _check_input_files(cfg, "train_path", "dev_path", "lexicon_path",
@@ -187,9 +182,7 @@ def cmd_train(cfg: dict) -> int:
     scheme = _scheme_from_config(cfg, cfg["train_path"])
     train_set = read_conll(cfg["train_path"], scheme, "train", tc.max_len)
     dev_set = read_conll(cfg["dev_path"], scheme, "valid", tc.max_len)
-    table = load_embeddings(cfg["embeddings_path"]) if cfg.get("embeddings_path") else None
-    lexicon = build_lexicon(_read_words(cfg["lexicon_path"]), table, dim=tc.d_w,
-                            rng=np.random.default_rng(tc.seed))
+    lexicon = _lexicon(cfg, tc)
     char_vectors = _load_char_vectors(cfg)
     log_path = cfg.get("log_path") or cfg["checkpoint_path"] + ".log"
     result = train(train_set, dev_set, lexicon, tc,
@@ -205,71 +198,79 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _read_plain_sentences(path) -> list[Sentence]:
-    """One sentence per non-blank line; whitespace is dropped, so the CoNLL
-    `char tag` lines that `tag` writes can be read back."""
-    sentences = []
-    for line in read_lines(path):
-        text = "".join(line.split())
-        if text:
-            sentences.append(Sentence(tuple(text), None, f"t{len(sentences)}"))
-    return sentences
+def _read_plain_sentences(path):
+    """One sentence per non-blank line, read as needed; whitespace is dropped,
+    so the CoNLL `char tag` lines that `tag` writes can be read back."""
+    if path != "-" and not os.path.exists(path):
+        raise DataError(f"input file does not exist: {path}")
+    texts = filter(None, ("".join(line.split()) for line in read_lines(path)))
+    return (Sentence(tuple(text), None, f"t{n}") for n, text in enumerate(texts))
 
 
-def _print_summary(sentences, seconds: float, setup_seconds: float) -> None:
+def _tally(summary: Counter, sentences, t0: float) -> None:
+    """Add the sentences, their characters and the seconds since t0 to a summary."""
+    summary.update(sentences=len(sentences), chars=sum(map(len, sentences)),
+                   seconds=time.perf_counter() - t0)
+
+
+def _print_summary(summary: Counter) -> None:
     """One JSON line on stderr: how much text a command tagged, how fast, and
     how long the checkpoint load and lexicon rebuild took before it."""
-    chars = sum(len(s.chars) for s in sentences)
-    print(json.dumps({"sentences": len(sentences), "chars": chars, "seconds": seconds,
-                      "setup_seconds": setup_seconds,
-                      "chars_per_s": chars / seconds if seconds > 0 else 0.0}),
-          file=sys.stderr)
+    out = {key: summary[key] for key in ("sentences", "chars", "seconds", "setup_seconds")}
+    out["chars_per_s"] = out["chars"] / out["seconds"] if out["seconds"] > 0 else 0.0
+    print(json.dumps(out), file=sys.stderr)
+
+
+def _decode(cfg: dict, ckpt: Checkpoint, lexicon: Lexicon, sentences, summary: Counter):
+    """(sentence, inputs, (tags, alphas)) of each sentence in input order, read, prepared and
+    tagged TAG_WINDOW at a time, with the legal mask if the checkpoint or cfg sets decode_mask."""
+    legal = ckpt.scheme().legal_mask() if ckpt.config.decode_mask or cfg["decode_mask"] else None
+    mcfg, char_vectors, sentences = ckpt.model_config(), _load_char_vectors(cfg), iter(sentences)
+    while window := list(islice(sentences, TAG_WINDOW)):
+        t0 = time.perf_counter()
+        inputs = prepare_sentences(window, lexicon, ckpt.char_vocab,
+                                   ckpt.config.knowledge_mode, char_vectors)
+        tagged = tag_sentences(ckpt.store, inputs, mcfg, legal)
+        _tally(summary, window, t0)
+        yield from zip(window, inputs, tagged)
+
+
+@contextmanager
+def _replacing(path):
+    """A file written at a temporary path and renamed to `path` if the block completes."""
+    try:
+        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(f"{path}.tmp", path)
+    finally:
+        if os.path.exists(f"{path}.tmp"):
+            os.remove(f"{path}.tmp")
 
 
 def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
             verbose=False) -> int:
     _require_keys(cfg, "checkpoint_path")
     _check_input_files(cfg, "checkpoint_path", "char_vectors_path")
-    if input_path != "-" and not os.path.exists(input_path):
-        raise DataError(f"input file does not exist: {input_path}")
-    t0 = time.perf_counter()
-    ckpt, lexicon = _restore(cfg)
-    setup_seconds = time.perf_counter() - t0
-    scheme = ckpt.scheme()
-    mcfg = ckpt.model_config()
-    legal = scheme.legal_mask() if ckpt.config.decode_mask else None
     sentences = _read_plain_sentences(input_path)
     t0 = time.perf_counter()
-    inputs = prepare_sentences(sentences, lexicon, ckpt.char_vocab,
-                               ckpt.config.knowledge_mode, _load_char_vectors(cfg))
-    tagged = tag_sentences(ckpt.store, inputs, mcfg, legal)
-    seconds = time.perf_counter() - t0
-
-    with open(output_path, "w", encoding="utf-8") if output_path else nullcontext(sys.stdout) as out:
-        for sent, item, (tags, alphas) in zip(sentences, inputs, tagged):
-            if dump_attention:
-                ids, offsets = item.words.ids, item.words.offsets
-                record = {
-                    "id": sent.id,
-                    "chars": list(sent.chars),
-                    "tags": [scheme.tag_of(t) for t in tags],
-                    "attention": [
-                        {
-                            "pos": i + 1,
-                            "char": sent.chars[i],
-                            "words": [lexicon.words[w] for w in ids[a:b]],
-                            "alphas": [float(x) for x in alphas[a:b]],
-                        }
-                        for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
-                    ],
-                }
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
-            else:
-                for ch, t in zip(sent.chars, tags):
-                    out.write(f"{ch} {scheme.tag_of(t)}\n")
-                out.write("\n")
+    ckpt, lexicon = restore(cfg["checkpoint_path"])
+    summary, scheme = Counter(setup_seconds=time.perf_counter() - t0), ckpt.scheme()
+    decoded = _decode(cfg, ckpt, lexicon, sentences, summary)
+    with _replacing(output_path) if output_path else nullcontext(sys.stdout) as out:
+        for sent, item, (tags, alphas) in decoded:
+            names = [scheme.tag_of(t) for t in tags]
+            if not dump_attention:
+                out.write("".join(f"{ch} {name}\n" for ch, name in zip(sent.chars, names)) + "\n")
+                continue
+            ids, offsets = item.words.ids, item.words.offsets
+            attention = [{"pos": i + 1, "char": sent.chars[i],
+                          "words": [lexicon.words[w] for w in ids[a:b]],
+                          "alphas": [float(x) for x in alphas[a:b]]}
+                         for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
+            record = dict(id=sent.id, chars=list(sent.chars), tags=names, attention=attention)
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
     if verbose:
-        _print_summary(sentences, seconds, setup_seconds)
+        _print_summary(summary)
     return 0
 
 
@@ -283,41 +284,44 @@ def _format_report_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _score(gold_set: Dataset, predicted) -> dict:
+    """eval's report on the predicted tags of each gold sentence, in order, with
+    the count of "malformed" predicted runs (see `extract_entities`)."""
+    found = {s.id: extract_entities(tags, gold_set.scheme)
+             for s, tags in zip(gold_set.sentences, predicted)}
+    pred = {sid: spans for sid, (spans, _) in found.items()}
+    report = evaluation_report(gold_set.sentences, gold_spans(gold_set), pred)
+    return {**report, "malformed": sum(bad for _, bad in found.values())}
+
+
 def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
     _require_keys(cfg, "test_path")
     _check_input_files(cfg, "test_path", "pred_path", "char_vectors_path")
-    t0, setup_seconds = time.perf_counter(), 0.0
+    t0, summary = time.perf_counter(), Counter(setup_seconds=0.0)
     if cfg.get("pred_path"):
         max_len = _train_config(cfg).max_len   # checks the settings as `train` does
         scheme = _scheme_from_config(cfg, cfg["test_path"])
         gold_set = read_conll(cfg["test_path"], scheme, "test", max_len)
-        pred_set = read_conll(cfg["pred_path"], scheme, "test", max_len)
-        if len(pred_set.sentences) != len(gold_set.sentences):
-            raise DataError(
-                f"prediction file has {len(pred_set.sentences)} sentences, "
-                f"gold has {len(gold_set.sentences)}"
-            )
+        pred_set = read_conll(cfg["pred_path"], scheme, "test", max_len, gold=False)
+        if len(pred_set) != len(gold_set):
+            raise DataError(f"prediction file has {len(pred_set)} sentences, "
+                            f"gold has {len(gold_set)}")
         for gold, pred in zip(gold_set.sentences, pred_set.sentences):
             if pred.chars != gold.chars:
                 raise DataError(f"prediction sentence {pred.id!r} does not have the "
                                 f"characters of gold sentence {gold.id!r}")
-        report = evaluation_report(gold_set.sentences, gold_spans(gold_set),
-                                   gold_spans(pred_set))
+        report = _score(gold_set, [pred.tags for pred in pred_set.sentences])
+        _tally(summary, gold_set.sentences, t0)
     else:
         _require_keys(cfg, "checkpoint_path")
         _check_input_files(cfg, "checkpoint_path")
-        ckpt, lexicon = _restore(cfg)
-        setup_seconds = time.perf_counter() - t0
-        scheme = ckpt.scheme()
-        gold_set = read_conll(cfg["test_path"], scheme, "test", ckpt.config.max_len)
-        t0 = time.perf_counter()   # the summary leaves out the checkpoint load
-        inputs = prepare_sentences(gold_set.sentences, lexicon, ckpt.char_vocab,
-                                   ckpt.config.knowledge_mode, _load_char_vectors(cfg))
-        pred = predict_spans(ckpt.store, inputs, scheme, ckpt.model_config(),
-                             ckpt.config.decode_mask)
-        report = evaluation_report(gold_set.sentences, gold_spans(gold_set), pred)
+        ckpt, lexicon = restore(cfg["checkpoint_path"])
+        summary["setup_seconds"] = time.perf_counter() - t0
+        gold_set = read_conll(cfg["test_path"], ckpt.scheme(), "test", ckpt.config.max_len)
+        decoded = _decode(cfg, ckpt, lexicon, gold_set.sentences, summary)
+        report = _score(gold_set, (tags for _, _, (tags, _) in decoded))
     if verbose:
-        _print_summary(gold_set.sentences, time.perf_counter() - t0, setup_seconds)
+        _print_summary(summary)
     if text_table:
         print(_format_report_table(report))
     else:
@@ -328,23 +332,13 @@ def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
 def cmd_lexicon_inspect(cfg: dict, input_path) -> int:
     _require_keys(cfg, "lexicon_path")
     _check_input_files(cfg, "lexicon_path", "embeddings_path")
-    if input_path != "-" and not os.path.exists(input_path):
-        raise DataError(f"input file does not exist: {input_path}")
-    tc = _train_config(cfg)
-    table = load_embeddings(cfg["embeddings_path"]) if cfg.get("embeddings_path") else None
-    lexicon = build_lexicon(_read_words(cfg["lexicon_path"]), table, dim=tc.d_w,
-                            rng=np.random.default_rng(tc.seed))
-    for sent in _read_plain_sentences(input_path):
-        sets = match_sentence(lexicon, sent)
+    sentences = _read_plain_sentences(input_path)
+    lexicon = _lexicon(cfg, _train_config(cfg))
+    for sent in sentences:
+        sets = vars(match_sentence(lexicon, sent))   # fwd, bwd, flk, slk
         for i, ch in enumerate(sent.chars):
-            record = {
-                "pos": i + 1,
-                "char": ch,
-                "fwd": [lexicon.words[w] for w in sets.fwd[i]],
-                "bwd": [lexicon.words[w] for w in sets.bwd[i]],
-                "flk": [lexicon.words[w] for w in sets.flk[i]],
-                "slk": [lexicon.words[w] for w in sets.slk[i]],
-            }
+            record = {"pos": i + 1, "char": ch}
+            record.update({kind: [lexicon.words[w] for w in at[i]] for kind, at in sets.items()})
             print(json.dumps(record, ensure_ascii=False))
     return 0
 

@@ -188,7 +188,7 @@ def _check_transitions(tags, scheme: TagScheme, where: str) -> None:
 
 
 def read_conll(path, scheme: TagScheme, split: str = "train",
-               max_len: int = DEFAULT_MAX_LEN) -> Dataset:
+               max_len: int = DEFAULT_MAX_LEN, gold: bool = True) -> Dataset:
     """Read a two-column character/tag file in CoNLL layout.
 
     One character and one tag per line, whitespace-separated; a blank line
@@ -196,7 +196,7 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
     limit (entity prefixes at the cut are re-normalized) rather than
     dropped; the number of affected sentences is counted in the dataset
     stats. Gold tag sequences with scheme-illegal transitions are
-    rejected.
+    rejected; with gold=False (predictions) the tags are read as they are.
     """
     sentences: list[Sentence] = []
     oversize = 0
@@ -213,7 +213,8 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
         n_read += 1
         where = f"{path}: sentence starting at line {block_start}"
         if len(chars) <= max_len:
-            _check_transitions(tags, scheme, where)
+            if gold:
+                _check_transitions(tags, scheme, where)
             sentences.append(Sentence(tuple(chars), tuple(tags), sid))
         else:
             oversize += 1
@@ -223,7 +224,8 @@ def read_conll(path, scheme: TagScheme, split: str = "train",
             for k, a in enumerate(pieces):
                 piece_chars = chars[a:a + max_len]
                 piece_tags = scheme.fix_edges(tags[a:a + max_len])
-                _check_transitions(piece_tags, scheme, where)
+                if gold:
+                    _check_transitions(piece_tags, scheme, where)
                 sentences.append(Sentence(tuple(piece_chars), tuple(piece_tags), f"{sid}.{k}"))
         chars, tags = [], []
 

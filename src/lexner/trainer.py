@@ -28,10 +28,10 @@ import numpy as np
 
 from .corpus import Dataset, TagScheme, build_char_vocab
 from .encoder import G_MODES
-from .errors import ConfigError, FormatError, NumericError, SchemeError
+from .errors import ConfigError, DataError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
-from .lexicon import KNOWLEDGE_MODES, Lexicon
+from .lexicon import KNOWLEDGE_MODES, Lexicon, build_lexicon
 from .model import (UNK, ModelConfig, SentenceInputs, batch_loss, init_params,
                     param_shapes, prepare_sentences, tag_sentences)
 from .params import ParamStore
@@ -262,6 +262,16 @@ class Checkpoint:
         return cls(store=store, **fields)
 
 
+def restore(path) -> tuple[Checkpoint, Lexicon]:
+    """Load a checkpoint and rebuild the lexicon over its word list."""
+    ckpt = Checkpoint.load(path)
+    rng = np.random.default_rng(ckpt.config.seed)
+    lexicon = build_lexicon(ckpt.words, None, dim=ckpt.config.d_w, rng=rng)
+    if lexicon.words != ckpt.words:
+        raise DataError("checkpoint word list does not round-trip through build_lexicon")
+    return ckpt, lexicon
+
+
 @dataclass
 class TrainResult:
     best: Checkpoint
@@ -273,19 +283,12 @@ def gold_spans(dataset: Dataset) -> dict:
     return {s.id: extract_entities(s.tags, dataset.scheme)[0] for s in dataset.sentences}
 
 
-def predict_spans(store: ParamStore, inputs: list[SentenceInputs], scheme: TagScheme,
-                  mcfg: ModelConfig, decode_mask: bool = False) -> dict:
-    """Decode every sentence; its entity spans by sentence id."""
-    legal = scheme.legal_mask() if decode_mask else None
-    tagged = tag_sentences(store, inputs, mcfg, legal)
-    return {item.sid: extract_entities(tags, scheme)[0]
-            for item, (tags, _) in zip(inputs, tagged)}
-
-
 def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
              scheme: TagScheme, mcfg: ModelConfig, decode_mask: bool = False):
     """Decode every sentence and return micro (P, R, F1)."""
-    return prf1(gold, predict_spans(store, inputs, scheme, mcfg, decode_mask))
+    tagged = tag_sentences(store, inputs, mcfg, scheme.legal_mask() if decode_mask else None)
+    return prf1(gold, {item.sid: extract_entities(tags, scheme)[0]
+                       for item, (tags, _) in zip(inputs, tagged)})
 
 
 def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,

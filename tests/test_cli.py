@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import random
 import struct
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from lexner import (Checkpoint, TrainConfig, build_lexicon, cli, encoder,
-                    make_synthetic_corpus, model, train, trainer, write_conll)
+                    make_synthetic_corpus, model, restore, train, trainer, write_conll)
 from lexner.cli import main
 from lexner.params import load_arrays, save_arrays
 from lexner.trainer import MAX_DIM
@@ -93,6 +94,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def illegal_transitions(conll: str, scheme) -> list[tuple]:
+    """The scheme-illegal transitions, from the start and to the end of each
+    sentence included, in `char tag` output."""
+    bad = []
+    for block in conll.strip("\n").split("\n\n"):
+        path = [None] + [scheme.index_of(line.split()[1]) for line in block.splitlines()] + [None]
+        bad += [(a, b) for a, b in zip(path, path[1:]) if not scheme.legal_transition(a, b)]
+    return bad
+
+
+def plain_lines(sentences, n: int, seed: int = 0) -> list[str]:
+    """n lines of 5-30 characters cut at seeded places from the sentences' text."""
+    text, rng = "".join("".join(s.chars) for s in sentences), random.Random(seed)
+    starts = [(rng.randrange(len(text) - 30), rng.randint(5, 30)) for _ in range(n)]
+    return [text[a:a + k] + "\n" for a, k in starts]
 
 
 class TestEchoConfig:
@@ -446,6 +464,111 @@ class TestTagEval:
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         code, out = run(capsys, "eval", "-c", str(cfg_path), "-o", f"pred_path={outputs[1]}")
         assert code == 0 and 0.0 <= json.loads(out)["overall"]["f1"] <= 1.0
+
+    def test_tag_and_eval_restore_through_the_library(self, trained, capsys, monkeypatch):
+        tmp_path, cfg_path, text_path, *_ = trained
+        ckpt, lexicon = restore(tmp_path / "model.ckpt")
+        assert lexicon.words == ckpt.words
+        assert lexicon.embeddings.shape == (len(ckpt.words), ckpt.config.d_w)
+        paths = []
+        monkeypatch.setattr(cli, "restore", lambda path: paths.append(path) or restore(path))
+        assert main(["tag", "-c", str(cfg_path), str(text_path)]) == 0
+        assert main(["eval", "-c", str(cfg_path)]) == 0
+        assert paths == [str(tmp_path / "model.ckpt")] * 2
+        assert not hasattr(cli, "_restore")
+
+    def test_decode_mask_set_on_the_command_line_keeps_transitions_legal(self, workspace,
+                                                                         capsys):
+        tmp_path, cfg_path, ds, *_ = workspace
+        assert run(capsys, "train", "-c", str(cfg_path))[0] == 0   # without decode_mask
+        scheme = Checkpoint.load(tmp_path / "model.ckpt").scheme()
+        text = tmp_path / "all.txt"
+        text.write_text("".join("".join(s.chars) + "\n" for s in ds.sentences), encoding="utf-8")
+        outputs, reports = [], []
+        for extra in ([], ["-o", "decode_mask=true"]):
+            code, out = run(capsys, "tag", "-c", str(cfg_path), *extra, str(text))
+            assert code == 0
+            outputs.append(out)
+            code, out = run(capsys, "eval", "-c", str(cfg_path), *extra)
+            assert code == 0
+            reports.append(json.loads(out))
+        # this model breaks the grammar unless the mask forbids it
+        assert illegal_transitions(outputs[0], scheme) and reports[0]["malformed"] > 0
+        assert not illegal_transitions(outputs[1], scheme) and reports[1]["malformed"] == 0
+
+    def test_eval_scores_tag_output_that_breaks_the_grammar(self, workspace, capsys):
+        tmp_path, cfg_path, ds, *_ = workspace
+        assert run(capsys, "train", "-c", str(cfg_path))[0] == 0   # without decode_mask
+        scheme = Checkpoint.load(tmp_path / "model.ckpt").scheme()
+        text, pred = tmp_path / "all.txt", tmp_path / "pred.conll"
+        text.write_text("".join("".join(s.chars) + "\n" for s in ds.sentences), encoding="utf-8")
+        assert main(["tag", "-c", str(cfg_path), str(text), "--output", str(pred)]) == 0
+        assert illegal_transitions(pred.read_text(encoding="utf-8"), scheme)
+        code, from_file = run(capsys, "eval", "-c", str(cfg_path), "-o", f"pred_path={pred}")
+        assert code == 0
+        code, from_model = run(capsys, "eval", "-c", str(cfg_path))
+        assert code == 0
+        # one scoring function: the same tags give the same report, malformed runs included
+        assert json.loads(from_file) == json.loads(from_model)
+        # predictions are cut where gold is cut
+        code, _ = run(capsys, "eval", "-c", str(cfg_path), "-o", f"pred_path={pred}",
+                      "-o", "max_len=4")
+        assert code == 0
+
+    def test_eval_counts_a_dangling_inside_tag_as_malformed(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("甲 B-LOC\n乙 E-LOC\n丙 O\n\n", encoding="utf-8")
+        pred.write_text("甲 O\n乙 I-LOC\n丙 O\n\n", encoding="utf-8")
+        code, out = run(capsys, "eval", "-o", f"test_path={gold}", "-o", f"pred_path={pred}")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"overall", "per_type", "buckets", "malformed"}
+        assert report["malformed"] == 1
+        assert report["overall"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+
+    def test_tag_reads_prepares_and_tags_a_window_at_a_time(self, trained, capsys, monkeypatch):
+        tmp_path, cfg_path, _, ds, _ = trained
+        window = cli.TAG_WINDOW
+        assert window % model.TAG_CHUNK == 0
+        lines = plain_lines(ds.sentences, 2 * window + 3)
+        whole = tmp_path / "whole.txt"
+        whole.write_text("".join(lines), encoding="utf-8")
+        sizes, prepare = [], cli.prepare_sentences
+        monkeypatch.setattr(cli, "prepare_sentences",
+                            lambda sentences, *args: sizes.append(len(sentences))
+                            or prepare(sentences, *args))
+        code, out = run(capsys, "tag", "-c", str(cfg_path), str(whole))
+        assert code == 0 and sizes == [window, window, 3]
+        parts = []
+        for at in range(0, len(lines), window):
+            part = tmp_path / f"part{at}.txt"
+            part.write_text("".join(lines[at:at + window]), encoding="utf-8")
+            code, part_out = run(capsys, "tag", "-c", str(cfg_path), str(part))
+            assert code == 0
+            parts.append(part_out)
+        assert out == "".join(parts)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    def test_invalid_utf8_after_the_first_window(self, trained, capsys, caplog, monkeypatch,
+                                                 to_file):
+        tmp_path, cfg_path, _, ds, _ = trained
+        window = cli.TAG_WINDOW
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("".join(plain_lines(ds.sentences, 2 * window)).encode("utf-8")
+                        + b"\xff\n")
+        sizes, prepare = [], cli.prepare_sentences
+        monkeypatch.setattr(cli, "prepare_sentences",
+                            lambda sentences, *args: sizes.append(len(sentences))
+                            or prepare(sentences, *args))
+        output = tmp_path / "out" / "tagged.conll"
+        output.parent.mkdir()
+        extra = ["--output", str(output)] if to_file else []
+        code, out = run(capsys, "tag", "-c", str(cfg_path), str(bad), *extra)
+        assert code == 2 and f"{bad}: not valid UTF-8" in caplog.text
+        assert sizes[0] == window   # the error came after a window was tagged
+        assert list(output.parent.iterdir()) == []   # no output file, no temporary file
+        # on stdout, the windows tagged before the error have been written
+        assert out.count("\n\n") == (0 if to_file else window * len(sizes))
 
     def test_missing_checkpoint_exits_2(self, workspace, capsys):
         _, cfg_path, *_ = workspace

@@ -14,7 +14,7 @@ from lexner import (Checkpoint, ParamStore, TrainConfig, adam_step,
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
 from lexner.model import prepare_sentence, prepare_sentences, sentence_loss
-from lexner.trainer import evaluate, gold_spans, predict_spans
+from lexner.trainer import evaluate, gold_spans
 
 
 def whole_copy(store):
@@ -415,8 +415,7 @@ class TestTrainLoop:
         assert sum(n for _, n in calls[6:]) == chars
         calls.clear()
         inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
-        predict_spans(result.last.store, inputs, ds.scheme,
-                      result.last.model_config())
+        evaluate(result.last.store, inputs, {}, ds.scheme, result.last.model_config())
         assert [kind for kind, _ in calls] == ["forward"] * 2
 
     def test_resume_with_several_steps_per_epoch(self, tmp_path):

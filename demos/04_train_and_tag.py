@@ -9,7 +9,7 @@ import numpy as np
 
 from lexner import TrainConfig, build_lexicon, make_synthetic_corpus, train
 from lexner.evaluation import extract_entities
-from lexner.model import decode_sentence, prepare_sentence
+from lexner.model import prepare_sentences, tag_sentences
 
 
 def main():
@@ -29,8 +29,8 @@ def main():
     ckpt = result.best
     mcfg = ckpt.model_config()
     sent = dataset.sentences[0]   # the bridge-style conflict sentence
-    item = prepare_sentence(sent, lexicon, ckpt.char_vocab, config.knowledge_mode)
-    tags = decode_sentence(ckpt.store, item, mcfg)
+    items = prepare_sentences([sent], lexicon, ckpt.char_vocab, config.knowledge_mode)
+    (tags, _), = tag_sentences(ckpt.store, items, mcfg)
     print("decoded:", "".join(sent.chars))
     print("        ", " ".join(scheme.tag_of(t) for t in tags))
     spans, _ = extract_entities(tags, scheme)

@@ -223,7 +223,13 @@ def _print_summary(summary: Counter) -> None:
 
 def _decode(cfg: dict, ckpt: Checkpoint, lexicon: Lexicon, sentences, summary: Counter):
     """(sentence, inputs, (tags, alphas)) of each sentence in input order, read, prepared and
-    tagged TAG_WINDOW at a time, with the legal mask if the checkpoint or cfg sets decode_mask."""
+    tagged TAG_WINDOW at a time, with the legal mask if the checkpoint or cfg sets decode_mask.
+    One warning names each other setting that cfg moves off its default and the checkpoint's."""
+    default = TrainConfig().to_dict()
+    ignored = [f"{k}={cfg[k]!r} (checkpoint: {v!r})" for k, v in ckpt.config.to_dict().items()
+               if k != "decode_mask" and cfg[k] not in (v, default[k])]
+    if ignored:
+        log.warning("the checkpoint fixes these settings; ignoring %s", ", ".join(ignored))
     legal = ckpt.scheme().legal_mask() if ckpt.config.decode_mask or cfg["decode_mask"] else None
     mcfg, char_vectors, sentences = ckpt.model_config(), _load_char_vectors(cfg), iter(sentences)
     while window := list(islice(sentences, TAG_WINDOW)):

@@ -19,6 +19,7 @@ from .errors import DataError, FormatError, ParseError, SchemeError
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_LEN = 250
+UNK = "<unk>"   # the character table's row for every character it does not hold
 
 _PREFIXES = {"BIO": ("B", "I"), "BIOES": ("B", "I", "E", "S")}
 # the prefixes that continue an entity left open by B or I
@@ -361,7 +362,7 @@ def build_char_vocab(sentences) -> dict[str, int]:
     seen = set()
     for sent in sentences:
         seen.update(sent.chars)
-    vocab = {"<unk>": 0}
+    vocab = {UNK: 0}
     for ch in sorted(seen):
         vocab[ch] = len(vocab)
     return vocab

@@ -48,13 +48,14 @@ def init_transitions(num_tags: int) -> np.ndarray:
 
 @dataclass
 class TagLattice:
-    """Emission matrix (n x K) plus the shared transition matrix."""
+    """Emission matrix (n x K) plus the shared transition matrix, held in float64."""
 
     emissions: np.ndarray
     transitions: np.ndarray
 
     def __post_init__(self):
-        O, T = self.emissions, self.transitions
+        self.transitions = T = np.asarray(self.transitions, dtype=np.float64)
+        O = self.emissions
         if O.ndim != 2 or O.shape[0] < 1:
             raise ShapeError(f"emissions must be (n >= 1, K), got {O.shape}")
         if T.shape != (O.shape[1] + 2, O.shape[1] + 2):

@@ -17,9 +17,9 @@ A sentence's word sets are laid out flat, position by position
 layout (1/m for the average, one-hot for the word picks), and one
 segment sum mixes it, so a sentence costs one call whatever its length.
 Global attention projects no word: u_j . g = x_j . (W_u^T g) + b_u . g,
-so the scores are one product of the distinct words with W_u^T g, and the
-backward pass is rank-one the same way. Self-attention projects each
-distinct word once.
+so it scores every entry with one product against W_u^T g, and its backward
+pass is rank-one the same way. Self-attention projects each distinct word
+once. The backward pass returns each entry's word-vector gradient.
 
 Word sets arrive already ordered by (length, lexicographic), so the
 shortest pick is the first entry and the longest pick is the first entry
@@ -48,16 +48,12 @@ class WordSets:
     """A sentence's per-position word sets, flattened position by position.
 
     Position i owns entries offsets[i]:offsets[i + 1] of `ids` and `lengths`
-    (word ids and their lengths in characters). `rows` are the sorted
-    distinct ids, i.e. the word-table rows the sentence touches, and
-    `local` maps each entry to its index in `rows`. All int64.
+    (word ids and their lengths in characters). All int64.
     """
 
     ids: np.ndarray
     lengths: np.ndarray
     offsets: np.ndarray
-    rows: np.ndarray
-    local: np.ndarray
 
     @classmethod
     def from_sets(cls, sets, lengths) -> "WordSets":
@@ -65,8 +61,7 @@ class WordSets:
         ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
         lengths = np.fromiter(chain.from_iterable(lengths), dtype=np.int64)
         offsets = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
-        rows, local = np.unique(ids, return_inverse=True)
-        return cls(ids, lengths, offsets, rows, local)
+        return cls(ids, lengths, offsets)
 
 
 def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
@@ -82,15 +77,15 @@ def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
     counts = np.diff(words.offsets)
     filled = counts > 0
     starts, sizes = words.offsets[:-1][filled], counts[filled]
-    X_rows = word_emb[words.rows]
-    X = X_rows[words.local]                                 # (L, d_w)
+    X = word_emb[words.ids]                                 # (L, d_w)
 
     U = S = v = None
     if strategy == "global_attention":
         v = g @ W_u                                         # W_u^T g, (d_w,)
-        alpha = softmax((X_rows @ v + b_u @ g)[words.local], starts)
+        alpha = softmax(X @ v + b_u @ g, starts)
     elif strategy == "self_attention":
-        U = (X_rows @ W_u.T + b_u)[words.local]             # (L, 2*d_h)
+        rows, local = np.unique(words.ids, return_inverse=True)
+        U = (word_emb[rows] @ W_u.T + b_u)[local]           # (L, 2*d_h)
         # S: sum of u_k over the entry's position
         S = np.repeat(np.add.reduceat(U, starts), sizes, axis=0)
         alpha = softmax(np.einsum("ij,ij->i", U, S), starts)
@@ -108,16 +103,16 @@ def fuse_sentence(words: WordSets, word_emb, g, W_u, b_u, strategy):
 
     h = np.zeros((len(counts), word_emb.shape[1]), dtype=X.dtype)
     h[filled] = np.add.reduceat(alpha[:, None] * X, starts)
-    return h, alpha, (words, strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha)
+    return h, alpha, (strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha)
 
 
-def fuse_sentence_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
-    """Backprop one sentence; scatters word-row grads, returns dg.
+def fuse_sentence_backward(dh, cache, W_u, W_u_grad, b_u_grad):
+    """Backprop one sentence: adds into W_u_grad and b_u_grad, returns (dX, dg).
 
-    word_emb_grad holds table row words.rows[k] in row k. dg is zero unless
-    the strategy uses g.
+    dX (L, d_w) is the gradient of each entry's word vector, in `words`
+    order; dg is zero unless the strategy uses g.
     """
-    words, strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha = cache
+    strategy, starts, sizes, counts, X, U, S, v, g, b_u, alpha = cache
     dh_entry = np.repeat(dh, counts, axis=0)                # (L, d_w)
     dX = alpha[:, None] * dh_entry                          # from h = sum alpha x
     dg = np.zeros_like(g)
@@ -136,5 +131,4 @@ def fuse_sentence_backward(dh, cache, W_u, word_emb_grad, W_u_grad, b_u_grad):
         W_u_grad += dU.T @ X
         b_u_grad += dU.sum(axis=0)
         dX += dU @ W_u
-    np.add.at(word_emb_grad, words.local, dX)
-    return dg
+    return dX, dg

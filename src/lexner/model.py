@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crf, encoder, fusion
-from .corpus import uniform_bound
+from .corpus import UNK, uniform_bound
 from .errors import DataError, ShapeError
 from .lexicon import Lexicon, knowledge_select, match_sentence
 from .numerics import dropout, dropout_backward
 from .params import ParamStore
 
-UNK = "<unk>"
 TAG_CHUNK = 8   # sentences per encoder call in tag_sentences
 
 
@@ -163,9 +162,7 @@ def _forward(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
     bwd_gates = store.values_with_prefix("gru_bwd.")
     H_all, enc_cache = encoder.encode_chars(X, fwd_gates, bwd_gates, lengths)
     word_emb, W_u, b_u = (store.value(n) for n in ("word_emb", "fusion.W_u", "fusion.b_u"))
-    W_o, b_o = store.value("crf.W_o"), store.value("crf.b_o")
-    # the CRF always runs in float64 log space, whatever the training precision
-    T = np.asarray(store.value("crf.T"), dtype=np.float64)
+    W_o, b_o, T = (store.value(n) for n in ("crf.W_o", "crf.b_o", "crf.T"))
     results = []
     at = 0
     for item, rng in zip(items, rngs):
@@ -187,6 +184,15 @@ def _require_gold(items) -> None:
             raise DataError(f"sentence {item.sid!r} has no gold tags")
 
 
+def _add_rows(store: ParamStore, name: str, ids: np.ndarray, d: np.ndarray) -> None:
+    """Add d[k], the gradient of row ids[k], into table `name`; those rows become live."""
+    p, (rows, local) = store[name], np.unique(ids, return_inverse=True)
+    block = np.zeros((len(rows), p.grad.shape[1]), dtype=p.grad.dtype)
+    np.add.at(block, local, d)   # rows are unique in the block: no update is lost
+    p.grad[rows] += block
+    p.mark_live(rows)
+
+
 def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
                train: bool = True, rngs=None) -> list[float]:
     """NLL of each sentence's gold tags; adds their gradients into the store.
@@ -194,10 +200,10 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
     The encoder runs once, forward and backward, over the whole batch.
     rngs holds one dropout generator per sentence (needed in train mode).
     Each sentence's part is added into `store[name].grad` in batch order.
-    An embedding table's part is first summed into a block of only the rows
-    it touches (per sentence for words, per batch for characters), which is
-    then added at those rows; those rows become live. The gradients are
-    not checked here: `adam_step` checks them before it moves any value.
+    This module owns both embedding tables' rows: fusion hands back each
+    matched word's gradient and the encoder each character's, and `_add_rows`
+    adds them at their rows (per sentence for words, per batch for chars).
+    The gradients are not checked here: `adam_step` checks them first.
     """
     _require_gold(items)
     results, enc_cache = _forward(store, items, cfg, train, rngs or [None] * len(items))
@@ -217,11 +223,9 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
         grad["crf.b_o"] += db_o
 
         dHsw_raw = dropout_backward(dR[:, :cfg.d_w], mask_sw)
-        word_grad = np.zeros((len(item.words.rows), cfg.d_w), dtype=cfg.dtype)
-        dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, W_u, word_grad,
-                                           grad["fusion.W_u"], grad["fusion.b_u"])
-        grad["word_emb"][item.words.rows] += word_grad   # rows are unique: no update is lost
-        store["word_emb"].mark_live(item.words.rows)
+        dX_words, dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, W_u,
+                                                     grad["fusion.W_u"], grad["fusion.b_u"])
+        _add_rows(store, "word_emb", item.words.ids, dX_words)
         dH = dR[:, cfg.d_w:].copy()
         encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
         dH_all[at:at + len(item)] = dropout_backward(dH, mask_h)
@@ -234,11 +238,7 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
     dX = encoder.encode_backward(dH_all, enc_cache, fwd_gates, bwd_gates,
                                  fwd_grads, bwd_grads)
     if cfg.char_source == "table":
-        rows, local = np.unique(char_ids, return_inverse=True)
-        char_grad = np.zeros((len(rows), cfg.d_c), dtype=cfg.dtype)
-        np.add.at(char_grad, local, dX)
-        grad["char_emb"][rows] += char_grad
-        store["char_emb"].mark_live(rows)
+        _add_rows(store, "char_emb", char_ids, dX)
     return losses
 
 

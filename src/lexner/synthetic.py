@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Dataset, Sentence, TagScheme
+from .evaluation import EntitySpan, spans_to_tags
 
 ENTITIES = (
     ("江城", "LOC"),
@@ -41,21 +42,12 @@ _FIXED = (
 
 
 def _encode(segments, scheme: TagScheme, sid: str) -> Sentence:
-    chars: list[str] = []
-    tags: list[int] = []
-    for text, etype in segments:
-        if etype is None:
-            chars.extend(text)
-            tags.extend([scheme.index_of("O")] * len(text))
-        elif len(text) == 1:
-            chars.append(text)
-            tags.append(scheme.index_of(f"S-{etype}"))
-        else:
-            chars.extend(text)
-            tags.append(scheme.index_of(f"B-{etype}"))
-            tags.extend([scheme.index_of(f"I-{etype}")] * (len(text) - 2))
-            tags.append(scheme.index_of(f"E-{etype}"))
-    return Sentence(tuple(chars), tuple(tags), sid)
+    text, spans = "", []
+    for part, etype in segments:
+        if etype is not None:
+            spans.append(EntitySpan(len(text) + 1, len(text) + len(part), etype))
+        text += part
+    return Sentence(tuple(text), tuple(spans_to_tags(spans, len(text), scheme)), sid)
 
 
 def make_synthetic_corpus(n_sentences: int = 50, seed: int = 7):

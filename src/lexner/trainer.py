@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, TagScheme, build_char_vocab
+from .corpus import UNK, Dataset, TagScheme, build_char_vocab
 from .encoder import G_MODES
 from .errors import ConfigError, DataError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon, build_lexicon
-from .model import (UNK, ModelConfig, SentenceInputs, batch_loss, init_params,
-                    param_shapes, prepare_sentences, tag_sentences)
+from .model import (ModelConfig, SentenceInputs, batch_loss, init_params, param_shapes,
+                    prepare_sentences, tag_sentences)
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
@@ -242,12 +242,14 @@ class Checkpoint:
             raise FormatError(f"{path}: checkpoint char_vocab lacks {UNK!r} or has a negative id")
         if max(char_vocab.values()) >= len(char_vocab):
             raise FormatError(f"{path}: checkpoint char_vocab ids reach beyond its size")
+        fields = {key: meta[key] for key, *_ in _CHECKPOINT_META}
+        fields.update(config=config, best_dev_f1=float(meta["best_dev_f1"]),
+                      labels=tuple(meta["labels"]), words=words)
+        ckpt = cls(store=store, **fields)
         try:
-            num_tags = TagScheme(meta["scheme_kind"], meta["labels"]).size
+            mcfg = ckpt.model_config()
         except SchemeError as exc:
             raise FormatError(f"{path}: bad checkpoint tag scheme ({exc})") from None
-        source = "table" if "char_emb" in store else "file"
-        mcfg = config.model_config(num_tags, source)
         want = {name: f"{mcfg.dtype} {shape}" for name, shape in
                 param_shapes(mcfg, len(char_vocab), len(words)).items()}
         got = {name: f"{p.value.dtype} {p.value.shape}" for name, p in store.items()}
@@ -255,18 +257,20 @@ class Checkpoint:
             bad = [f"{name}: {got.get(name, 'none')}, expected {want.get(name, 'none')}"
                    for name in dict.fromkeys([*want, *got]) if got.get(name) != want.get(name)]
             raise FormatError(f"{path}: checkpoint parameters do not fit its config "
-                              f"({source} mode, {len(words)} words): {'; '.join(bad)}")
-        fields = {key: meta[key] for key, *_ in _CHECKPOINT_META}
-        fields.update(config=config, best_dev_f1=float(meta["best_dev_f1"]),
-                      labels=tuple(meta["labels"]), words=words)
-        return cls(store=store, **fields)
+                              f"({mcfg.char_source} mode, {len(words)} words): {'; '.join(bad)}")
+        return ckpt
 
 
 def restore(path) -> tuple[Checkpoint, Lexicon]:
-    """Load a checkpoint and rebuild the lexicon over its word list."""
+    """Load a checkpoint and rebuild the lexicon over its word list, in those words' lengths."""
     ckpt = Checkpoint.load(path)
-    rng = np.random.default_rng(ckpt.config.seed)
-    lexicon = build_lexicon(ckpt.words, None, dim=ckpt.config.d_w, rng=rng)
+    words, d_w = ckpt.words, ckpt.config.d_w
+    if words:   # whatever length range the lexicon was built with, it kept these words
+        lexicon = build_lexicon(words, None, dim=d_w, min_word_len=min(map(len, words)),
+                                max_word_len=max(map(len, words)),
+                                rng=np.random.default_rng(ckpt.config.seed))
+    else:   # build_lexicon refuses an empty word list
+        lexicon = Lexicon((), {}, np.zeros((0, d_w)), 0, 0, 0, 0, 0)
     if lexicon.words != ckpt.words:
         raise DataError("checkpoint word list does not round-trip through build_lexicon")
     return ckpt, lexicon

@@ -477,6 +477,57 @@ class TestTagEval:
         assert paths == [str(tmp_path / "model.ckpt")] * 2
         assert not hasattr(cli, "_restore")
 
+    @pytest.mark.parametrize("case", ["one-char-word", "eleven-char-word", "no-word-kept"])
+    def test_restore_and_tag_a_lexicon_outside_the_default_length_range(self, tmp_path, capsys,
+                                                                        case):
+        ds, words, _ = make_synthetic_corpus(n_sentences=6, seed=3)
+        words, lengths, special = {
+            "one-char-word": (words + ["江"], dict(min_word_len=1), {"江"}),
+            "eleven-char-word": (words + ["江城长河大桥南山市东湖"], dict(max_word_len=11),
+                                 {"江城长河大桥南山市东湖"}),
+            "no-word-kept": (["江", "城"], {}, set()),
+        }[case]
+        lex = build_lexicon(words, None, dim=8, rng=np.random.default_rng(0), **lengths)
+        assert special <= set(lex.words) and bool(lex.words) == bool(special)
+        config = TrainConfig(lr=1e-2, d_c=8, d_w=8, bigru_total=16, epochs=1, seed=5)
+        path = tmp_path / "model.ckpt"
+        train(ds, ds, lex, config).best.save(path)
+        ckpt, lexicon = restore(path)
+        assert lexicon.words == ckpt.words == lex.words
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("他在江城长河大桥南山市东湖里\n", encoding="utf-8")
+        code, out = run(capsys, "tag", "-o", f"checkpoint_path={path}", "--dump-attention",
+                        str(text_path))
+        assert code == 0
+        attention = json.loads(out)["attention"]
+        matched = {w for position in attention for w in position["words"]}
+        assert special <= matched and bool(matched) == bool(special)
+
+    def test_settings_the_checkpoint_fixes_are_named_in_one_warning(self, trained, capsys,
+                                                                    caplog):
+        tmp_path, cfg_path, text_path, *_ = trained
+        plain, changed = tmp_path / "plain.conll", tmp_path / "changed.conll"
+        assert main(["tag", "-c", str(cfg_path), str(text_path), "--output", str(plain)]) == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert main(["tag", "-c", str(cfg_path), "-o", "knowledge_mode=none", str(text_path),
+                     "--output", str(changed)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "knowledge_mode='none' (checkpoint: 'slk')" in warnings[0]
+        assert changed.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_a_config_equal_to_the_checkpoints_warns_about_nothing(self, trained, capsys,
+                                                                   caplog, command):
+        tmp_path, cfg_path, text_path, *_ = trained
+        settings = Checkpoint.load(tmp_path / "model.ckpt").config.to_dict()
+        equal = tmp_path / "equal.cfg"
+        equal.write_text(cfg_path.read_text(encoding="utf-8") + "".join(
+            f"{key}={'none' if value is None else value}\n" for key, value in settings.items()),
+            encoding="utf-8")
+        argv = [command, "-c", str(equal)] + ([str(text_path)] if command == "tag" else [])
+        assert run(capsys, *argv)[0] == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
     def test_decode_mask_set_on_the_command_line_keeps_transitions_legal(self, workspace,
                                                                          capsys):
         tmp_path, cfg_path, ds, *_ = workspace

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexner import (Sentence, TagScheme, build_char_vocab, build_lexicon,
-                    load_embeddings, read_conll, uniform_bound, write_conll)
+                    load_embeddings, make_synthetic_corpus, read_conll, uniform_bound,
+                    write_conll)
 from lexner.errors import FormatError, ParseError, SchemeError
 from lexner.evaluation import EntitySpan, spans_to_tags
 
@@ -221,6 +223,15 @@ class TestRandomInit:
         sigma_mean = bound / math.sqrt(3 * samples.size)
         assert abs(samples.mean()) < 3 * sigma_mean
         assert samples.min() >= -bound and samples.max() <= bound
+
+
+def test_synthetic_corpus_is_pinned():
+    # bench/workload.py builds its entity inventory from this corpus
+    ds, _, _ = make_synthetic_corpus(50, seed=7)
+    blob = json.dumps([["".join(s.chars), list(s.tags), s.id] for s in ds.sentences],
+                      ensure_ascii=False)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "78bab7287883c2da368a84393e3f6265553eb38f1e1a67565f52ff26e3b0702f")
 
 
 def test_build_char_vocab_deterministic():

@@ -150,9 +150,7 @@ class TestFuseSentence:
         assert words.ids.tolist() == [4, 1, 1]
         assert words.lengths.tolist() == [2, 3, 3]
         assert words.offsets.tolist() == [0, 0, 2, 2, 3]
-        assert words.rows.tolist() == [1, 4]
-        assert words.local.tolist() == [1, 0, 0]
-        for arr in (words.ids, words.lengths, words.offsets, words.rows, words.local):
+        for arr in (words.ids, words.lengths, words.offsets):
             assert arr.dtype == np.int64
 
     def test_no_words_anywhere(self):
@@ -163,10 +161,10 @@ class TestFuseSentence:
             h, alpha, cache = fuse_sentence(words, rng.normal(size=(2, 3)), g, W_u, b_u,
                                             strategy)
             assert np.array_equal(h, np.zeros((3, 3))) and alpha.size == 0
-            block, W_u_grad, b_u_grad = np.zeros((0, 3)), np.zeros((4, 3)), np.zeros(4)
-            dg = fuse_sentence_backward(rng.normal(size=(3, 3)), cache, W_u, block,
-                                        W_u_grad, b_u_grad)
-            assert np.array_equal(dg, np.zeros(4))
+            W_u_grad, b_u_grad = np.zeros((4, 3)), np.zeros(4)
+            dX, dg = fuse_sentence_backward(rng.normal(size=(3, 3)), cache, W_u,
+                                            W_u_grad, b_u_grad)
+            assert dX.shape == (0, 3) and np.array_equal(dg, np.zeros(4))
             assert not np.any(W_u_grad) and not np.any(b_u_grad)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -181,11 +179,10 @@ class TestFuseSentence:
         h, alpha, cache = fuse_sentence(words, word_emb, g, W_u, b_u, strategy)
         assert h.dtype == f32 and alpha.dtype == f32
         assert np.array_equal(h[[0, 3, 6]], np.zeros((3, 3), dtype=f32))   # empty rows
-        block = np.zeros((len(words.rows), 3), dtype=f32)
         W_u_grad, b_u_grad = np.zeros_like(W_u), np.zeros_like(b_u)
-        dg = fuse_sentence_backward(rng.normal(size=h.shape).astype(f32), cache, W_u,
-                                    block, W_u_grad, b_u_grad)
-        for arr in (dg, block, W_u_grad, b_u_grad):
+        dX, dg = fuse_sentence_backward(rng.normal(size=h.shape).astype(f32), cache, W_u,
+                                        W_u_grad, b_u_grad)
+        for arr in (dg, dX, W_u_grad, b_u_grad):
             assert arr.dtype == f32
 
 
@@ -233,7 +230,7 @@ class TestFuseBackward:
         store.add("W_u", rng.normal(size=(4, 3)))
         store.add("b_u", rng.normal(size=4))
         store.add("g", rng.normal(size=4))
-        # ids out of table order, so block rows and table rows differ; the
+        # ids out of table order, so entries and table rows differ; the
         # sentence has empty positions and repeats words across positions
         ids = [int(i) for i in rng.permutation(m + 2)[:m]]
         lengths = sorted(int(rng.integers(2, 6)) for _ in range(m))
@@ -244,10 +241,9 @@ class TestFuseBackward:
         def f():
             h, _, cache = fuse_sentence(words, store.value("word_emb"), store.value("g"),
                                         store.value("W_u"), store.value("b_u"), strategy)
-            block = np.zeros((len(words.rows), 3))
-            dg = fuse_sentence_backward(up, cache, store.value("W_u"), block,
-                                        store["W_u"].grad, store["b_u"].grad)
-            store["word_emb"].grad[words.rows] += block
+            dX, dg = fuse_sentence_backward(up, cache, store.value("W_u"),
+                                            store["W_u"].grad, store["b_u"].grad)
+            np.add.at(store["word_emb"].grad, words.ids, dX)
             store["g"].grad += dg
             return float(np.sum(h * up))
 
@@ -268,12 +264,10 @@ class TestFuseBackward:
             up = rng.normal(size=3)
             h, _, cache = fuse_sentence(words, word_emb, rng.normal(size=4),
                                         rng.normal(size=(4, 3)), rng.normal(size=4), strategy)
-            block = np.zeros((len(words.rows), 3))
-            fuse_sentence_backward(up[None, :], cache, np.zeros((4, 3)), block,
-                                   np.zeros((4, 3)), np.zeros(4))
-            at = int(np.searchsorted(words.rows, ids[pick]))
-            assert np.array_equal(block[at], up)
-            assert np.all(np.delete(block, at, axis=0) == 0.0)
+            dX, _ = fuse_sentence_backward(up[None, :], cache, np.zeros((4, 3)),
+                                           np.zeros((4, 3)), np.zeros(4))
+            assert np.array_equal(dX[pick], up)
+            assert np.all(np.delete(dX, pick, axis=0) == 0.0)
 
     def test_global_attention_backward_equals_the_projection_form(self):
         # the rank-one gradients against the ones of u_j = W_u x_j + b_u, scores u_j . g
@@ -284,8 +278,8 @@ class TestFuseBackward:
         words = WordSets.from_sets(sets, [[2] * len(s) for s in sets])
         up = rng.normal(size=(len(sets), 3))
         _, alpha, cache = fuse_sentence(words, word_emb, g, W_u, b_u, "global_attention")
-        block, dW, db = np.zeros((len(words.rows), 3)), np.zeros_like(W_u), np.zeros_like(b_u)
-        dg = fuse_sentence_backward(up, cache, W_u, block, dW, db)
+        dW, db = np.zeros_like(W_u), np.zeros_like(b_u)
+        dX, dg = fuse_sentence_backward(up, cache, W_u, dW, db)
 
         X = word_emb[words.ids]
         U = X @ W_u.T + b_u
@@ -293,8 +287,6 @@ class TestFuseBackward:
         dh_entry = np.repeat(up, np.diff(words.offsets), axis=0)
         ds = softmax_backward(np.einsum("ij,ij->i", X, dh_entry), alpha, starts)
         dU = np.outer(ds, g)
-        want_block = np.zeros_like(block)
-        np.add.at(want_block, words.local, alpha[:, None] * dh_entry + dU @ W_u)
         for got, want in ((dW, dU.T @ X), (db, dU.sum(axis=0)), (dg, ds @ U),
-                          (block, want_block)):
+                          (dX, alpha[:, None] * dh_entry + dU @ W_u)):
             assert np.allclose(got, want, rtol=0, atol=1e-12)

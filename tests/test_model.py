@@ -277,7 +277,7 @@ class TestBatchLoss:
         batch = inputs[:3]   # the fourth sentence holds the words no other one matches
         assert not store["word_emb"].live.any() and not store["char_emb"].live.any()
         batch_loss(store, batch, mcfg, train=False)
-        words = np.unique(np.concatenate([item.words.rows for item in batch]))
+        words = np.unique(np.concatenate([item.words.ids for item in batch]))
         chars = np.unique(np.concatenate([item.char_ids for item in batch]))
         for name, rows in (("word_emb", words), ("char_emb", chars)):
             assert 0 < len(rows) < len(store.value(name)), name

@@ -440,7 +440,7 @@ class TestTrainLoop:
         ds, lex, _ = tiny_corpus()
         result = train(ds, ds, lex, tiny_config(epochs=1))
         inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
-        rows = np.unique(np.concatenate([item.words.rows for item in inputs]))
+        rows = np.unique(np.concatenate([item.words.ids for item in inputs]))
         assert 0 < len(rows) < len(lex)
         p = result.last.store["word_emb"]
         assert np.array_equal(np.flatnonzero(p.live), rows)

@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from collections import Counter
+from collections import ChainMap, Counter
 from contextlib import contextmanager, nullcontext
 from itertools import islice
 
@@ -86,16 +86,17 @@ def parse_kv_file(path) -> dict:
     return out
 
 
-def merge_config(file_path=None, overrides=()) -> dict:
-    cfg = default_config()
+def merge_config(file_path=None, overrides=()) -> ChainMap:
+    """The built-in defaults under the settings given; `maps[0]` holds the given ones."""
+    given, defaults = {}, default_config()
 
     def apply(key: str, raw: str, source: str):
-        if key not in cfg:
+        if key not in defaults:
             raise ConfigError(f"unknown configuration key {key!r} (from {source})")
         if "\0" in raw:   # no value holds one, and open() refuses a path with one
             raise ConfigError(f"bad value for {key!r} (from {source}): a NUL character")
         try:
-            cfg[key] = _CASTERS[key](raw)
+            given[key] = _CASTERS[key](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r} (from {source}): {exc}") from None
 
@@ -110,7 +111,7 @@ def merge_config(file_path=None, overrides=()) -> dict:
             raise ConfigError(f"override must be KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         apply(key.strip(), raw, "command line")
-    return cfg
+    return ChainMap(given, defaults)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -215,19 +216,19 @@ def _tally(summary: Counter, sentences, t0: float) -> None:
 
 def _print_summary(summary: Counter) -> None:
     """One JSON line on stderr: how much text a command tagged, how fast, and
-    how long the checkpoint load and lexicon rebuild took before it."""
+    how long the checkpoint load and word index took before it."""
     out = {key: summary[key] for key in ("sentences", "chars", "seconds", "setup_seconds")}
     out["chars_per_s"] = out["chars"] / out["seconds"] if out["seconds"] > 0 else 0.0
     print(json.dumps(out), file=sys.stderr)
 
 
-def _decode(cfg: dict, ckpt: Checkpoint, lexicon: Lexicon, sentences, summary: Counter):
+def _decode(cfg: ChainMap, ckpt: Checkpoint, lexicon: Lexicon, sentences, summary: Counter):
     """(sentence, inputs, (tags, alphas)) of each sentence in input order, read, prepared and
     tagged TAG_WINDOW at a time, with the legal mask if the checkpoint or cfg sets decode_mask.
-    One warning names each other setting that cfg moves off its default and the checkpoint's."""
-    default = TrainConfig().to_dict()
-    ignored = [f"{k}={cfg[k]!r} (checkpoint: {v!r})" for k, v in ckpt.config.to_dict().items()
-               if k != "decode_mask" and cfg[k] not in (v, default[k])]
+    One warning names each other setting given in cfg whose value differs from the checkpoint's."""
+    given = cfg.maps[0]
+    ignored = [f"{k}={given[k]!r} (checkpoint: {v!r})" for k, v in ckpt.config.to_dict().items()
+               if k != "decode_mask" and given.get(k, v) != v]
     if ignored:
         log.warning("the checkpoint fixes these settings; ignoring %s", ", ".join(ignored))
     legal = ckpt.scheme().legal_mask() if ckpt.config.decode_mask or cfg["decode_mask"] else None
@@ -357,7 +358,7 @@ def cmd_gradcheck(cfg: dict) -> int:
 
 
 def cmd_echo_config(cfg: dict) -> int:
-    print(json.dumps(cfg, sort_keys=True, ensure_ascii=False, indent=2))
+    print(json.dumps(dict(cfg), sort_keys=True, ensure_ascii=False, indent=2))
     return 0
 
 

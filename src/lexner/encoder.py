@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .numerics import fan_in_uniform
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
@@ -60,8 +61,7 @@ def gate_shapes(d_in: int, d_h: int) -> dict[str, tuple]:
 
 def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """LeCun-uniform weights (fan-in = columns), zero biases."""
-    return {name: np.zeros(shape) if len(shape) == 1
-            else rng.uniform(-1, 1, shape) * np.sqrt(3.0 / shape[1])
+    return {name: np.zeros(shape) if len(shape) == 1 else fan_in_uniform(shape, rng)
             for name, shape in gate_shapes(d_in, d_h).items()}
 
 
@@ -84,11 +84,6 @@ class _Layout:
 
     @classmethod
     def of(cls, lengths) -> "_Layout":
-        if len(lengths) == 1:   # nothing to rank: step t runs position t, or n - 1 - t
-            n = int(lengths[0])
-            at = np.arange(n)
-            return cls([1] * n, list(range(n + 1)), list(range(n)), (at, at[::-1]),
-                       (at, at[::-1]))
         L = np.asarray(lengths, dtype=np.int64)
         B, T = len(L), int(L.max(initial=0))
         rank = np.empty(B, dtype=np.int64)

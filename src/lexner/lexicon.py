@@ -12,7 +12,7 @@ because the word list itself is sorted by (length, word), equals the
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,23 +24,26 @@ KNOWLEDGE_MODES = ("slk", "flk", "both", "none")
 
 @dataclass
 class Lexicon:
-    """Dictionary words, their index, and their initial embedding rows.
+    """Distinct dictionary words in (length, lexicographic) order, and their vectors.
 
-    `words[k]` is the word at index k; `word_index` is the inverse map.
-    `embeddings` row k is word k's initial vector (from the embedding
-    table where available, uniform-random otherwise); the trainable word
-    table is seeded from it. `longest` is the length of the longest kept
-    word (0 when none is kept).
+    `words[k]` is the word at index k, and `embeddings` row k its vector: the
+    initial row from `build_lexicon`, or the trained row from a checkpoint.
+    The rest follows from the words: `word_index` is the inverse map, and
+    `shortest` and `longest` are the first and last word's lengths (0 if none).
     """
 
     words: tuple[str, ...]
-    word_index: dict[str, int]
     embeddings: np.ndarray
-    min_word_len: int
-    max_word_len: int
-    longest: int
-    n_skipped: int
-    n_random_init: int
+    n_skipped: int = 0
+    n_random_init: int = 0
+    word_index: dict[str, int] = field(init=False)
+    shortest: int = field(init=False)
+    longest: int = field(init=False)
+
+    def __post_init__(self):
+        self.word_index = dict(zip(self.words, range(len(self.words))))
+        self.shortest = len(self.words[0]) if self.words else 0
+        self.longest = len(self.words[-1]) if self.words else 0
 
     def __len__(self) -> int:
         return len(self.words)
@@ -82,10 +85,7 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
                 missing.append(k)
         rows[missing] = rng.uniform(-b, b, (len(missing), d))
 
-    index = dict(zip(kept, range(len(kept))))
-    longest = len(kept[-1]) if kept else 0
-    return Lexicon(tuple(kept), index, rows, min_word_len, max_word_len, longest,
-                   n_skipped, len(missing))
+    return Lexicon(tuple(kept), rows, n_skipped, len(missing))
 
 
 @dataclass
@@ -105,9 +105,9 @@ class MatchSets:
 def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
     """Match every dictionary word occurring in the sentence.
 
-    For each length from min_word_len to the longest word, looks up every
+    For each length from the shortest word to the longest, looks up every
     substring of that length in the word index, so the total work is
-    O(n * max_word_len). Going by length keeps each set ascending.
+    O(n * longest). Going by length keeps each set ascending.
     """
     chars = getattr(sentence, "chars", sentence)
     text = "".join(chars)
@@ -117,7 +117,7 @@ def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
     index = lexicon.word_index
     fwd: list[list[int]] = [[] for _ in range(n)]
     bwd: list[list[int]] = [[] for _ in range(n)]
-    for length in range(max(lexicon.min_word_len, 1), min(n, lexicon.longest) + 1):
+    for length in range(max(lexicon.shortest, 1), min(n, lexicon.longest) + 1):
         found = map(index.get, [text[i:i + length] for i in range(n - length + 1)])
         for i, k in enumerate(found):
             if k is not None:

@@ -22,7 +22,7 @@ from . import crf, encoder, fusion
 from .corpus import UNK, uniform_bound
 from .errors import DataError, ShapeError
 from .lexicon import Lexicon, knowledge_select, match_sentence
-from .numerics import dropout, dropout_backward
+from .numerics import dropout, dropout_backward, fan_in_uniform
 from .params import ParamStore
 
 TAG_CHUNK = 8   # sentences per encoder call in tag_sentences
@@ -99,11 +99,10 @@ def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
     for direction in ("fwd", "bwd"):
         for name, arr in encoder.init_gru_gates(cfg.d_c, cfg.d_h, rng).items():
             add(f"gru_{direction}.{name}", arr)
-    add("fusion.W_u", rng.uniform(-1, 1, shapes["fusion.W_u"]) * np.sqrt(3.0 / cfg.d_w))
+    add("fusion.W_u", fan_in_uniform(shapes["fusion.W_u"], rng))
     add("fusion.b_u", np.zeros(shapes["fusion.b_u"]))
     add("word_emb", word_init, table=True)
-    r_dim = shapes["crf.W_o"][1]
-    add("crf.W_o", rng.uniform(-1, 1, shapes["crf.W_o"]) * np.sqrt(3.0 / r_dim))
+    add("crf.W_o", fan_in_uniform(shapes["crf.W_o"], rng))
     add("crf.b_o", np.zeros(shapes["crf.b_o"]))
     add("crf.T", crf.init_transitions(cfg.num_tags))
     return store

@@ -18,6 +18,11 @@ def check_finite(name: str, arr) -> None:
         raise NumericError(f"non-finite values in {name}")
 
 
+def fan_in_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """LeCun-uniform weights: uniform over +-sqrt(3 / fan-in), the fan-in being the columns."""
+    return rng.uniform(-1, 1, shape) * np.sqrt(3.0 / shape[1])
+
+
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """y = x W^T + b for x of shape (in,) or (rows, in), W of shape (out, in)."""
     if W.ndim != 2 or x.shape[-1] != W.shape[1] or b.shape != (W.shape[0],):

@@ -20,18 +20,19 @@ import dataclasses
 import json
 import logging
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import UNK, Dataset, TagScheme, build_char_vocab
+from .corpus import DEFAULT_MAX_LEN, UNK, Dataset, TagScheme, build_char_vocab
 from .encoder import G_MODES
-from .errors import ConfigError, DataError, FormatError, NumericError, SchemeError
+from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
-from .lexicon import KNOWLEDGE_MODES, Lexicon, build_lexicon
+from .lexicon import KNOWLEDGE_MODES, Lexicon
 from .model import (ModelConfig, SentenceInputs, batch_loss, init_params, param_shapes,
                     prepare_sentences, tag_sentences)
 from .params import ParamStore
@@ -47,7 +48,7 @@ class TrainConfig:
     lr: float = 5e-5
     batch_size: int = 32
     dropout: float = 0.1
-    max_len: int = 250
+    max_len: int = DEFAULT_MAX_LEN
     d_c: int = 64
     d_w: int = 50
     bigru_total: int = 512
@@ -262,18 +263,13 @@ class Checkpoint:
 
 
 def restore(path) -> tuple[Checkpoint, Lexicon]:
-    """Load a checkpoint and rebuild the lexicon over its word list, in those words' lengths."""
+    """Load a checkpoint and index its words over their trained vectors (`word_emb`);
+    the words must be distinct and in (length, word) order, as `build_lexicon` keeps them."""
     ckpt = Checkpoint.load(path)
-    words, d_w = ckpt.words, ckpt.config.d_w
-    if words:   # whatever length range the lexicon was built with, it kept these words
-        lexicon = build_lexicon(words, None, dim=d_w, min_word_len=min(map(len, words)),
-                                max_word_len=max(map(len, words)),
-                                rng=np.random.default_rng(ckpt.config.seed))
-    else:   # build_lexicon refuses an empty word list
-        lexicon = Lexicon((), {}, np.zeros((0, d_w)), 0, 0, 0, 0, 0)
-    if lexicon.words != ckpt.words:
-        raise DataError("checkpoint word list does not round-trip through build_lexicon")
-    return ckpt, lexicon
+    keys = list(zip(map(len, ckpt.words), ckpt.words))
+    if not all(map(operator.lt, keys, keys[1:])):
+        raise FormatError(f"{path}: checkpoint words are not distinct and in (length, word) order")
+    return ckpt, Lexicon(ckpt.words, ckpt.store.value("word_emb"))
 
 
 @dataclass

@@ -49,6 +49,21 @@ def checkpoint_contents(tmp_path_factory):
     return load_arrays(path)
 
 
+def _same_length_pair(words) -> int:
+    """Index i of the first adjacent words i and i + 1 of one length."""
+    return next(i for i in range(len(words) - 1) if len(words[i]) == len(words[i + 1]))
+
+
+def _swap_neighbours(words):
+    i = _same_length_pair(words)
+    words[i:i + 2] = words[i + 1], words[i]
+
+
+def _repeat_neighbour(words):
+    i = _same_length_pair(words)
+    words[i + 1] = words[i]
+
+
 # each edit leaves a well-formed container whose checkpoint metadata is wrong
 MALFORMED_META = {
     "config-unknown-key": lambda meta, arrays: meta["config"].update(bogus=1),
@@ -67,6 +82,8 @@ MALFORMED_META = {
     "config-g-mode-is-bogus": lambda meta, arrays: meta["config"].update(g_mode="bogus"),
     "config-seed-is-negative": lambda meta, arrays: meta["config"].update(seed=-1),
     "config-d-w-is-too-large": lambda meta, arrays: meta["config"].update(d_w=10**18),
+    "words-out-of-order": lambda meta, arrays: _swap_neighbours(meta["words"]),
+    "word-repeated": lambda meta, arrays: _repeat_neighbour(meta["words"]),
 }
 
 
@@ -309,6 +326,20 @@ class TestTagEval:
         assert code == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["words-out-of-order", "word-repeated"])
+    def test_eval_rejects_a_stored_word_list_out_of_order(self, workspace, capsys, caplog,
+                                                          checkpoint_contents, case):
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        meta = copy.deepcopy(meta)
+        MALFORMED_META[case](meta, arrays)
+        bad = tmp_path / "bad.ckpt"
+        save_arrays(bad, arrays, meta)
+        code, out = run(capsys, "eval", "-c", str(cfg_path), "-o", f"checkpoint_path={bad}")
+        assert code == 2 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+        assert str(bad) in caplog.text and "order" in caplog.text
+
     @pytest.mark.parametrize("case", list(MISFIT_PARAMS))
     def test_tag_rejects_parameters_that_do_not_fit_the_config(self, workspace, capsys, caplog,
                                                                checkpoint_contents, case):
@@ -470,6 +501,7 @@ class TestTagEval:
         ckpt, lexicon = restore(tmp_path / "model.ckpt")
         assert lexicon.words == ckpt.words
         assert lexicon.embeddings.shape == (len(ckpt.words), ckpt.config.d_w)
+        assert lexicon.embeddings is ckpt.store.value("word_emb")   # no table drawn
         paths = []
         monkeypatch.setattr(cli, "restore", lambda path: paths.append(path) or restore(path))
         assert main(["tag", "-c", str(cfg_path), str(text_path)]) == 0
@@ -494,6 +526,8 @@ class TestTagEval:
         train(ds, ds, lex, config).best.save(path)
         ckpt, lexicon = restore(path)
         assert lexicon.words == ckpt.words == lex.words
+        assert list(lexicon.word_index.items()) == list(lex.word_index.items())
+        assert (lexicon.shortest, lexicon.longest) == (lex.shortest, lex.longest)
         text_path = tmp_path / "input.txt"
         text_path.write_text("他在江城长河大桥南山市东湖里\n", encoding="utf-8")
         code, out = run(capsys, "tag", "-o", f"checkpoint_path={path}", "--dump-attention",
@@ -513,6 +547,22 @@ class TestTagEval:
                      "--output", str(changed)]) == 0
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and "knowledge_mode='none' (checkpoint: 'slk')" in warnings[0]
+        assert changed.read_bytes() == plain.read_bytes()
+
+    def test_a_setting_given_at_its_default_is_named_too(self, workspace, capsys, caplog):
+        tmp_path, cfg_path, ds, *_ = workspace
+        assert main(["train", "-c", str(cfg_path), "-o", "knowledge_mode=none"]) == 0
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("".join("".join(s.chars) + "\n" for s in ds.sentences[:4]),
+                             encoding="utf-8")
+        plain, changed = tmp_path / "plain.conll", tmp_path / "changed.conll"
+        caplog.clear()
+        assert main(["tag", "-c", str(cfg_path), str(text_path), "--output", str(plain)]) == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert main(["tag", "-c", str(cfg_path), "-o", "knowledge_mode=slk", str(text_path),
+                     "--output", str(changed)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "knowledge_mode='slk' (checkpoint: 'none')" in warnings[0]
         assert changed.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("command", ["tag", "eval"])

@@ -81,7 +81,7 @@ class TestBuildLexicon:
 def reference_lexicon(words, table, dim, min_len, max_len, rng):
     """build_lexicon written plainly: a (length, word) key sort, one draw per
     word the table does not cover, in index order, and a dict comprehension.
-    Returns (words, index, embeddings, longest, n_skipped, n_random_init)."""
+    Returns (words, index, embeddings, shortest, longest, n_skipped, n_random_init)."""
     distinct = list(dict.fromkeys(words))
     kept = sorted((w for w in distinct if min_len <= len(w) <= max_len),
                   key=lambda w: (len(w), w))
@@ -96,7 +96,8 @@ def reference_lexicon(words, table, dim, min_len, max_len, rng):
             rows[k] = rng.uniform(-b, b, d)
             n_random += 1
     index = {w: k for k, w in enumerate(kept)}
-    return (tuple(kept), index, rows, max(map(len, kept), default=0),
+    lengths = list(map(len, kept))
+    return (tuple(kept), index, rows, min(lengths, default=0), max(lengths, default=0),
             len(distinct) - len(kept), n_random)
 
 
@@ -127,13 +128,14 @@ class TestBuildLexiconProperties:
         words, table, dim, min_len, max_len, seed = case
         lex = build_lexicon(words, table, dim=dim, min_word_len=min_len, max_word_len=max_len,
                             rng=np.random.default_rng(seed))
-        kept, index, rows, longest, n_skipped, n_random = reference_lexicon(
+        kept, index, rows, shortest, longest, n_skipped, n_random = reference_lexicon(
             words, table, dim, min_len, max_len, np.random.default_rng(seed))
         assert lex.words == kept
         assert list(lex.word_index.items()) == list(index.items())
         assert lex.embeddings.dtype == rows.dtype and lex.embeddings.shape == rows.shape
         assert lex.embeddings.tobytes() == rows.tobytes()
-        assert (lex.longest, lex.n_skipped, lex.n_random_init) == (longest, n_skipped, n_random)
+        assert ((lex.shortest, lex.longest, lex.n_skipped, lex.n_random_init)
+                == (shortest, longest, n_skipped, n_random))
 
 
 class TestMatchSentence:

@@ -1,4 +1,4 @@
-"""Linear-chain CRF: scoring, exact log-partition, marginals, Viterbi.
+"""Linear-chain CRF over a batch: scoring, exact log-partition, marginals, Viterbi.
 
 Transitions live in a (K+2) x (K+2) matrix whose last two rows/columns
 are synthetic start and stop states (indices K and K+1). Entries into
@@ -7,51 +7,51 @@ reads them their gradients are structurally zero and Adam leaves them
 untouched. Everything here runs in float64 log space regardless of the
 training precision.
 
-Log-sum-exp is a local numpy helper (shift by the max, then
-log(sum(exp))). It expects finite inputs, which holds here: TagLattice
-rejects non-finite emissions and forbidden transitions sit at a finite
-FORBIDDEN rather than -inf.
+A lattice holds the emission rows of one or more sentences one after
+another: the lattice of independent chains laid end to end. Its rows are
+packed by length rank as the encoder packs them (`encoder.Layout`), so
+the forward/backward recursion and Viterbi each run once over the batch.
+
+Log-sum-exp (`_logsumexp`) expects finite inputs, which holds here:
+TagLattice rejects non-finite scores, and forbidden transitions sit at a
+finite FORBIDDEN rather than -inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoder import Layout
 from .errors import NumericError, ShapeError
-from .numerics import affine, affine_backward
+from .numerics import affine, affine_backward, check_finite
 
 FORBIDDEN = -1e4
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """log(sum(exp(a))) along `axis` (all of `a` when None); `a` must be finite."""
+def _logsumexp(a: np.ndarray, axis: int):
+    """log(sum(exp(a))) along `axis`; `a` must be finite."""
     m = np.max(a, axis=axis, keepdims=True)
     return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def start_index(num_tags: int) -> int:
-    return num_tags
-
-
-def stop_index(num_tags: int) -> int:
-    return num_tags + 1
 
 
 def init_transitions(num_tags: int) -> np.ndarray:
     """Fresh transition matrix: trainable entries 0, forbidden entries pinned."""
     T = np.zeros((num_tags + 2, num_tags + 2), dtype=np.float64)
-    T[:, start_index(num_tags)] = FORBIDDEN
-    T[stop_index(num_tags), :] = FORBIDDEN
+    T[:, num_tags] = FORBIDDEN
+    T[num_tags + 1, :] = FORBIDDEN
     return T
 
 
 @dataclass
 class TagLattice:
-    """Emission matrix (n x K) plus the shared transition matrix, held in float64."""
+    """Emission rows (n x K) of the sentences of `lengths` (their lengths or
+    `Layout`; one sentence by default), and the transitions, held in float64."""
 
     emissions: np.ndarray
     transitions: np.ndarray
+    lengths: object = None
+    layout: Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.transitions = T = np.asarray(self.transitions, dtype=np.float64)
@@ -59,11 +59,13 @@ class TagLattice:
         if O.ndim != 2 or O.shape[0] < 1:
             raise ShapeError(f"emissions must be (n >= 1, K), got {O.shape}")
         if T.shape != (O.shape[1] + 2, O.shape[1] + 2):
-            raise ShapeError(
-                f"transitions {T.shape} do not match {O.shape[1]} tags (+2 boundary states)"
-            )
-        if not np.all(np.isfinite(O)):
-            raise NumericError("non-finite emission score")
+            raise ShapeError(f"transitions {T.shape} do not match {O.shape[1]} tags "
+                             "(+2 boundary states)")
+        self.layout = lay = Layout.of([len(O)] if self.lengths is None else self.lengths)
+        if lay.lengths.sum() != len(O) or np.any(lay.lengths < 1):
+            raise ShapeError(f"sentence lengths must be >= 1 and sum to {len(O)} rows")
+        check_finite("the emission scores", O)
+        check_finite("the transition scores", T)
 
     @property
     def n(self) -> int:
@@ -83,149 +85,142 @@ def emissions_backward(dO, R, W_o):
     return affine_backward(dO, R, W_o)
 
 
-def _check_tags(lattice: TagLattice, y) -> np.ndarray:
+def _check_tags(lattice: TagLattice, y):
+    """y as int64, and each row's previous tag (the start state K at a sentence's first row)."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (lattice.n,):
         raise ValueError(f"tag sequence length {y.shape} does not match n={lattice.n}")
     if y.min() < 0 or y.max() >= lattice.num_tags:
         raise ValueError(f"tag index out of range 0..{lattice.num_tags - 1}")
-    return y
+    prev = np.concatenate([[0], y[:-1]])
+    prev[lattice.layout.ends - lattice.layout.lengths] = lattice.num_tags
+    return y, prev
+
+
+def _path_scores(lattice: TagLattice, T, y, prev) -> np.ndarray:
+    """Each sentence's unnormalized path score under transitions T, incl. boundaries."""
+    lay, K = lattice.layout, lattice.num_tags
+    rows = lattice.emissions[np.arange(len(y)), y] + T[prev, y]
+    return np.add.reduceat(rows, lay.ends - lay.lengths) + T[y[lay.ends - 1], K + 1]
 
 
 def score_sequence(lattice: TagLattice, y) -> float:
-    """Unnormalized path score: emissions plus transitions incl. boundaries."""
-    y = _check_tags(lattice, y)
-    O, T = lattice.emissions, lattice.transitions
-    start, stop = start_index(lattice.num_tags), stop_index(lattice.num_tags)
-    s = O[np.arange(lattice.n), y].sum()
-    s += T[start, y[0]] + T[y[-1], stop]
-    if lattice.n > 1:
-        s += T[y[:-1], y[1:]].sum()
-    return float(s)
+    """Unnormalized path score, summed over the lattice's sentences."""
+    return float(_path_scores(lattice, lattice.transitions, *_check_tags(lattice, y)).sum())
 
 
-def _forward_scores(lattice: TagLattice) -> np.ndarray:
-    """log alpha[t, k]: log-sum over paths through position t ending in tag k."""
-    O, T = lattice.emissions, lattice.transitions
-    K = lattice.num_tags
+def _steps(lay: Layout):
+    """(k, o, p) of each step after the first: packed rows o:o + k continue p:p + k."""
+    return zip(lay.k[1:], lay.off[1:], lay.off)
+
+
+def _forward(lattice: TagLattice):
+    """Packed emissions, log alpha over the packed rows (log-sum over the paths
+    through a row ending in each tag), and each sentence's log-partition."""
+    lay, T, K = lattice.layout, lattice.transitions, lattice.num_tags
     inner = T[:K, :K]
-    alpha = np.empty_like(O)
-    alpha[0] = O[0] + T[start_index(K), :K]
-    for t in range(1, lattice.n):
-        alpha[t] = O[t] + _logsumexp(alpha[t - 1][:, None] + inner, axis=0)
-    return alpha
+    E = lattice.emissions[lay.rows[0]]
+    A = np.empty_like(E)
+    A[:lay.k0] = E[:lay.k0] + T[K, :K]
+    for k, o, p in _steps(lay):
+        A[o:o + k] = E[o:o + k] + _logsumexp(A[p:p + k, :, None] + inner, axis=1)
+    return E, A, _logsumexp(A[lay.pos[0][lay.ends - 1]] + T[:K, K + 1], axis=1)
 
 
 def log_partition(lattice: TagLattice) -> float:
-    alpha = _forward_scores(lattice)
-    K = lattice.num_tags
-    return float(_logsumexp(alpha[-1] + lattice.transitions[:K, stop_index(K)]))
+    """log Z, summed over the lattice's sentences."""
+    return float(_forward(lattice)[2].sum())
 
 
-def _forward_backward(lattice: TagLattice):
-    """Log forward and backward scores and the log-partition: (alpha, beta, logz).
-
-    log beta[t, k]: log-sum over completions from tag k at position t.
-    """
-    alpha = _forward_scores(lattice)
-    O, T = lattice.emissions, lattice.transitions
-    K = lattice.num_tags
+def _marginals(lattice: TagLattice):
+    """The forward pass, log beta (log-sum over completions from each tag at a
+    row) and the node marginals p(y_t = k), all over the packed rows."""
+    lay, T, K = lattice.layout, lattice.transitions, lattice.num_tags
     inner = T[:K, :K]
-    beta = np.empty_like(O)
-    beta[-1] = T[:K, stop_index(K)]
-    for t in range(lattice.n - 2, -1, -1):
-        beta[t] = _logsumexp(inner + (O[t + 1] + beta[t + 1])[None, :], axis=1)
-    return alpha, beta, float(_logsumexp(alpha[-1] + T[:K, stop_index(K)]))
+    E, A, logz = _forward(lattice)
+    Bt = np.empty_like(E)
+    Bt[:] = T[:K, K + 1]                  # kept by each sentence's last row
+    for k, o, p in reversed(list(_steps(lay))):
+        Bt[p:p + k] = _logsumexp(inner + (E[o:o + k] + Bt[o:o + k])[:, None, :], axis=2)
+    z = np.repeat(logz, lay.lengths)[lay.rows[0]]   # each packed row's log-partition
+    return E, A, Bt, logz, z, np.exp(A + Bt - z[:, None])
 
 
 def marginals(lattice: TagLattice) -> np.ndarray:
     """Posterior tag probabilities p(y_t = k), shape (n, K)."""
-    alpha, beta, logz = _forward_backward(lattice)
-    return np.exp(alpha + beta - logz)
+    return _marginals(lattice)[-1][lattice.layout.pos[0]]
 
 
-def _nll_value(logz: float, gold: float) -> float:
-    if not np.isfinite(logz):
-        raise NumericError("non-finite log-partition")
+def _nll_value(logz: np.ndarray, gold: np.ndarray) -> np.ndarray:
     loss = logz - gold
-    if loss < 0.0:
-        # the partition dominates every path, so anything below roundoff is a bug
-        if loss < -1e-9:
-            raise NumericError(f"negative NLL {loss}")
-        loss = 0.0
-    return loss
+    # the partition dominates every path, so a loss below roundoff is a bug
+    if not np.all(np.isfinite(loss) & (loss >= -1e-9)):
+        raise NumericError(f"non-finite or negative NLL in {loss}")
+    return np.maximum(loss, 0.0)
 
 
-def nll_loss(lattice: TagLattice, y) -> float:
-    """The loss that `nll` returns, without its gradients or backward scores."""
-    y = _check_tags(lattice, y)
-    return _nll_value(log_partition(lattice), score_sequence(lattice, y))
+def nll_loss(lattice: TagLattice, y) -> np.ndarray:
+    """The losses that `nll` returns, without its gradients or backward scores."""
+    gold = _path_scores(lattice, lattice.transitions, *_check_tags(lattice, y))
+    return _nll_value(_forward(lattice)[2], gold)
 
 
 def nll(lattice: TagLattice, y):
-    """Negative log-likelihood of the gold path, with exact gradients.
+    """Negative log-likelihood of each sentence's gold path, with exact gradients.
 
-    Returns (loss, dO, dT) where dO is (n, K) and dT is the full
-    (K+2, K+2) gradient: node marginals minus the gold one-hot, and edge
-    marginals minus gold transition indicators.
+    Returns (loss, dO, dT): loss (B,) holds one NLL per sentence, dO (n, K)
+    is the gradient of the summed loss in the rows of the emissions, and dT
+    the full (K+2, K+2) one: node marginals minus the gold one-hot, and edge
+    marginals minus gold transition indicators, summed over the batch.
     """
-    y = _check_tags(lattice, y)
-    O, T = lattice.emissions, lattice.transitions
-    n, K = lattice.n, lattice.num_tags
-    start, stop = start_index(K), stop_index(K)
+    y, prev = _check_tags(lattice, y)
+    lay, T, K = lattice.layout, lattice.transitions, lattice.num_tags
+    E, A, Bt, logz, z, node = _marginals(lattice)
+    loss = _nll_value(logz, _path_scores(lattice, T, y, prev))
 
-    alpha, beta, logz = _forward_backward(lattice)
-    loss = _nll_value(logz, score_sequence(lattice, y))
-
-    node = np.exp(alpha + beta - logz)
-    dO = node.copy()
-    dO[np.arange(n), y] -= 1.0
-
+    dO = node[lay.pos[0]]
+    dO[np.arange(len(y)), y] -= 1.0
+    # edge marginals p(y_t = j, y_{t+1} = k): each row after step 0 and its
+    # predecessor, whose packed row is its state row less the k0 zero states
+    o = lay.k0
     dT = np.zeros_like(T)
-    if n > 1:
-        # edge marginals p(y_t = j, y_{t+1} = k), summed over t
-        edges = np.exp(
-            alpha[:-1, :, None] + T[None, :K, :K]
-            + (O[1:] + beta[1:])[:, None, :] - logz
-        )
-        dT[:K, :K] = edges.sum(axis=0)
-        np.subtract.at(dT, (y[:-1], y[1:]), 1.0)
-    dT[start, :K] = node[0]
-    dT[start, y[0]] -= 1.0
-    dT[:K, stop] += node[-1]
-    dT[y[-1], stop] -= 1.0
+    dT[:K, :K] = np.exp(A[lay.prev_rows()[o:] - o][:, :, None] + T[:K, :K]
+                        + (E[o:] + Bt[o:] - z[o:, None])[:, None, :]).sum(axis=0)
+    dT[K, :K] = node[:o].sum(axis=0)
+    dT[:K, K + 1] = node[lay.pos[0][lay.ends - 1]].sum(axis=0)
+    np.subtract.at(dT, (prev, y), 1.0)
+    np.subtract.at(dT, (y[lay.ends - 1], K + 1), 1.0)
     return loss, dO, dT
 
 
 def viterbi(lattice: TagLattice, legal: np.ndarray | None = None):
-    """Highest-scoring tag sequence and its score.
+    """Each sentence's highest-scoring tag sequence, laid end to end, and their summed score.
 
     Ties are broken toward the lowest tag index at every backtrack step.
     `legal` is an optional (K+2, K+2) boolean mask; illegal transitions
     are clamped to FORBIDDEN before decoding.
     """
-    O = lattice.emissions
-    T = lattice.transitions
-    K = lattice.num_tags
+    lay, T, K = lattice.layout, lattice.transitions, lattice.num_tags
     if legal is not None:
         T = np.where(legal, T, FORBIDDEN)
-    start, stop = start_index(K), stop_index(K)
     inner = T[:K, :K]
-
-    delta = O[0] + T[start, :K]
-    backptr = np.empty((lattice.n, K), dtype=np.int64)
-    for t in range(1, lattice.n):
-        cand = delta[:, None] + inner          # cand[j, k]
-        backptr[t] = np.argmax(cand, axis=0)   # first max = lowest index
-        delta = O[t] + cand[backptr[t], np.arange(K)]
-
-    final = delta + T[:K, stop]
-    last = int(np.argmax(final))
-    path = [last]
-    for t in range(lattice.n - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
-    # re-score the decoded path (against the masked T) so the returned
-    # score equals score_sequence of the path exactly, not just up to
-    # DP summation order
-    return path, score_sequence(TagLattice(O, T), path)
+    E = lattice.emissions[lay.rows[0]]
+    D = np.empty_like(E)                      # best score of a path ending in each tag
+    back = np.empty(E.shape, dtype=np.int64)  # its previous tag
+    D[:lay.k0] = E[:lay.k0] + T[K, :K]
+    for k, o, p in _steps(lay):
+        cand = D[p:p + k, :, None] + inner               # cand[b, j, k]
+        cand.argmax(axis=1, out=back[o:o + k])           # first max = lowest index
+        np.add(E[o:o + k], np.maximum.reduce(cand, axis=1), out=D[o:o + k])
+    # backtrack over flat indices row * K + tag: `back` now holds the best
+    # predecessor's flat index, so one take per step follows every path
+    back[lay.k0:] += K * (lay.prev_rows()[lay.k0:, None] - lay.k0)
+    last, flat = lay.pos[0][lay.ends - 1], back.ravel()
+    F = np.empty(len(E), dtype=np.int64)
+    F[last] = K * last + np.argmax(D[last] + T[:K, K + 1], axis=1)
+    for k, o, p in reversed(list(_steps(lay))):
+        F[p:p + k] = flat[F[o:o + k]]
+    path = F[lay.pos[0]] % K
+    # re-score the paths against the masked T, so the score equals
+    # score_sequence of the path exactly, not just up to DP summation order
+    return path.tolist(), float(_path_scores(lattice, T, *_check_tags(lattice, path)).sum())

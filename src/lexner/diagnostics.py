@@ -1,4 +1,4 @@
-"""End-to-end gradient fidelity check on a seeded miniature model."""
+"""End-to-end gradient fidelity check of the batched graph on a seeded miniature model."""
 from __future__ import annotations
 
 import numpy as np
@@ -53,10 +53,10 @@ def end_to_end_grad_check(seed: int, eps: float = 1e-5,
                           denom_floor: float = 1e-5, **kwargs) -> float:
     """Max relative error of the full-model NLL gradients vs central differences.
 
-    The analytic gradients come from one `sentence_loss` pass per sentence,
-    each adding into the store's gradients; the central-difference probes
-    evaluate the same loss with `sentence_nll`, which skips the backward
-    pass.
+    The analytic gradients come from one `sentence_loss` pass (the whole
+    graph on a batch of one) per sentence, each adding into the store's
+    gradients; the central-difference probes evaluate the same loss with
+    `sentence_nll`, which skips the backward pass.
 
     For float32 models use a coarser step and floor (eps ~ 1e-2,
     denom_floor ~ 1e-3): finite differences through a float32 forward

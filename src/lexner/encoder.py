@@ -13,7 +13,7 @@ sentences are ranked by length, longest first, and step t runs position t
 (counted from the end for the backward direction) of the k_t sentences
 that are still that long. They are the first k_t ranks, so every step
 works on a prefix of rows and needs no mask. The rows of all steps are
-packed one step after another (`_Layout`), as `pack_padded_sequence` does.
+packed one step after another (`Layout`), as `pack_padded_sequence` does.
 
 The input terms X W_g^T + b_g do not depend on the recurrence, so one GEMM
 over every row computes them before the loop; a step then does only the
@@ -36,7 +36,7 @@ Both directions start from zero states; position i's hidden state is the
 concatenation [fwd_i ; bwd_i]. The global sentence feature g defaults to
 the last position's full state (g_mode="last"); g_mode="fwd_last_bwd_first"
 takes the forward state at the last position and the backward state at the
-first instead.
+first instead. Over a batch, g has one row per sentence.
 """
 from __future__ import annotations
 
@@ -66,16 +66,20 @@ def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, n
 
 
 @dataclass(frozen=True)
-class _Layout:
+class Layout:
     """Where the rows of a batch run.
 
-    Step t runs packed rows off[t]:off[t + 1], k[t] of them, one per running
-    sentence in rank order. It reads its states from rows prev[t]:prev[t] + k[t]
-    of the state array and writes them to rows k[0] + off[t] onwards. pos[d][j]
-    is the packed row of input row j in direction d (0 forward, 1 backward),
-    and rows[d] is the inverse map.
+    The sentences, `lengths` (int64) long, lie one after another in the rows
+    of an array; sentence b ends before row ends[b]. Step t runs packed rows
+    off[t]:off[t + 1], k[t] of them, one per running sentence in rank order.
+    It reads its states from rows prev[t]:prev[t] + k[t] of the state array
+    and writes them to rows k[0] + off[t] onwards. pos[d][j] is the packed
+    row of input row j in direction d (0 forward, 1 backward), and rows[d] is
+    the inverse map. The CRF runs its recursions over the same packed rows.
     """
 
+    lengths: np.ndarray
+    ends: np.ndarray
     k: list
     off: list
     prev: list
@@ -83,23 +87,26 @@ class _Layout:
     rows: tuple
 
     @classmethod
-    def of(cls, lengths) -> "_Layout":
+    def of(cls, lengths) -> "Layout":
+        """Pack sentences of these lengths; a Layout passes through, one per batch."""
+        if isinstance(lengths, cls):
+            return lengths
         L = np.asarray(lengths, dtype=np.int64)
         B, T = len(L), int(L.max(initial=0))
         rank = np.empty(B, dtype=np.int64)
         rank[np.argsort(-L, kind="stable")] = np.arange(B)
         k = B - np.cumsum(np.bincount(L, minlength=T + 1))[:T]   # sentences longer than t
         off = np.concatenate([[0], np.cumsum(k)])
-        sent = np.repeat(np.arange(B), L)
-        at = np.arange(off[-1]) - np.repeat(np.cumsum(L) - L, L)   # position in its sentence
+        sent, ends = np.repeat(np.arange(B), L), np.cumsum(L)
+        at = np.arange(off[-1]) - np.repeat(ends - L, L)   # position in its sentence
         pos = (off[at] + rank[sent], off[L[sent] - 1 - at] + rank[sent])
         rows = []
         for p in pos:
             inv = np.empty_like(p)
             inv[p] = np.arange(len(p))
             rows.append(inv)
-        prev = [0] + [int(k[0]) + int(o) for o in off[:-2]]
-        return cls(k.tolist(), off.tolist(), prev, pos, tuple(rows))
+        prev = [0, *(k[:1].sum() + off[:-2]).tolist()]   # k[:1].sum() is k[0], or 0
+        return cls(L, ends, k.tolist(), off.tolist(), prev, pos, tuple(rows))
 
     @property
     def k0(self) -> int:
@@ -229,13 +236,13 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
 def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
     """Run both directions over the character rows X (N, d_c) of a batch.
 
-    X holds the sentences one after another, `lengths` their lengths (by
-    default X is one sentence). Returns (H, cache) with H of shape
-    (N, 2*d_h) in the rows of X; row i is [fwd_i ; bwd_i] of its sentence.
+    X holds the sentences one after another, `lengths` their lengths or
+    `Layout` (by default X is one sentence). Returns (H, cache), H (N, 2*d_h)
+    in the rows of X; row i is [fwd_i ; bwd_i] of its sentence.
     """
     _check(X, fwd_gates)
     _check(X, bwd_gates)
-    lay = _Layout.of([len(X)] if lengths is None else lengths)
+    lay = Layout.of([len(X)] if lengths is None else lengths)
     if lay.off[-1] != len(X):
         raise ShapeError(f"sentence lengths sum to {lay.off[-1]}, X has {len(X)} rows")
     cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
@@ -256,21 +263,24 @@ def encode_backward(dH, cache, fwd_gates, bwd_gates, fwd_grads, bwd_grads):
     return dX
 
 
-def global_feature(H, d_h, mode="last"):
-    """Sentence-level context vector g read off the encoder states."""
-    if mode == "last":
-        return H[-1]
-    if mode == "fwd_last_bwd_first":
-        return np.concatenate([H[-1, :d_h], H[0, d_h:]])
-    raise ValueError(f"g_mode {mode!r} not in {G_MODES}")
-
-
-def global_feature_backward(dg, dH, d_h, mode="last"):
-    """Accumulate d loss / d g into the encoder-state gradient dH."""
-    if mode == "last":
-        dH[-1] += dg
-    elif mode == "fwd_last_bwd_first":
-        dH[-1, :d_h] += dg[:d_h]
-        dH[0, d_h:] += dg[d_h:]
-    else:
+def _g_rows(n, mode, lengths):
+    """The state rows g reads, per sentence: (forward half's row, backward half's row)."""
+    if mode not in G_MODES:
         raise ValueError(f"g_mode {mode!r} not in {G_MODES}")
+    last = np.cumsum([n] if lengths is None else lengths) - 1
+    return last, (last if mode == "last" else np.append(0, last[:-1] + 1))
+
+
+def global_feature(H, d_h, mode="last", lengths=None):
+    """Sentence-level context vector g read off the states; with `lengths`, one row each."""
+    last, back = _g_rows(len(H), mode, lengths)
+    g = np.concatenate([H[last, :d_h], H[back, d_h:]], axis=1)
+    return g if lengths is not None else g[0]
+
+
+def global_feature_backward(dg, dH, d_h, mode="last", lengths=None):
+    """Accumulate d loss / d g into the encoder-state gradient dH."""
+    last, back = _g_rows(len(dH), mode, lengths)
+    dg = np.reshape(dg, (len(last), -1))
+    dH[last, :d_h] += dg[:, :d_h]
+    dH[back, d_h:] += dg[:, d_h:]

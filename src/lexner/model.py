@@ -1,8 +1,8 @@
 """End-to-end computation: embed, encode, fuse, score, decode.
 
-The encoder runs once over a batch of sentences (a training mini-batch or a
-chunk of sentences to tag); embedding, dropout, fusion and the CRF run per
-sentence.
+The whole graph runs once over a batch of sentences (a training mini-batch
+or a chunk of sentences to tag), each stage taking them one after another;
+the encoder and the CRF share one length-ranked layout (`encoder.Layout`).
 
 Parameter names in the store:
 
@@ -25,7 +25,7 @@ from .lexicon import Lexicon, knowledge_select, match_sentence
 from .numerics import dropout, dropout_backward, fan_in_uniform
 from .params import ParamStore
 
-TAG_CHUNK = 8   # sentences per encoder call in tag_sentences
+TAG_CHUNK = 8   # sentences per pass through the graph in tag_sentences
 
 
 @dataclass
@@ -149,32 +149,24 @@ def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> n
 
 def _forward(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
              train: bool, rngs):
-    """One encoder call over the batch; dropout, fusion and the CRF per sentence.
-
-    rngs holds each sentence's dropout generator (None in eval mode). Returns
-    (results, enc_cache): results[b] is (lattice, alphas, cache) of items[b];
-    alphas are the flat fusion weights.
-    """
-    lengths = [len(item) for item in items]
+    """The whole graph, once over the batch; rngs holds each sentence's dropout
+    generator (None in eval mode). Returns the batch's CRF lattice, the flat
+    fusion weights of its word sets, and what `batch_loss` needs."""
+    lay = encoder.Layout.of([len(item) for item in items])
     X = np.concatenate([_char_rows(store, item, cfg) for item in items])
-    fwd_gates = store.values_with_prefix("gru_fwd.")
-    bwd_gates = store.values_with_prefix("gru_bwd.")
-    H_all, enc_cache = encoder.encode_chars(X, fwd_gates, bwd_gates, lengths)
+    H, enc_cache = encoder.encode_chars(X, store.values_with_prefix("gru_fwd."),
+                                        store.values_with_prefix("gru_bwd."), lay)
+    H, mask_h = dropout(H, cfg.dropout, train, rngs, lay.lengths)
+    g = encoder.global_feature(H, cfg.d_h, cfg.g_mode, lay.lengths)
+    words = fusion.WordSets.concat([item.words for item in items])
     word_emb, W_u, b_u = (store.value(n) for n in ("word_emb", "fusion.W_u", "fusion.b_u"))
-    W_o, b_o, T = (store.value(n) for n in ("crf.W_o", "crf.b_o", "crf.T"))
-    results = []
-    at = 0
-    for item, rng in zip(items, rngs):
-        H, mask_h = dropout(H_all[at:at + len(item)], cfg.dropout, train, rng)
-        at += len(item)
-        g = encoder.global_feature(H, cfg.d_h, cfg.g_mode)
-        Hsw_raw, alphas, fuse_cache = fusion.fuse_sentence(
-            item.words, word_emb, g, W_u, b_u, cfg.fusion_strategy)
-        Hsw, mask_sw = dropout(Hsw_raw, cfg.dropout, train, rng)
-        R = np.hstack([Hsw, H])
-        O = crf.emissions(R, W_o, b_o)
-        results.append((crf.TagLattice(O, T), alphas, (mask_h, fuse_cache, mask_sw, R)))
-    return results, enc_cache
+    Hsw, alphas, fuse_cache = fusion.fuse_sentence(words, word_emb, g, W_u, b_u,
+                                                   cfg.fusion_strategy, lay.lengths)
+    Hsw, mask_sw = dropout(Hsw, cfg.dropout, train, rngs, lay.lengths)
+    R = np.hstack([Hsw, H])
+    O = crf.emissions(R, store.value("crf.W_o"), store.value("crf.b_o"))
+    lattice = crf.TagLattice(O, store.value("crf.T"), lay)
+    return lattice, alphas, (enc_cache, mask_h, words, fuse_cache, mask_sw, R)
 
 
 def _require_gold(items) -> None:
@@ -196,49 +188,37 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
                train: bool = True, rngs=None) -> list[float]:
     """NLL of each sentence's gold tags; adds their gradients into the store.
 
-    The encoder runs once, forward and backward, over the whole batch.
-    rngs holds one dropout generator per sentence (needed in train mode).
-    Each sentence's part is added into `store[name].grad` in batch order.
-    This module owns both embedding tables' rows: fusion hands back each
-    matched word's gradient and the encoder each character's, and `_add_rows`
-    adds them at their rows (per sentence for words, per batch for chars).
-    The gradients are not checked here: `adam_step` checks them first.
+    The whole graph runs once, forward and backward, over the batch; rngs
+    holds one dropout generator per sentence (needed in train mode). This
+    module owns both embedding tables' rows: fusion hands back each matched
+    word's gradient and the encoder each character's, and `_add_rows` adds
+    them at their rows, once per table. `adam_step` checks the gradients.
     """
     _require_gold(items)
-    results, enc_cache = _forward(store, items, cfg, train, rngs or [None] * len(items))
+    lattice, _, (enc_cache, mask_h, words, fuse_cache, mask_sw, R) = _forward(
+        store, items, cfg, train, rngs)
     grad = {name: p.grad for name, p in store.items()}
-    W_o, W_u = store.value("crf.W_o"), store.value("fusion.W_u")
-    char_ids = np.concatenate([item.char_ids for item in items])
-    losses, dH_all = [], np.empty((len(char_ids), 2 * cfg.d_h), dtype=cfg.dtype)
-    at = 0
-    for item, (lattice, _, (mask_h, fuse_cache, mask_sw, R)) in zip(items, results):
-        loss, dO, dT = crf.nll(lattice, item.gold)
-        losses.append(loss)
-        # the CRF works in float64; the backward pass below stays in cfg.dtype
-        dO = dO.astype(cfg.dtype, copy=False)
-        grad["crf.T"] += dT
-        dR, dW_o, db_o = crf.emissions_backward(dO, R, W_o)
-        grad["crf.W_o"] += dW_o
-        grad["crf.b_o"] += db_o
-
-        dHsw_raw = dropout_backward(dR[:, :cfg.d_w], mask_sw)
-        dX_words, dg = fusion.fuse_sentence_backward(dHsw_raw, fuse_cache, W_u,
-                                                     grad["fusion.W_u"], grad["fusion.b_u"])
-        _add_rows(store, "word_emb", item.words.ids, dX_words)
-        dH = dR[:, cfg.d_w:].copy()
-        encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode)
-        dH_all[at:at + len(item)] = dropout_backward(dH, mask_h)
-        at += len(item)
-
-    fwd_gates = store.values_with_prefix("gru_fwd.")
-    bwd_gates = store.values_with_prefix("gru_bwd.")
-    fwd_grads = {name: grad[f"gru_fwd.{name}"] for name in encoder.GATE_NAMES}
-    bwd_grads = {name: grad[f"gru_bwd.{name}"] for name in encoder.GATE_NAMES}
-    dX = encoder.encode_backward(dH_all, enc_cache, fwd_gates, bwd_gates,
-                                 fwd_grads, bwd_grads)
+    losses, dO, dT = crf.nll(lattice, np.concatenate([item.gold for item in items]))
+    grad["crf.T"] += dT
+    # the CRF works in float64; the backward pass below stays in cfg.dtype
+    dR, dW_o, db_o = crf.emissions_backward(dO.astype(cfg.dtype, copy=False), R,
+                                            store.value("crf.W_o"))
+    grad["crf.W_o"] += dW_o
+    grad["crf.b_o"] += db_o
+    dX_words, dg = fusion.fuse_sentence_backward(
+        dropout_backward(dR[:, :cfg.d_w], mask_sw), fuse_cache, store.value("fusion.W_u"),
+        grad["fusion.W_u"], grad["fusion.b_u"])
+    _add_rows(store, "word_emb", words.ids, dX_words)
+    dH = dR[:, cfg.d_w:]
+    encoder.global_feature_backward(dg, dH, cfg.d_h, cfg.g_mode, lattice.layout.lengths)
+    dX = encoder.encode_backward(
+        dropout_backward(dH, mask_h), enc_cache,
+        store.values_with_prefix("gru_fwd."), store.values_with_prefix("gru_bwd."),
+        {name: grad[f"gru_fwd.{name}"] for name in encoder.GATE_NAMES},
+        {name: grad[f"gru_bwd.{name}"] for name in encoder.GATE_NAMES})
     if cfg.char_source == "table":
-        _add_rows(store, "char_emb", char_ids, dX)
-    return losses
+        _add_rows(store, "char_emb", np.concatenate([item.char_ids for item in items]), dX)
+    return losses.tolist()
 
 
 def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
@@ -254,29 +234,33 @@ def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) ->
     checks use it to evaluate the loss at perturbed parameters.
     """
     _require_gold([inputs])
-    (lattice, _, _), = _forward(store, [inputs], cfg, train=False, rngs=[None])[0]
-    return crf.nll_loss(lattice, inputs.gold)
+    lattice, _, _ = _forward(store, [inputs], cfg, train=False, rngs=None)
+    return float(crf.nll_loss(lattice, inputs.gold)[0])
 
 
 def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
                   legal: np.ndarray | None = None) -> list:
     """(Viterbi tag indices, flat fusion weights) of every item, in input order.
 
-    Eval mode. The items run longest first in chunks of TAG_CHUNK, one
-    encoder call per chunk. A sentence's scores can differ from those of a
-    batch of one in the last bits, since the recurrent products then run
-    as GEMMs over several rows. An item's alphas[words.offsets[i]:
-    words.offsets[i + 1]] weigh the words of its position i.
+    Eval mode. The items run longest first in chunks of TAG_CHUNK, one pass
+    through the graph and one Viterbi call per chunk; scores can differ from a
+    batch of one's in the last bits (recurrent GEMMs over several rows). An
+    item's alphas[words.offsets[i]:words.offsets[i + 1]] weigh position i's words.
     """
     order = sorted(range(len(items)), key=lambda i: -len(items[i]))
-    out = [None] * len(items)
-    for at in range(0, len(order), TAG_CHUNK):
-        chunk = order[at:at + TAG_CHUNK]
-        results, _ = _forward(store, [items[i] for i in chunk], cfg, train=False,
-                              rngs=[None] * len(chunk))
-        for i, (lattice, alphas, _) in zip(chunk, results):
-            out[i] = (crf.viterbi(lattice, legal)[0], alphas)
-    return out
+    ranked = [items[i] for i in order]
+    paths, alphas = [], [np.empty(0, dtype=cfg.dtype)]   # an empty list of items concatenates
+    for at in range(0, len(ranked), TAG_CHUNK):
+        lattice, chunk_alphas, _ = _forward(store, ranked[at:at + TAG_CHUNK], cfg,
+                                            train=False, rngs=None)
+        paths += crf.viterbi(lattice, legal)[0]
+        alphas.append(chunk_alphas)
+    alphas = np.concatenate(alphas)
+    ends = np.cumsum([0, *map(len, ranked)])
+    word_ends = np.cumsum([0, *(len(item.words.ids) for item in ranked)])
+    tagged = [(paths[a:b], alphas[c:d])
+              for a, b, c, d in zip(ends, ends[1:], word_ends, word_ends[1:])]
+    return [tagged[r] for r in np.argsort(order)]   # back in input order
 
 
 def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,

@@ -57,18 +57,21 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray, starts=(0,)) -> np.ndarray:
     return p * (dp - np.repeat(np.add.reduceat(p * dp, starts), sizes))
 
 
-def dropout(x: np.ndarray, p: float, train: bool, rng: np.random.Generator | None = None):
+def dropout(x: np.ndarray, p: float, train: bool, rng=None, lengths=None):
     """Inverted dropout: survivors are scaled by 1/(1-p); identity in eval mode.
 
-    Returns (y, mask); backward is dy * mask.
+    Returns (y, mask); backward is dy * mask. With `lengths`, x holds blocks of
+    rows and `rng` one generator per block, which draws that block's mask.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x, np.ones_like(x)
-    if rng is None:
+    rngs, sizes = ([rng], [len(x)]) if lengths is None else (rng, lengths)
+    if rngs is None or any(r is None for r in rngs):
         raise ValueError("dropout in train mode needs an rng")
-    mask = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype)
+    u = np.concatenate([r.random((n, *x.shape[1:])) for r, n in zip(rngs, sizes)])
+    mask = ((u >= p) / (1.0 - p)).astype(x.dtype)
     return x * mask, mask
 
 

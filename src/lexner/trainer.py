@@ -1,18 +1,13 @@
 """Mini-batch Adam training with dev-F1 model selection and checkpointing.
 
-Each mini-batch is one `batch_loss` call: the encoder runs once over the
-batch, and the per-sentence parts add their gradients straight into the
-store's gradients (`Param.grad`) in sentence order, so a rerun gives the
-same bits. `adam_step` then checks those gradients, applies them and
-zeroes them. Dropout randomness is drawn as one child seed per sentence
-from the main generator, in batch order, which keeps resumed runs on the
-exact trajectory of uninterrupted ones. The `workers` setting is accepted
-for old configurations and checkpoints and has no effect.
-
-Adam touches only the rows of an embedding table that have ever had a
-gradient (the table's live rows, see `params.Param`). Any other row has
-zero gradient and zero moments, which the full update would leave exactly
-as they are, so the trained bits are those of a dense update.
+Each mini-batch is one `batch_loss` call: the whole graph runs once over
+the batch, forward and backward, and adds the batch's gradients straight
+into the store's gradients (`Param.grad`), so a rerun gives the same bits.
+The CRF checks each sentence's loss; `adam_step` checks the gradients,
+applies them (to an embedding table's live rows only, with the bits of a
+dense update) and zeroes them. Dropout randomness is drawn as one child
+seed per sentence from the main generator, in batch order, which keeps
+resumed runs on the exact trajectory of uninterrupted ones.
 """
 from __future__ import annotations
 
@@ -353,9 +348,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
                 rngs = [np.random.default_rng(int(rng.integers(0, 2 ** 63))) for _ in batch]
                 for loss in batch_loss(store, batch, mcfg, train=True, rngs=rngs):
-                    if not np.isfinite(loss) or loss < -1e-9:
-                        raise NumericError(f"bad batch loss {loss}")
-                    total_nll += loss
+                    total_nll += loss   # in batch order; the CRF has checked each loss
                 adam_t += 1
                 adam_values += adam_step(store, config.lr, t=adam_t,
                                          clip_norm=config.clip_norm, skip=skip)

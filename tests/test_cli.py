@@ -372,6 +372,25 @@ class TestTagEval:
                       "-o", f"checkpoint_path={bad}", str(text_path))
         assert code == 2 and "seed must be of type int" in caplog.text
 
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_exits_3(self, workspace, capsys, caplog,
+                                           checkpoint_contents, command, value):
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        T = arrays["crf.T"].copy()
+        T[0, 1] = value
+        bad = tmp_path / "bad.ckpt"
+        save_arrays(bad, {**arrays, "crf.T": T}, meta)
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n他在江城里看\n", encoding="utf-8")
+        args = [str(text_path)] if command == "tag" else []
+        code, out = run(capsys, command, "-c", str(cfg_path),
+                        "-o", f"checkpoint_path={bad}", *args)
+        assert code == 3 and out == ""
+        assert "Traceback" not in capsys.readouterr().err
+        assert "transition" in caplog.text
+
     def test_dump_attention_runs_one_encoder_call_per_chunk(self, trained, capsys,
                                                             monkeypatch):
         tmp_path, cfg_path, text_path, *_ = trained

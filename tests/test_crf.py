@@ -214,6 +214,26 @@ class TestNll:
         with pytest.raises(ShapeError):
             TagLattice(np.zeros((2, 3)), init_transitions(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_rejected(self, value):
+        T = init_transitions(2)
+        T[0, 1] = value
+        with pytest.raises(NumericError):
+            TagLattice(np.zeros((2, 2)), T)
+
+    def test_minus_inf_on_the_gold_path_raises(self):
+        # the lattice is checked when built; a later edit reaches the loss check
+        lat = TagLattice(np.zeros((2, 2)), init_transitions(2))
+        lat.transitions[0, 1] = -np.inf
+        for f in (nll, nll_loss):
+            with pytest.raises(NumericError):
+                f(lat, [0, 1])
+
+    def test_lengths_must_cover_the_rows(self):
+        for lengths in ([2, 2], [3, 0], [4]):
+            with pytest.raises(ShapeError):
+                TagLattice(np.zeros((3, 2)), init_transitions(2), lengths)
+
 
 class TestLargeScores:
     """Scores near 1e3, where exp without the max shift overflows."""
@@ -316,6 +336,51 @@ def masked_lattices(draw):
     O = draw(hnp.arrays(np.float64, (n, K), elements=_score))
     legal = draw(hnp.arrays(np.bool_, (K + 2, K + 2)))
     return TagLattice(O, T), legal
+
+
+@st.composite
+def packed_batches(draw):
+    """1-6 sentences of 1-6 positions over K <= 4 tags, with gold tags and,
+    drawn or not, a random legal mask."""
+    K = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    T = init_transitions(K)
+    T[:K, :K] = draw(hnp.arrays(np.float64, (K, K), elements=_score))
+    T[K, :K] = draw(hnp.arrays(np.float64, K, elements=_score))
+    T[:K, K + 1] = draw(hnp.arrays(np.float64, K, elements=_score))
+    O = draw(hnp.arrays(np.float64, (sum(lengths), K), elements=_score))
+    y = draw(hnp.arrays(np.int64, sum(lengths), elements=st.integers(0, K - 1)))
+    legal = draw(st.none() | hnp.arrays(np.bool_, (K + 2, K + 2)))
+    return O, T, lengths, y, legal
+
+
+class TestPackedBatch:
+    """A lattice of several sentences is their lattices laid end to end."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=packed_batches())
+    def test_batch_equals_its_sentences_one_at_a_time(self, case):
+        O, T, lengths, y, legal = case
+        if legal is not None:
+            T = np.where(legal, T, FORBIDDEN)
+        loss, dO, dT = nll(TagLattice(O, T, lengths), y)
+        path, _ = viterbi(TagLattice(O, T, lengths), legal)
+        assert loss.shape == (len(lengths),)
+        assert np.array_equal(nll_loss(TagLattice(O, T, lengths), y), loss)
+        cuts = np.cumsum(lengths)[:-1]
+        dT_sum, paths = np.zeros_like(T), []
+        for b, (O_b, y_b, dO_b) in enumerate(zip(*(np.split(a, cuts) for a in (O, y, dO)))):
+            one = TagLattice(O_b, T)
+            [loss_b], dO_one, dT_one = nll(one, y_b)
+            assert abs(loss[b] - loss_b) <= 1e-12
+            assert np.allclose(dO_b, dO_one, rtol=0, atol=1e-12)
+            dT_sum += dT_one
+            paths += viterbi(one, legal)[0]
+            # the batch's own log-partition of sentence b, against enumeration
+            logz_b = loss[b] + score_sequence(one, y_b)
+            assert abs(logz_b - brute_logz(one)) <= 1e-8
+        assert np.allclose(dT, dT_sum, rtol=0, atol=1e-12)
+        assert path == paths
 
 
 class TestEnumerationProperties:

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from lexner import build_lexicon, encoder
+from lexner import build_lexicon, crf, encoder, fusion
 from lexner.corpus import Sentence, TagScheme, build_char_vocab
 from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
@@ -326,3 +328,42 @@ class TestTagSentences:
     def test_empty_list(self):
         store, _, _, _, mcfg, _ = setup_model()
         assert tag_sentences(store, [], mcfg) == []
+
+
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each (module or class, function name) through its owner."""
+    calls = Counter()
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}", **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePassPerBatch:
+    """The graph runs once per batch, whatever the number of sentences."""
+
+    def test_batch_loss_makes_one_call_per_stage(self, monkeypatch):
+        store, inputs, mcfg = mixed_batch()
+        stages = [(encoder, "encode_chars"), (encoder, "encode_backward"),
+                  (fusion, "fuse_sentence"), (fusion, "fuse_sentence_backward"),
+                  (crf, "nll"), (crf, "emissions_backward"), (encoder.Layout, "__init__")]
+        calls = count_calls(monkeypatch, *stages)
+        batch_loss(store, inputs, mcfg, train=True,
+                   rngs=[np.random.default_rng(s) for s in range(len(inputs))])
+        assert len(inputs) > 1
+        assert calls == {f"{module.__name__}.{name}": 1 for module, name in stages}
+
+    def test_tag_sentences_makes_one_viterbi_call_per_chunk(self, monkeypatch):
+        store, sent, lex, vocab, mcfg, _ = setup_model()
+        texts = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城"] * 3
+        items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
+                 for k, t in enumerate(texts)]
+        calls = count_calls(monkeypatch, (encoder, "encode_chars"), (fusion, "fuse_sentence"),
+                            (crf, "viterbi"), (crf, "nll"), (encoder.Layout, "__init__"))
+        tag_sentences(store, items, mcfg)
+        chunks = -(-len(items) // TAG_CHUNK)
+        assert chunks > 2 and calls == {"lexner.encoder.encode_chars": chunks,
+                                        "lexner.fusion.fuse_sentence": chunks,
+                                        "lexner.crf.viterbi": chunks, "Layout.__init__": chunks}

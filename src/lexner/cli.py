@@ -16,10 +16,11 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from collections import ChainMap, Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from itertools import islice
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import ConfigError, DataError, LexnerError, SchemeError
 from .evaluation import evaluation_report, extract_entities
 from .lexicon import Lexicon, build_lexicon, match_sentence
 from .model import TAG_CHUNK, prepare_sentences, tag_sentences
+from .params import load_arrays, replacing
 from .trainer import Checkpoint, TrainConfig, gold_spans, restore, train
 
 log = logging.getLogger(__name__)
@@ -170,7 +172,6 @@ def _lexicon(cfg: dict, tc: TrainConfig) -> Lexicon:
 def _load_char_vectors(cfg: dict):
     if not cfg.get("char_vectors_path"):
         return None
-    from .params import load_arrays
     arrays, _ = load_arrays(cfg["char_vectors_path"])
     return arrays
 
@@ -215,10 +216,11 @@ def _tally(summary: Counter, sentences, t0: float) -> None:
 
 
 def _print_summary(summary: Counter) -> None:
-    """One JSON line on stderr: how much text a command tagged, how fast, and
-    how long the checkpoint load and word index took before it."""
+    """One JSON line on stderr: how much text a command tagged, how fast, how long
+    the checkpoint load and word index took before it, and the peak memory in MB."""
     out = {key: summary[key] for key in ("sentences", "chars", "seconds", "setup_seconds")}
     out["chars_per_s"] = out["chars"] / out["seconds"] if out["seconds"] > 0 else 0.0
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(out), file=sys.stderr)
 
 
@@ -242,18 +244,6 @@ def _decode(cfg: ChainMap, ckpt: Checkpoint, lexicon: Lexicon, sentences, summar
         yield from zip(window, inputs, tagged)
 
 
-@contextmanager
-def _replacing(path):
-    """A file written at a temporary path and renamed to `path` if the block completes."""
-    try:
-        with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(f"{path}.tmp", path)
-    finally:
-        if os.path.exists(f"{path}.tmp"):
-            os.remove(f"{path}.tmp")
-
-
 def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
             verbose=False) -> int:
     _require_keys(cfg, "checkpoint_path")
@@ -263,7 +253,7 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
     ckpt, lexicon = restore(cfg["checkpoint_path"])
     summary, scheme = Counter(setup_seconds=time.perf_counter() - t0), ckpt.scheme()
     decoded = _decode(cfg, ckpt, lexicon, sentences, summary)
-    with _replacing(output_path) if output_path else nullcontext(sys.stdout) as out:
+    with replacing(output_path) if output_path else nullcontext(sys.stdout) as out:
         for sent, item, (tags, alphas) in decoded:
             names = [scheme.tag_of(t) for t in tags]
             if not dump_attention:

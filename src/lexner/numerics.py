@@ -66,7 +66,7 @@ def dropout(x: np.ndarray, p: float, train: bool, rng=None, lengths=None):
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
-        return x, np.ones_like(x)
+        return x, np.ones((), x.dtype)   # a 0-d mask: dy * mask keeps dy's bits and dtype
     rngs, sizes = ([rng], [len(x)]) if lengths is None else (rng, lengths)
     if rngs is None or any(r is None for r in rngs):
         raise ValueError("dropout in train mode needs an rng")

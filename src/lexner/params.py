@@ -13,14 +13,17 @@ Container layout (version 1, every integer little-endian):
 Round-trips are bit-exact, and identical inputs produce identical files,
 so checkpoint bytes can be compared directly for determinism checks. The
 same container carries precomputed per-character context vectors (entry
-name = sentence id).
+name = sentence id). Writers replace a container, never rewrite it in place,
+because a loaded store maps its Adam moments from the file (`load_arrays`).
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -150,8 +153,8 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> tuple["ParamStore", dict]:
-        """Values with their stored Adam moments (zero where none is stored)."""
-        arrays, meta = load_arrays(path)
+        """Values read, with their stored Adam moments mapped (zero where none is stored)."""
+        arrays, meta = load_arrays(path, mapped=lambda name: "!" in name)   # tagging never reads them
         store = cls()
         for name, arr in arrays.items():
             if "!" not in name:
@@ -164,9 +167,21 @@ class ParamStore:
         return store, meta
 
 
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A file written at `<path>.tmp` and renamed onto `path` if the block completes."""
+    try:
+        with open(f"{path}.tmp", mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(f"{path}.tmp", path)
+    finally:
+        if os.path.exists(f"{path}.tmp"):
+            os.remove(f"{path}.tmp")
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     meta_bytes = json.dumps(meta or {}, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
@@ -185,8 +200,9 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
             fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
-def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container; each array is read straight into its own buffer."""
+def load_arrays(path, mapped=lambda name: False) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container; each array is read straight into its own aligned buffer, or if
+    `mapped(name)`, is a view of one private copy-on-write mapping of the file, read when touched."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
@@ -213,6 +229,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         (n_entries,) = struct.unpack("<I", take(4))
 
         arrays: dict[str, np.ndarray] = {}
+        mm = None
         for _ in range(n_entries):
             (name_len,) = struct.unpack("<H", take(2))
             try:
@@ -224,13 +241,19 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise FormatError(f"{path}: unknown dtype code {code} (entry {name!r})")
             shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
             dtype = _DTYPES[code]
-            # Python ints, so a huge header cannot wrap; checked before allocating
-            need(math.prod(shape) * dtype.itemsize)
+            # Python ints, so a huge header cannot wrap; checked before allocating or mapping
+            need(nbytes := math.prod(shape) * dtype.itemsize)
             try:
-                arr = np.empty(shape, dtype=dtype)
+                if nbytes and mapped(name):   # a view of the file as it is now
+                    mm = mm or mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                    arr = np.ndarray(shape, dtype, buffer=mm, offset=fh.seek(nbytes, 1) - nbytes)
+                else:
+                    arr = np.empty(shape, dtype=dtype)
             except ValueError as exc:   # a shape numpy cannot hold, such as (0, 2**32 - 1, 2**32 - 1)
                 raise FormatError(f"{path}: bad shape {shape} (entry {name!r}): {exc}") from None
-            if fh.readinto(arr) != arr.nbytes:   # the file shrank while being read
+            except TypeError:   # the mapping ends before the entry: the file shrank
+                raise FormatError(f"{path}: truncated container") from None
+            if arr.flags.owndata and fh.readinto(arr) != arr.nbytes:   # the file shrank while being read
                 raise FormatError(f"{path}: truncated container")
             arrays[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
     return arrays, meta

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -214,9 +213,7 @@ class Checkpoint:
     def save(self, path) -> None:
         meta = {key: getattr(self, key) for key, *_ in _CHECKPOINT_META}
         meta.update(kind="checkpoint", config=self.config.to_dict())
-        tmp = str(path) + ".tmp"
-        self.store.save(tmp, meta)
-        os.replace(tmp, path)
+        self.store.save(path, meta)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

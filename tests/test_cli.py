@@ -470,11 +470,13 @@ class TestTagEval:
                 continue
         assert len(summaries) == 1
         summary = summaries[0]
-        assert set(summary) == {"sentences", "chars", "seconds", "setup_seconds", "chars_per_s"}
+        assert set(summary) == {"sentences", "chars", "seconds", "setup_seconds", "chars_per_s",
+                                "peak_rss_mb"}
         assert summary["sentences"] == len(sentences)
         assert summary["chars"] == sum(len(s.chars) for s in sentences)
         assert summary["seconds"] > 0 and summary["setup_seconds"] > 0
         assert summary["chars_per_s"] == pytest.approx(summary["chars"] / summary["seconds"])
+        assert summary["peak_rss_mb"] > 0
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_tag_input_of_invalid_utf8_exits_2(self, trained, capsys, caplog, monkeypatch,

@@ -155,6 +155,17 @@ class TestDropout:
         sigma = np.abs(x) * math.sqrt(p / ((1 - p) * n))
         assert np.all(np.abs(mean - x) <= 3 * sigma)
 
+    def test_eval_mode_mask_is_0d_and_keeps_dtype(self):
+        # no full-size ones array per call; dy * mask keeps a float32 gradient's bits and dtype
+        for dtype in (np.float32, np.float64):
+            x = np.arange(6, dtype=dtype).reshape(2, 3)
+            dy = np.array([[-0.0, 1e-30, 3.5], [np.inf, -2.0, 7.25]], dtype=dtype)
+            for p, train in ((0.3, False), (0.0, True)):
+                y, mask = dropout(x, p, train=train)
+                assert y is x and mask.shape == () and mask.dtype == dtype
+                dx = dropout_backward(dy, mask)
+                assert dx.dtype == dtype and dx.tobytes() == dy.tobytes()
+
     def test_backward_uses_mask(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=10)
@@ -278,6 +289,93 @@ class TestParamStore:
         store.save(b, {"x": 1})
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_onto_a_loaded_file_leaves_its_moments(self, tmp_path):
+        # the loaded moments map the file: a save must replace it, never rewrite it in place
+        rng = np.random.default_rng(8)
+        path = tmp_path / "p.bin"
+        first = ParamStore()
+        first.add("w", rng.normal(size=(64, 40)))
+        first["w"].m[...], first["w"].v[...] = rng.normal(size=(2, 64, 40))
+        first.save(path)
+        loaded, _ = ParamStore.load(path)
+        assert not loaded["w"].m.flags.owndata   # a view of the mapping
+        second = ParamStore()
+        second.add("w", np.zeros((3, 2)))
+        second.save(path)
+        assert not (tmp_path / "p.bin.tmp").exists()
+        assert loaded["w"].m.tobytes() == first["w"].m.tobytes()
+        assert loaded["w"].v.tobytes() == first["w"].v.tobytes()
+        assert ParamStore.load(path)[0]["w"].value.shape == (3, 2)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_arrays(path, {"x": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match="dtype"):
+            save_arrays(path, {"y": np.arange(2.0), "z": np.arange(2)})
+        assert path.read_bytes() == before and not (tmp_path / "p.bin.tmp").exists()
+
+    def test_loaded_moments_are_private_copies_on_write(self, tmp_path):
+        store = ParamStore()
+        store.add("w", np.ones((4, 3)))
+        store["w"].m[...] = 0.5
+        path = tmp_path / "p.bin"
+        store.save(path)
+        before = path.read_bytes()
+        loaded, _ = ParamStore.load(path)
+        loaded["w"].m[1] = -1.0
+        loaded["w"].v += 2.0
+        assert path.read_bytes() == before
+        again, _ = ParamStore.load(path)
+        assert again["w"].m.tobytes() == store["w"].m.tobytes()
+        assert loaded["w"].m[1, 0] == -1.0 and loaded["w"].v[0, 0] == 2.0
+
+    def test_file_shrunk_before_mapping_is_truncated(self, tmp_path, monkeypatch):
+        # the size read at open still covers a moment the file no longer holds
+        store = ParamStore()
+        store.add("w", np.arange(12.0).reshape(3, 4))
+        path = tmp_path / "p.bin"
+        store.save(path)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(_entry_spans(path.read_bytes())["w!m"][1] - 8)
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], size, *real_fstat(fd)[7:])))
+        with pytest.raises(FormatError, match="truncated container"):
+            ParamStore.load(path)
+
+    def test_load_maps_the_moments_instead_of_reading_them(self):
+        # One 2048 x 1024 float64 table: 16 MB of values and 32 MB of moments. A process keeps
+        # the ru_maxrss of the one it was started from across exec, here the test runner's,
+        # so the load runs in a fork of the child, whose ru_maxrss starts at its own RSS.
+        script = (
+            "import os, resource, sys\n"
+            "from lexner import ParamStore\n"
+            "if os.fork() == 0:\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    store, _ = ParamStore.load(sys.argv[1])\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    print((after - before) * 1024 if store['w'].m.shape == (2048, 1024) else -1)\n"
+            "    sys.stdout.flush()\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        store = ParamStore()
+        store.add("w", np.full((2048, 1024), 0.25))
+        store["w"].m[...], store["w"].v[...] = 0.5, 0.75
+        values, moments = store["w"].value.nbytes, 2 * store["w"].m.nbytes
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "big.bin"
+            store.save(path)
+            del store
+            src = str(Path(lexner.__file__).resolve().parents[1])
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}   # no thread at fork
+            done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                                  text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert 0 <= int(done.stdout) < values + moments // 4
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -350,6 +448,74 @@ _metas = st.dictionaries(st.text(max_size=8), _json_values, max_size=4)
 _arrays = hnp.arrays(dtype=st.sampled_from([np.dtype("<f8"), np.dtype("<f4")]),
                      shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
 _entries = st.dictionaries(st.text(max_size=10), _arrays, max_size=3)
+
+
+_store_entries = st.dictionaries(
+    # names of 0 to 24 UTF-8 bytes shift the data offsets through every residue mod 8
+    st.text(st.characters(exclude_characters="!", exclude_categories=("Cs",)), max_size=6),
+    # values with moments of their dtype and shape; sides of 0 included
+    hnp.arrays(dtype=st.sampled_from([np.dtype("<f8"), np.dtype("<f4")]),
+               shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)).flatmap(
+        lambda a: st.tuples(st.just(a), *(hnp.arrays(a.dtype, a.shape) for _ in range(2)))),
+    max_size=4,
+)
+
+
+def _entry_spans(data: bytes) -> dict:
+    """Each entry's name -> (first byte of its header, end of its data)."""
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    at = 12 + meta_len
+    (n_entries,) = struct.unpack_from("<I", data, at)
+    at += 4
+    spans = {}
+    for _ in range(n_entries):
+        start = at
+        (name_len,) = struct.unpack_from("<H", data, at)
+        name = data[at + 2:at + 2 + name_len].decode("utf-8")
+        code, ndim = struct.unpack_from("<BB", data, at + 2 + name_len)
+        shape = struct.unpack_from(f"<{ndim}I", data, at + 4 + name_len)
+        at += 4 + name_len + 4 * ndim + math.prod(shape) * (8 if code == 1 else 4)
+        spans[name] = (start, at)
+    return spans
+
+
+class TestParamStoreLoadProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_store_entries, cut=st.floats(0, 1, exclude_max=True))
+    def test_load_reads_values_and_maps_moments_bit_exact(self, entries, cut):
+        store = ParamStore()
+        for name, (value, m, v) in entries.items():
+            store.add(name, value)
+            store[name].m[...], store[name].v[...] = m, v
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.bin"
+            store.save(path, {"k": 1})
+            data = path.read_bytes()
+            loaded, meta = ParamStore.load(path)
+            whole, _ = load_arrays(path)   # every entry read into its own buffer
+        assert meta == {"k": 1} and loaded.names() == store.names()
+        copied = loaded.copy()
+        for name, (value, m, v) in entries.items():
+            p = loaded[name]
+            assert p.value.flags.aligned and p.value.flags.owndata
+            for moment in (p.m, p.v):   # a view of the mapping, unless it holds no bytes
+                assert moment.flags.writeable and moment.flags.owndata == (moment.size == 0)
+            for got, want in ((p.value, value), (p.m, m), (p.v, v)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            q = copied[name]
+            for got, suffix in ((q.value, ""), (q.m, "!m"), (q.v, "!v")):
+                assert got.tobytes() == whole[name + suffix].tobytes()
+        spans = _entry_spans(data)
+        for name in entries:
+            for moment in (name + "!m", name + "!v"):
+                start, end = spans[moment]
+                short = _write_bytes(data[:start + 1 + int(cut * (end - start - 1))])
+                try:
+                    with pytest.raises(FormatError, match="truncated"):
+                        ParamStore.load(short)
+                finally:
+                    short.unlink()
 
 
 class TestContainerProperties:

@@ -12,7 +12,6 @@ exits 2. Any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -32,7 +31,7 @@ from .evaluation import evaluation_report, extract_entities
 from .lexicon import Lexicon, build_lexicon, match_sentence
 from .model import TAG_CHUNK, prepare_sentences, tag_sentences
 from .params import load_arrays, replacing
-from .trainer import Checkpoint, TrainConfig, gold_spans, restore, train
+from .trainer import FIELD_PARSERS, Checkpoint, TrainConfig, gold_spans, restore, train
 
 log = logging.getLogger(__name__)
 
@@ -45,33 +44,15 @@ _PATH_KEYS = (
 )
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _opt_float(text: str):
-    low = text.strip().lower()
-    return None if low in ("", "none") else float(text)
-
-
 def default_config() -> dict:
     cfg = {key: None for key in _PATH_KEYS}
-    cfg.update(dataclasses.asdict(TrainConfig()))
+    cfg.update(TrainConfig().to_dict())
     cfg["scheme"] = "BIOES"
     cfg["entity_types"] = ""
     return cfg
 
 
-# the caster of each TrainConfig field, by its annotation
-_ANNOTATION_CASTERS = {"int": int, "float": float, "float | None": _opt_float,
-                       "bool": _bool, "str": str.lower}
-_CASTERS = {f.name: _ANNOTATION_CASTERS[f.type] for f in dataclasses.fields(TrainConfig)}
-_CASTERS.update({key: str for key in _PATH_KEYS + ("scheme", "entity_types")})
+_CASTERS = {**FIELD_PARSERS, **dict.fromkeys(_PATH_KEYS + ("scheme", "entity_types"), str)}
 
 
 def parse_kv_file(path) -> dict:
@@ -117,8 +98,7 @@ def merge_config(file_path=None, overrides=()) -> ChainMap:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(**{k: v for k, v in cfg.items() if k in fields})
+    return TrainConfig(**{key: cfg[key] for key in FIELD_PARSERS})
 
 
 def _require_keys(cfg: dict, *keys: str) -> None:

@@ -4,8 +4,8 @@ Transitions live in a (K+2) x (K+2) matrix whose last two rows/columns
 are synthetic start and stop states (indices K and K+1). Entries into
 start and out of stop are pinned at FORBIDDEN; because no recurrence ever
 reads them their gradients are structurally zero and Adam leaves them
-untouched. Everything here runs in float64 log space regardless of the
-training precision.
+untouched. Everything here runs in float64 log space whatever the training
+precision; `emissions` casts up to it and `emissions_backward` casts back.
 
 A lattice holds the emission rows of one or more sentences one after
 another: the lattice of independent chains laid end to end. Its rows are
@@ -77,12 +77,13 @@ class TagLattice:
 
 
 def emissions(R: np.ndarray, W_o: np.ndarray, b_o: np.ndarray) -> np.ndarray:
-    """Per-position tag scores O = R W_o^T + b_o, for R of shape (n, |r|)."""
+    """Per-position tag scores O = R W_o^T + b_o, for R of shape (n, |r|), in float64."""
     return affine(np.asarray(R, dtype=np.float64), W_o, b_o)
 
 
 def emissions_backward(dO, R, W_o):
-    return affine_backward(dO, R, W_o)
+    """Gradients of `emissions` (dR, dW_o, db_o), with dO cast back to R's dtype."""
+    return affine_backward(np.asarray(dO, dtype=R.dtype), R, W_o)
 
 
 def _check_tags(lattice: TagLattice, y):
@@ -109,11 +110,6 @@ def score_sequence(lattice: TagLattice, y) -> float:
     return float(_path_scores(lattice, lattice.transitions, *_check_tags(lattice, y)).sum())
 
 
-def _steps(lay: Layout):
-    """(k, o, p) of each step after the first: packed rows o:o + k continue p:p + k."""
-    return zip(lay.k[1:], lay.off[1:], lay.off)
-
-
 def _forward(lattice: TagLattice):
     """Packed emissions, log alpha over the packed rows (log-sum over the paths
     through a row ending in each tag), and each sentence's log-partition."""
@@ -122,7 +118,7 @@ def _forward(lattice: TagLattice):
     E = lattice.emissions[lay.rows[0]]
     A = np.empty_like(E)
     A[:lay.k0] = E[:lay.k0] + T[K, :K]
-    for k, o, p in _steps(lay):
+    for k, o, p in lay.steps[1:]:
         A[o:o + k] = E[o:o + k] + _logsumexp(A[p:p + k, :, None] + inner, axis=1)
     return E, A, _logsumexp(A[lay.pos[0][lay.ends - 1]] + T[:K, K + 1], axis=1)
 
@@ -140,7 +136,7 @@ def _marginals(lattice: TagLattice):
     E, A, logz = _forward(lattice)
     Bt = np.empty_like(E)
     Bt[:] = T[:K, K + 1]                  # kept by each sentence's last row
-    for k, o, p in reversed(list(_steps(lay))):
+    for k, o, p in reversed(lay.steps[1:]):
         Bt[p:p + k] = _logsumexp(inner + (E[o:o + k] + Bt[o:o + k])[:, None, :], axis=2)
     z = np.repeat(logz, lay.lengths)[lay.rows[0]]   # each packed row's log-partition
     return E, A, Bt, logz, z, np.exp(A + Bt - z[:, None])
@@ -180,11 +176,10 @@ def nll(lattice: TagLattice, y):
 
     dO = node[lay.pos[0]]
     dO[np.arange(len(y)), y] -= 1.0
-    # edge marginals p(y_t = j, y_{t+1} = k): each row after step 0 and its
-    # predecessor, whose packed row is its state row less the k0 zero states
+    # edge marginals p(y_t = j, y_{t+1} = k): each row after step 0 and its predecessor
     o = lay.k0
     dT = np.zeros_like(T)
-    dT[:K, :K] = np.exp(A[lay.prev_rows()[o:] - o][:, :, None] + T[:K, :K]
+    dT[:K, :K] = np.exp(A[lay.pred[o:]][:, :, None] + T[:K, :K]
                         + (E[o:] + Bt[o:] - z[o:, None])[:, None, :]).sum(axis=0)
     dT[K, :K] = node[:o].sum(axis=0)
     dT[:K, K + 1] = node[lay.pos[0][lay.ends - 1]].sum(axis=0)
@@ -208,17 +203,17 @@ def viterbi(lattice: TagLattice, legal: np.ndarray | None = None):
     D = np.empty_like(E)                      # best score of a path ending in each tag
     back = np.empty(E.shape, dtype=np.int64)  # its previous tag
     D[:lay.k0] = E[:lay.k0] + T[K, :K]
-    for k, o, p in _steps(lay):
+    for k, o, p in lay.steps[1:]:
         cand = D[p:p + k, :, None] + inner               # cand[b, j, k]
         cand.argmax(axis=1, out=back[o:o + k])           # first max = lowest index
         np.add(E[o:o + k], np.maximum.reduce(cand, axis=1), out=D[o:o + k])
     # backtrack over flat indices row * K + tag: `back` now holds the best
     # predecessor's flat index, so one take per step follows every path
-    back[lay.k0:] += K * (lay.prev_rows()[lay.k0:, None] - lay.k0)
+    back[lay.k0:] += K * lay.pred[lay.k0:, None]
     last, flat = lay.pos[0][lay.ends - 1], back.ravel()
     F = np.empty(len(E), dtype=np.int64)
     F[last] = K * last + np.argmax(D[last] + T[:K, K + 1], axis=1)
-    for k, o, p in reversed(list(_steps(lay))):
+    for k, o, p in reversed(lay.steps[1:]):
         F[p:p + k] = flat[F[o:o + k]]
     path = F[lay.pos[0]] % K
     # re-score the paths against the masked T, so the score equals

@@ -70,19 +70,19 @@ class Layout:
     """Where the rows of a batch run.
 
     The sentences, `lengths` (int64) long, lie one after another in the rows
-    of an array; sentence b ends before row ends[b]. Step t runs packed rows
-    off[t]:off[t + 1], k[t] of them, one per running sentence in rank order.
-    It reads its states from rows prev[t]:prev[t] + k[t] of the state array
-    and writes them to rows k[0] + off[t] onwards. pos[d][j] is the packed
-    row of input row j in direction d (0 forward, 1 backward), and rows[d] is
-    the inverse map. The CRF runs its recursions over the same packed rows.
+    of an array; sentence b ends before row ends[b]. Each step is one (k, o, p)
+    of `steps`: it runs packed rows o:o + k, one per running sentence in rank
+    order, continuing rows p:p + k of the step before (p = -k0 at step 0).
+    pred[j] is the packed row before packed row j in its sentence, negative
+    in step 0. pos[d][j] is the packed row of input row j in direction d (0
+    forward, 1 backward), and rows[d] is the inverse map. The CRF runs its
+    recursions over the same packed rows.
     """
 
     lengths: np.ndarray
     ends: np.ndarray
-    k: list
-    off: list
-    prev: list
+    steps: list
+    pred: np.ndarray
     pos: tuple
     rows: tuple
 
@@ -96,27 +96,23 @@ class Layout:
         rank = np.empty(B, dtype=np.int64)
         rank[np.argsort(-L, kind="stable")] = np.arange(B)
         k = B - np.cumsum(np.bincount(L, minlength=T + 1))[:T]   # sentences longer than t
-        off = np.concatenate([[0], np.cumsum(k)])
+        o = np.cumsum(k) - k
+        p = np.concatenate([-k[:1], o[:-1]])   # -k0 at step 0: pred stays negative there
         sent, ends = np.repeat(np.arange(B), L), np.cumsum(L)
-        at = np.arange(off[-1]) - np.repeat(ends - L, L)   # position in its sentence
-        pos = (off[at] + rank[sent], off[L[sent] - 1 - at] + rank[sent])
+        at = np.arange(L.sum()) - np.repeat(ends - L, L)   # position in its sentence
+        pos = (o[at] + rank[sent], o[L[sent] - 1 - at] + rank[sent])
         rows = []
-        for p in pos:
-            inv = np.empty_like(p)
-            inv[p] = np.arange(len(p))
+        for q in pos:
+            inv = np.empty_like(q)
+            inv[q] = np.arange(len(q))
             rows.append(inv)
-        prev = [0, *(k[:1].sum() + off[:-2]).tolist()]   # k[:1].sum() is k[0], or 0
-        return cls(L, ends, k.tolist(), off.tolist(), prev, pos, tuple(rows))
+        pred = np.repeat(p - o, k) + np.arange(len(at))
+        return cls(L, ends, list(zip(k.tolist(), o.tolist(), p.tolist())), pred, pos, tuple(rows))
 
     @property
     def k0(self) -> int:
         """Rows of the first step: the batch's sentences that are not empty."""
-        return self.k[0] if self.k else 0
-
-    def prev_rows(self) -> np.ndarray:
-        """State-array row of the state each packed row started from."""
-        return (np.repeat(np.subtract(self.prev, self.off[:-1]), self.k)
-                + np.arange(self.off[-1]))
+        return self.steps[0][0] if self.steps else 0
 
 
 def _check(X, gates):
@@ -151,8 +147,8 @@ def _run_direction(X, lay, rows, gates):
     S = np.zeros((k0 + len(A), d_h), dtype=dt)
     RH = np.empty((len(A), d_h), dtype=dt)
     P = np.empty((k0, 2 * d_h), dtype=dt)
-    for k, o, p in zip(lay.k, lay.off, lay.prev):
-        h = S[p:p + k]
+    for k, o, p in lay.steps:
+        h = S[k0 + p:k0 + p + k]
         a = A[o:o + k]
         zr, c = a[:, :2 * d_h], a[:, 2 * d_h:]
         z, r = zr[:, :d_h], zr[:, d_h:]
@@ -188,7 +184,7 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
     S, A, RH = cache
     d_h = S.shape[1]
     Z, R, C = A[:, :d_h], A[:, d_h:2 * d_h], A[:, 2 * d_h:]
-    H_prev = S[lay.prev_rows()]
+    H_prev = S[lay.k0 + lay.pred]
     # per-row factors of the pre-activation gradients; only dh varies
     K_z = (C - H_prev) * Z * (1.0 - Z)
     K_r = H_prev * R * (1.0 - R)
@@ -200,7 +196,7 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
     carry = np.zeros((lay.k0, d_h), dtype=A.dtype)
     drh = np.empty_like(carry)
     tmp = np.empty_like(carry)
-    for k, o in zip(reversed(lay.k), reversed(lay.off[:-1])):
+    for k, o, _ in reversed(lay.steps):
         dh = dH[o:o + k]
         np.add(dh, carry[:k], out=dh)   # rows that end at this step carry 0
         g_zr, g_c = G[o:o + k, :2 * d_h], G[o:o + k, 2 * d_h:]
@@ -243,8 +239,8 @@ def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
     _check(X, fwd_gates)
     _check(X, bwd_gates)
     lay = Layout.of([len(X)] if lengths is None else lengths)
-    if lay.off[-1] != len(X):
-        raise ShapeError(f"sentence lengths sum to {lay.off[-1]}, X has {len(X)} rows")
+    if len(lay.pred) != len(X):
+        raise ShapeError(f"sentence lengths sum to {len(lay.pred)}, X has {len(X)} rows")
     cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
     cb = _run_direction(X, lay, lay.rows[1], bwd_gates)
     H = np.hstack([cf[0][lay.k0 + lay.pos[0]], cb[0][lay.k0 + lay.pos[1]]])

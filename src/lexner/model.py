@@ -200,9 +200,7 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
     grad = {name: p.grad for name, p in store.items()}
     losses, dO, dT = crf.nll(lattice, np.concatenate([item.gold for item in items]))
     grad["crf.T"] += dT
-    # the CRF works in float64; the backward pass below stays in cfg.dtype
-    dR, dW_o, db_o = crf.emissions_backward(dO.astype(cfg.dtype, copy=False), R,
-                                            store.value("crf.W_o"))
+    dR, dW_o, db_o = crf.emissions_backward(dO, R, store.value("crf.W_o"))
     grad["crf.W_o"] += dW_o
     grad["crf.b_o"] += db_o
     dX_words, dg = fusion.fuse_sentence_backward(

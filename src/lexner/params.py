@@ -91,7 +91,7 @@ class ParamStore:
         gradient by rows, so it starts with no live row."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        value = np.ascontiguousarray(value)
+        value = np.asarray(value, order="C")   # unlike ascontiguousarray, keeps a 0-d shape
         live = np.zeros(len(value), dtype=bool) if table else None
         self._params[name] = p = Param(value, live=live)
         p.grad = np.zeros(value.shape, value.dtype)   # made to be trained: allocate in set-up
@@ -214,7 +214,9 @@ def load_arrays(path, mapped=lambda name: False) -> tuple[dict[str, np.ndarray],
 
         def take(n: int) -> bytes:
             need(n)
-            return fh.read(n)
+            if len(data := fh.read(n)) != n:   # the file shrank while being read
+                raise FormatError(f"{path}: truncated container")
+            return data
 
         if take(4) != _MAGIC:
             raise FormatError(f"{path}: not a lexner container (bad magic)")

@@ -33,6 +33,9 @@ from .params import ParamStore
 
 log = logging.getLogger(__name__)
 MAX_DIM = 1 << 20   # far above any real model, far below where numpy array sizes overflow
+# the settings that fix what the parameters mean, which a resume must keep
+_MODEL_SETTINGS = ("d_c", "d_w", "bigru_total", "layers", "precision", "knowledge_mode",
+                   "fusion_strategy", "g_mode")
 
 
 @dataclass
@@ -107,16 +110,33 @@ class TrainConfig:
         """Rebuild a config from `to_dict` output; every value must have its field's type."""
         for f in dataclasses.fields(cls):
             if f.name in d:
-                kinds, value = _FIELD_TYPES[f.type], d[f.name]
+                kinds, value = _FIELD_KINDS[f.type][0], d[f.name]
                 # bool is an int to isinstance, but no int field takes one
                 if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
                     raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         return cls(**d)
 
 
-# JSON types each annotation of a TrainConfig field accepts
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
-                "str": (str,), "bool": (bool,)}
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _opt_float(text: str):
+    low = text.strip().lower()
+    return None if low in ("", "none") else float(text)
+
+
+# each annotation of a TrainConfig field: the JSON types `from_dict` accepts, and the text parser
+_FIELD_KINDS = {"int": ((int,), int), "float": ((int, float), float),
+                "float | None": ((int, float, type(None)), _opt_float),
+                "str": ((str,), str.lower), "bool": ((bool,), _bool)}
+# each field's parser of a value given as text (a config file, LEXNER_*, -o)
+FIELD_PARSERS = {f.name: _FIELD_KINDS[f.type][1] for f in dataclasses.fields(TrainConfig)}
 
 
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -290,7 +310,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
 
     Each epoch: seeded shuffle, batched forward/backward, one Adam step
     per batch, then dev entity-F1 for model selection. Stops early after
-    `patience` epochs without dev improvement.
+    `patience` epochs without dev improvement. A resume that would change
+    the checkpoint's model raises ConfigError before the first epoch.
     """
     if not train_set.sentences:
         raise ConfigError("training set is empty")
@@ -301,6 +322,14 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
 
     rng = np.random.default_rng(config.seed)
     if resume is not None:
+        differ = [key for key in _MODEL_SETTINGS if getattr(config, key) != getattr(resume.config, key)]
+        differ += [key for key, same in (
+            ("lexicon words", tuple(lexicon.words) == tuple(resume.words)),
+            ("character source", char_source == resume.model_config().char_source),
+            ("tag scheme", (scheme.kind, scheme.labels) == (resume.scheme_kind, tuple(resume.labels))),
+        ) if not same]
+        if differ:
+            raise ConfigError(f"cannot resume: {', '.join(differ)} differ from the checkpoint's")
         store = resume.store.copy()
         char_vocab = resume.char_vocab
         rng.bit_generator.state = resume.rng_state

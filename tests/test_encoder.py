@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexner import ParamStore
-from lexner.encoder import (GATE_NAMES, encode_backward, encode_chars,
+from lexner.encoder import (GATE_NAMES, Layout, encode_backward, encode_chars,
                             global_feature, global_feature_backward, init_gru_gates)
 from lexner.errors import ShapeError
 from lexner.numerics import grad_check
@@ -314,3 +314,26 @@ class TestBatch:
         fwd, bwd = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
         with pytest.raises(ShapeError):
             encode_chars(rng.normal(size=(5, 3)), fwd, bwd, [2, 2])
+
+
+class TestLayout:
+    """The packed layout that the encoder and the CRF both run over."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    def test_steps_rows_and_predecessors(self, lengths):
+        lay, n = Layout.of(lengths), sum(lengths)
+        ran = [j for k, o, _ in lay.steps for j in range(o, o + k)]
+        assert sorted(ran) == list(range(n))   # every packed row runs exactly once
+        for t, (k, o, p) in enumerate(lay.steps):
+            assert p == -lay.k0 if t == 0 else p >= 0
+            assert lay.pred[o:o + k].tolist() == list(range(p, p + k))
+        starts = np.cumsum([0, *lengths])
+        for d in (0, 1):
+            assert np.array_equal(lay.rows[d][lay.pos[d]], np.arange(n))
+            assert np.array_equal(lay.pos[d][lay.rows[d]], np.arange(n))
+            for a, b in zip(starts, starts[1:]):
+                # the sentence's packed rows in direction d's order of positions
+                packed = lay.pos[d][np.arange(a, b)[::1 if d == 0 else -1]]
+                assert np.array_equal(lay.pred[packed[1:]], packed[:-1])
+                assert np.all(lay.pred[packed[:1]] < 0) and np.all(lay.pred[packed[1:]] >= 0)

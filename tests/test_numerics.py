@@ -345,6 +345,31 @@ class TestParamStore:
         with pytest.raises(FormatError, match="truncated container"):
             ParamStore.load(path)
 
+    def test_file_shrunk_inside_a_header_is_truncated(self, tmp_path, monkeypatch):
+        # the size read at open still covers the header the file was cut inside
+        store = ParamStore()
+        store.add("a", np.arange(3.0))
+        store.add("w", np.arange(12.0).reshape(3, 4))
+        path = tmp_path / "p.bin"
+        store.save(path)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(_entry_spans(path.read_bytes())["a!m"][0] + 9)   # inside its shape
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], size, *real_fstat(fd)[7:])))
+        with pytest.raises(FormatError, match="truncated container"):
+            ParamStore.load(path)
+
+    def test_0d_parameter_keeps_its_shape(self, tmp_path):
+        store = ParamStore()
+        assert store.add("s", np.array(2.5)).shape == ()
+        assert store["s"].m.shape == store["s"].grad.shape == ()
+        store.save(tmp_path / "p.bin")
+        loaded, _ = ParamStore.load(tmp_path / "p.bin")
+        assert loaded.value("s").shape == loaded["s"].m.shape == ()
+        assert loaded.value("s") == 2.5
+
     def test_load_maps_the_moments_instead_of_reading_them(self):
         # One 2048 x 1024 float64 table: 16 MB of values and 32 MB of moments. A process keeps
         # the ru_maxrss of the one it was started from across exec, here the test runner's,

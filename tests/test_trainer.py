@@ -649,6 +649,56 @@ class TestTrainLoop:
             train(ds, ds, lex, tiny_config(epochs=1), char_vectors=vectors)
 
 
+@pytest.fixture(scope="module")
+def half_trained():
+    """A corpus, its lexicon and a one-epoch checkpoint (table mode) trained on them."""
+    ds, lex, _ = tiny_corpus()
+    return ds, lex, train(ds, ds, lex, tiny_config(epochs=1)).last
+
+
+class TestResumeRefusals:
+    """A resume must rebuild the checkpoint's model; it fails before the first epoch."""
+
+    def refuse(self, ckpt, match, ds, lex, cfg=None, **kw):
+        with pytest.raises(ConfigError, match=match):
+            train(ds, ds, lex, cfg or tiny_config(epochs=2), resume=ckpt, **kw)
+
+    def test_another_lexicon_of_the_same_size(self, half_trained):
+        ds, lex, ckpt = half_trained
+        assert "新词" not in lex.words
+        other = build_lexicon([*lex.words[:-1], "新词"], None, dim=8,
+                              rng=np.random.default_rng(0))
+        assert len(other) == len(lex)
+        self.refuse(ckpt, "lexicon words", ds, other)
+
+    def test_char_vectors_with_a_table_mode_checkpoint(self, half_trained):
+        ds, lex, ckpt = half_trained
+        vectors = {s.id: np.zeros((len(s), 8)) for s in ds.sentences}
+        self.refuse(ckpt, "character source", ds, lex, char_vectors=vectors)
+
+    def test_another_tag_scheme(self, half_trained):
+        ds, lex, ckpt = half_trained
+        labels = ds.scheme.labels[::-1]   # the same number of tags, in another order
+        assert labels != ds.scheme.labels
+        for scheme in (TagScheme(ds.scheme.kind, labels), TagScheme("BIO", ds.scheme.labels)):
+            other = Dataset(ds.sentences, ds.split, scheme)
+            self.refuse(ckpt, "tag scheme", other, lex)
+
+    @pytest.mark.parametrize("setting", [
+        dict(d_c=4), dict(d_w=4), dict(bigru_total=8), dict(precision="float32"),
+        dict(knowledge_mode="flk"), dict(fusion_strategy="average"),
+        dict(g_mode="fwd_last_bwd_first")], ids=lambda setting: next(iter(setting)))
+    def test_another_model_setting(self, half_trained, setting):
+        ds, lex, ckpt = half_trained
+        self.refuse(ckpt, next(iter(setting)), ds, lex, tiny_config(epochs=2, **setting))
+
+    def test_run_settings_may_change(self, half_trained):
+        ds, lex, ckpt = half_trained
+        cfg = tiny_config(epochs=2, lr=5e-3, batch_size=2, dropout=0.0, patience=3,
+                          clip_norm=1.0)
+        assert train(ds, ds, lex, cfg, resume=ckpt).last.epoch == 2
+
+
 class TestCheckpointIO:
     def test_round_trip_fields(self, tmp_path):
         ds, lex, _ = tiny_corpus()

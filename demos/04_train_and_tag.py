@@ -27,10 +27,9 @@ def main():
     print(f"\nbest F1 {result.best.best_dev_f1:.3f} at epoch {result.best.epoch}\n")
 
     ckpt = result.best
-    mcfg = ckpt.model_config()
     sent = dataset.sentences[0]   # the bridge-style conflict sentence
     items = prepare_sentences([sent], lexicon, ckpt.char_vocab, config.knowledge_mode)
-    (tags, _), = tag_sentences(ckpt.store, items, mcfg)
+    (tags, _), = tag_sentences(ckpt.store, items, ckpt.config)
     print("decoded:", "".join(sent.chars))
     print("        ", " ".join(scheme.tag_of(t) for t in tags))
     spans, _ = extract_entities(tags, scheme)

@@ -15,9 +15,8 @@ from .evaluation import (EntitySpan, bucket_by_length, evaluation_report,
                          extract_entities, per_type_prf1, prf1, spans_to_tags)
 from .lexicon import (Lexicon, MatchSets, build_lexicon, knowledge_select,
                       match_sentence)
-from .model import (ModelConfig, SentenceInputs, batch_loss, decode_sentence,
-                    init_params, prepare_sentence, prepare_sentences, sentence_loss,
-                    tag_sentences)
+from .model import (SentenceInputs, batch_loss, decode_sentence, init_params,
+                    prepare_sentence, prepare_sentences, sentence_loss, tag_sentences)
 from .params import ParamStore
 from .synthetic import make_synthetic_corpus
 from .trainer import Checkpoint, TrainConfig, TrainResult, adam_step, evaluate, restore, train

@@ -29,7 +29,7 @@ from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, SchemeError
 from .evaluation import evaluation_report, extract_entities
 from .lexicon import Lexicon, build_lexicon, match_sentence
-from .model import TAG_CHUNK, prepare_sentences, tag_sentences
+from .model import TAG_CHUNK, char_source, prepare_sentences, tag_sentences
 from .params import load_arrays, replacing
 from .trainer import FIELD_PARSERS, Checkpoint, TrainConfig, gold_spans, restore, train
 
@@ -165,6 +165,8 @@ def cmd_train(cfg: dict) -> int:
     train_set = read_conll(cfg["train_path"], scheme, "train", tc.max_len)
     dev_set = read_conll(cfg["dev_path"], scheme, "valid", tc.max_len)
     lexicon = _lexicon(cfg, tc)
+    log.info("lexicon loaded: %d words kept, %d skipped (length), %d randomly initialised",
+             len(lexicon), lexicon.n_skipped, lexicon.n_random_init)
     char_vectors = _load_char_vectors(cfg)
     log_path = cfg.get("log_path") or cfg["checkpoint_path"] + ".log"
     result = train(train_set, dev_set, lexicon, tc,
@@ -207,19 +209,22 @@ def _print_summary(summary: Counter) -> None:
 def _decode(cfg: ChainMap, ckpt: Checkpoint, lexicon: Lexicon, sentences, summary: Counter):
     """(sentence, inputs, (tags, alphas)) of each sentence in input order, read, prepared and
     tagged TAG_WINDOW at a time, with the legal mask if the checkpoint or cfg sets decode_mask.
-    One warning names each other setting given in cfg whose value differs from the checkpoint's."""
-    given = cfg.maps[0]
+    One warning names each other setting given in cfg whose value differs from the checkpoint's,
+    and char_vectors_path if the checkpoint has its own character table."""
+    given, table = cfg.maps[0], char_source(ckpt.store) == "table"
     ignored = [f"{k}={given[k]!r} (checkpoint: {v!r})" for k, v in ckpt.config.to_dict().items()
                if k != "decode_mask" and given.get(k, v) != v]
+    if table and cfg.get("char_vectors_path"):
+        ignored.append(f"char_vectors_path={cfg['char_vectors_path']!r} (checkpoint: table mode)")
     if ignored:
         log.warning("the checkpoint fixes these settings; ignoring %s", ", ".join(ignored))
     legal = ckpt.scheme().legal_mask() if ckpt.config.decode_mask or cfg["decode_mask"] else None
-    mcfg, char_vectors, sentences = ckpt.model_config(), _load_char_vectors(cfg), iter(sentences)
+    char_vectors, sentences = None if table else _load_char_vectors(cfg), iter(sentences)
     while window := list(islice(sentences, TAG_WINDOW)):
         t0 = time.perf_counter()
         inputs = prepare_sentences(window, lexicon, ckpt.char_vocab,
                                    ckpt.config.knowledge_mode, char_vectors)
-        tagged = tag_sentences(ckpt.store, inputs, mcfg, legal)
+        tagged = tag_sentences(ckpt.store, inputs, ckpt.config, legal)
         _tally(summary, window, t0)
         yield from zip(window, inputs, tagged)
 

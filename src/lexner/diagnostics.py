@@ -5,9 +5,9 @@ import numpy as np
 
 from .corpus import Sentence, TagScheme, build_char_vocab
 from .lexicon import build_lexicon
-from .model import (ModelConfig, init_params, prepare_sentence, sentence_loss,
-                    sentence_nll)
+from .model import init_params, prepare_sentence, sentence_loss, sentence_nll
 from .numerics import grad_check
+from .trainer import TrainConfig
 
 _ALPHABET = "甲乙丙丁戊"
 
@@ -41,12 +41,11 @@ def tiny_problem(seed: int, n_sentences: int = 2, max_n: int = 5,
 
     lexicon = build_lexicon(words, None, dim=d_w, rng=rng)
     char_vocab = build_char_vocab(sentences)
-    mcfg = ModelConfig(d_c=d_c, d_h=d_h, d_w=d_w, num_tags=scheme.size,
-                       dropout=0.0, fusion_strategy=fusion_strategy, g_mode=g_mode,
-                       precision=precision)
-    store = init_params(mcfg, len(char_vocab), lexicon.embeddings, rng)
+    cfg = TrainConfig(d_c=d_c, bigru_total=2 * d_h, d_w=d_w, dropout=0.0,
+                      fusion_strategy=fusion_strategy, g_mode=g_mode, precision=precision)
+    store = init_params(cfg, scheme.size, "table", len(char_vocab), lexicon.embeddings, rng)
     inputs = [prepare_sentence(s, lexicon, char_vocab, "both") for s in sentences]
-    return store, inputs, mcfg
+    return store, inputs, cfg
 
 
 def end_to_end_grad_check(seed: int, eps: float = 1e-5,
@@ -62,12 +61,12 @@ def end_to_end_grad_check(seed: int, eps: float = 1e-5,
     denom_floor ~ 1e-3): finite differences through a float32 forward
     carry ~1e-6 absolute noise.
     """
-    store, inputs, mcfg = tiny_problem(seed, **kwargs)
+    store, inputs, cfg = tiny_problem(seed, **kwargs)
 
     def f():
-        return sum(sentence_loss(store, item, mcfg, train=False) for item in inputs)
+        return sum(sentence_loss(store, item, cfg, train=False) for item in inputs)
 
     def loss_only():
-        return sum(sentence_nll(store, item, mcfg) for item in inputs)
+        return sum(sentence_nll(store, item, cfg) for item in inputs)
 
     return grad_check(f, store, eps=eps, denom_floor=denom_floor, loss_only=loss_only)

@@ -3,6 +3,7 @@
 The whole graph runs once over a batch of sentences (a training mini-batch
 or a chunk of sentences to tag), each stage taking them one after another;
 the encoder and the CRF share one length-ranked layout (`encoder.Layout`).
+Settings come from the run's `TrainConfig`; shapes and character source from the store.
 
 Parameter names in the store:
 
@@ -15,6 +16,7 @@ Parameter names in the store:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,26 +27,10 @@ from .lexicon import Lexicon, knowledge_select, match_sentence
 from .numerics import dropout, dropout_backward, fan_in_uniform
 from .params import ParamStore
 
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
+
 TAG_CHUNK = 8   # sentences per pass through the graph in tag_sentences
-
-
-@dataclass
-class ModelConfig:
-    """Dimensions and behavior switches needed to run the graph."""
-
-    d_c: int = 64
-    d_h: int = 256            # per direction; the paired size is 2*d_h
-    d_w: int = 50
-    num_tags: int = 0
-    dropout: float = 0.1
-    fusion_strategy: str = "global_attention"
-    g_mode: str = "last"
-    char_source: str = "table"   # "table" or "file"
-    precision: str = "float64"   # "float32" trades gradient-check headroom for speed
-
-    @property
-    def dtype(self):
-        return np.dtype(self.precision)
 
 
 @dataclass
@@ -61,24 +47,30 @@ class SentenceInputs:
         return len(self.char_ids)
 
 
-def param_shapes(cfg: ModelConfig, char_vocab_size: int, n_words: int) -> dict[str, tuple]:
+def char_source(store: ParamStore) -> str:
+    """The character source a store implies: "table" iff it holds `char_emb`, else "file"."""
+    return "table" if "char_emb" in store else "file"
+
+
+def param_shapes(cfg: TrainConfig, num_tags: int, source: str, char_vocab_size: int,
+                 n_words: int) -> dict[str, tuple]:
     """Name -> shape of every parameter `init_params` makes, in store order."""
     two_dh = 2 * cfg.d_h
-    shapes = {"char_emb": (char_vocab_size, cfg.d_c)} if cfg.char_source == "table" else {}
+    shapes = {"char_emb": (char_vocab_size, cfg.d_c)} if source == "table" else {}
     for direction in ("fwd", "bwd"):
         for name, shape in encoder.gate_shapes(cfg.d_c, cfg.d_h).items():
             shapes[f"gru_{direction}.{name}"] = shape
     shapes.update({
         "fusion.W_u": (two_dh, cfg.d_w), "fusion.b_u": (two_dh,),
         "word_emb": (n_words, cfg.d_w),
-        "crf.W_o": (cfg.num_tags, cfg.d_w + two_dh), "crf.b_o": (cfg.num_tags,),
-        "crf.T": (cfg.num_tags + 2, cfg.num_tags + 2),
+        "crf.W_o": (num_tags, cfg.d_w + two_dh), "crf.b_o": (num_tags,),
+        "crf.T": (num_tags + 2, num_tags + 2),
     })
     return shapes
 
 
-def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
-                rng: np.random.Generator) -> ParamStore:
+def init_params(cfg: TrainConfig, num_tags: int, source: str, char_vocab_size: int,
+                word_init: np.ndarray, rng: np.random.Generator) -> ParamStore:
     """Fresh parameters; embeddings and weights use the uniform +-sqrt(3/fan) rule.
 
     The two embedding tables get their gradients by rows (see `batch_loss`).
@@ -86,14 +78,14 @@ def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
     word_init = np.asarray(word_init)
     if word_init.ndim != 2 or word_init.shape[1] != cfg.d_w:
         raise ShapeError(f"word embedding matrix {word_init.shape} does not match d_w={cfg.d_w}")
-    shapes = param_shapes(cfg, char_vocab_size, len(word_init))
+    shapes = param_shapes(cfg, num_tags, source, char_vocab_size, len(word_init))
     store = ParamStore()
 
     def add(name, arr, table=False):
         # np.array copies, so the store never aliases caller-owned buffers
         store.add(name, np.array(arr, dtype=cfg.dtype), table)
 
-    if cfg.char_source == "table":
+    if source == "table":
         b = uniform_bound(cfg.d_c)
         add("char_emb", rng.uniform(-b, b, shapes["char_emb"]), table=True)
     for direction in ("fwd", "bwd"):
@@ -104,7 +96,7 @@ def init_params(cfg: ModelConfig, char_vocab_size: int, word_init: np.ndarray,
     add("word_emb", word_init, table=True)
     add("crf.W_o", fan_in_uniform(shapes["crf.W_o"], rng))
     add("crf.b_o", np.zeros(shapes["crf.b_o"]))
-    add("crf.T", crf.init_transitions(cfg.num_tags))
+    add("crf.T", crf.init_transitions(num_tags))
     return store
 
 
@@ -134,8 +126,8 @@ def prepare_sentences(sentences, lexicon: Lexicon, char_vocab: dict[str, int],
     return out
 
 
-def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> np.ndarray:
-    if cfg.char_source == "file":
+def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: TrainConfig) -> np.ndarray:
+    if char_source(store) == "file":
         if inputs.char_vectors is None:
             raise DataError(f"sentence {inputs.sid!r}: no precomputed character vectors")
         X = np.asarray(inputs.char_vectors, dtype=cfg.dtype)
@@ -147,7 +139,7 @@ def _char_rows(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> n
     return store.value("char_emb")[inputs.char_ids]
 
 
-def _forward(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+def _forward(store: ParamStore, items: list[SentenceInputs], cfg: TrainConfig,
              train: bool, rngs):
     """The whole graph, once over the batch; rngs holds each sentence's dropout
     generator (None in eval mode). Returns the batch's CRF lattice, the flat
@@ -184,7 +176,7 @@ def _add_rows(store: ParamStore, name: str, ids: np.ndarray, d: np.ndarray) -> N
     p.mark_live(rows)
 
 
-def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: TrainConfig,
                train: bool = True, rngs=None) -> list[float]:
     """NLL of each sentence's gold tags; adds their gradients into the store.
 
@@ -214,18 +206,18 @@ def batch_loss(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
         store.values_with_prefix("gru_fwd."), store.values_with_prefix("gru_bwd."),
         {name: grad[f"gru_fwd.{name}"] for name in encoder.GATE_NAMES},
         {name: grad[f"gru_bwd.{name}"] for name in encoder.GATE_NAMES})
-    if cfg.char_source == "table":
+    if char_source(store) == "table":
         _add_rows(store, "char_emb", np.concatenate([item.char_ids for item in items]), dX)
     return losses.tolist()
 
 
-def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
+def sentence_loss(store: ParamStore, inputs: SentenceInputs, cfg: TrainConfig,
                   train: bool = True, rng: np.random.Generator | None = None) -> float:
     """`batch_loss` of a batch of one: the NLL, its gradient added into the store."""
     return batch_loss(store, [inputs], cfg, train, [rng])[0]
 
 
-def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) -> float:
+def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: TrainConfig) -> float:
     """NLL of the gold tags in eval mode, with no backward pass.
 
     Equals the loss of `sentence_loss(..., train=False)` bit for bit; gradient
@@ -236,7 +228,7 @@ def sentence_nll(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig) ->
     return float(crf.nll_loss(lattice, inputs.gold)[0])
 
 
-def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConfig,
+def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: TrainConfig,
                   legal: np.ndarray | None = None) -> list:
     """(Viterbi tag indices, flat fusion weights) of every item, in input order.
 
@@ -261,7 +253,7 @@ def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: ModelConf
     return [tagged[r] for r in np.argsort(order)]   # back in input order
 
 
-def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: ModelConfig,
+def decode_sentence(store: ParamStore, inputs: SentenceInputs, cfg: TrainConfig,
                     legal: np.ndarray | None = None) -> list[int]:
     """Viterbi tag indices for one sentence (eval mode, no dropout)."""
     return tag_sentences(store, [inputs], cfg, legal)[0][0]

@@ -27,7 +27,7 @@ from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
-from .model import (ModelConfig, SentenceInputs, batch_loss, init_params, param_shapes,
+from .model import (SentenceInputs, batch_loss, char_source, init_params, param_shapes,
                     prepare_sentences, tag_sentences)
 from .params import ParamStore
 
@@ -92,15 +92,12 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive or none, got {self.clip_norm}")
 
     @property
-    def d_h(self) -> int:
+    def d_h(self) -> int:   # per direction
         return self.bigru_total // 2
 
-    def model_config(self, num_tags: int, char_source: str = "table") -> ModelConfig:
-        return ModelConfig(d_c=self.d_c, d_h=self.d_h, d_w=self.d_w,
-                           num_tags=num_tags, dropout=self.dropout,
-                           fusion_strategy=self.fusion_strategy,
-                           g_mode=self.g_mode, char_source=char_source,
-                           precision=self.precision)
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype(self.precision)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -225,10 +222,8 @@ class Checkpoint:
     def scheme(self) -> TagScheme:
         return TagScheme(self.scheme_kind, self.labels)
 
-    def model_config(self):
-        """ModelConfig matching the stored parameters (table vs file mode)."""
-        source = "table" if "char_emb" in self.store else "file"
-        return self.config.model_config(self.scheme().size, source)
+    def model_config(self) -> TrainConfig:
+        return self.config   # the graph reads the TrainConfig itself
 
     def save(self, path) -> None:
         meta = {key: getattr(self, key) for key, *_ in _CHECKPOINT_META}
@@ -258,19 +253,19 @@ class Checkpoint:
         fields = {key: meta[key] for key, *_ in _CHECKPOINT_META}
         fields.update(config=config, best_dev_f1=float(meta["best_dev_f1"]),
                       labels=tuple(meta["labels"]), words=words)
-        ckpt = cls(store=store, **fields)
+        ckpt, source = cls(store=store, **fields), char_source(store)
         try:
-            mcfg = ckpt.model_config()
+            num_tags = ckpt.scheme().size
         except SchemeError as exc:
             raise FormatError(f"{path}: bad checkpoint tag scheme ({exc})") from None
-        want = {name: f"{mcfg.dtype} {shape}" for name, shape in
-                param_shapes(mcfg, len(char_vocab), len(words)).items()}
+        want = {name: f"{config.dtype} {shape}" for name, shape in
+                param_shapes(config, num_tags, source, len(char_vocab), len(words)).items()}
         got = {name: f"{p.value.dtype} {p.value.shape}" for name, p in store.items()}
         if got != want:
             bad = [f"{name}: {got.get(name, 'none')}, expected {want.get(name, 'none')}"
                    for name in dict.fromkeys([*want, *got]) if got.get(name) != want.get(name)]
             raise FormatError(f"{path}: checkpoint parameters do not fit its config "
-                              f"({mcfg.char_source} mode, {len(words)} words): {'; '.join(bad)}")
+                              f"({source} mode, {len(words)} words): {'; '.join(bad)}")
         return ckpt
 
 
@@ -296,9 +291,9 @@ def gold_spans(dataset: Dataset) -> dict:
 
 
 def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
-             scheme: TagScheme, mcfg: ModelConfig, decode_mask: bool = False):
-    """Decode every sentence and return micro (P, R, F1)."""
-    tagged = tag_sentences(store, inputs, mcfg, scheme.legal_mask() if decode_mask else None)
+             scheme: TagScheme, config: TrainConfig):
+    """Decode every sentence (with the legal mask if config.decode_mask); micro (P, R, F1)."""
+    tagged = tag_sentences(store, inputs, config, scheme.legal_mask() if config.decode_mask else None)
     return prf1(gold, {item.sid: extract_entities(tags, scheme)[0]
                        for item, (tags, _) in zip(inputs, tagged)})
 
@@ -318,14 +313,14 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
     if not dev_set.sentences:
         raise ConfigError("validation set is empty")
     scheme = train_set.scheme
-    char_source = "file" if char_vectors is not None else "table"
+    source = "file" if char_vectors is not None else "table"
 
     rng = np.random.default_rng(config.seed)
     if resume is not None:
         differ = [key for key in _MODEL_SETTINGS if getattr(config, key) != getattr(resume.config, key)]
         differ += [key for key, same in (
             ("lexicon words", tuple(lexicon.words) == tuple(resume.words)),
-            ("character source", char_source == resume.model_config().char_source),
+            ("character source", source == char_source(resume.store)),
             ("tag scheme", (scheme.kind, scheme.labels) == (resume.scheme_kind, tuple(resume.labels))),
         ) if not same]
         if differ:
@@ -342,8 +337,6 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
         start_epoch = 1
         best_f1 = -1.0
 
-    mcfg = config.model_config(scheme.size, char_source)
-
     inputs = prepare_sentences(train_set.sentences, lexicon, char_vocab,
                                config.knowledge_mode, char_vectors)
     dev_inputs = prepare_sentences(dev_set.sentences, lexicon, char_vocab,
@@ -351,7 +344,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
     dev_gold = gold_spans(dev_set)
 
     if resume is None:
-        store = init_params(mcfg, len(char_vocab), lexicon.embeddings, rng)
+        store = init_params(config, scheme.size, source, len(char_vocab), lexicon.embeddings, rng)
     skip = ("word_emb",) if config.freeze_word_emb else ()
 
     def snapshot(epoch, f1):
@@ -362,7 +355,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
     # a fresh run needs no starting snapshot: the first epoch's F1 (>= 0) beats -1
     best = snapshot(start_epoch - 1, best_f1) if resume is not None else None
     history: list[dict] = []
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+    # a fresh run starts its log over, and a resume continues it
+    log_fh = open(log_path, "w" if resume is None else "a", encoding="utf-8") if log_path else None
     stale = 0
     epoch = start_epoch - 1
     try:
@@ -373,13 +367,12 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
             for at in range(0, len(order), config.batch_size):
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
                 rngs = [np.random.default_rng(int(rng.integers(0, 2 ** 63))) for _ in batch]
-                for loss in batch_loss(store, batch, mcfg, train=True, rngs=rngs):
+                for loss in batch_loss(store, batch, config, train=True, rngs=rngs):
                     total_nll += loss   # in batch order; the CRF has checked each loss
                 adam_t += 1
                 adam_values += adam_step(store, config.lr, t=adam_t,
                                          clip_norm=config.clip_norm, skip=skip)
-            p, r, f1 = evaluate(store, dev_inputs, dev_gold, scheme, mcfg,
-                                config.decode_mask)
+            p, r, f1 = evaluate(store, dev_inputs, dev_gold, scheme, config)
             record = {
                 "epoch": epoch,
                 "train_nll": total_nll / len(inputs),

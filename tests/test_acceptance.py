@@ -159,8 +159,7 @@ def test_c5_single_sentence_memorization():
                           knowledge_mode="slk")
         result = train(ds, ds, lex, cfg)
         item = prepare_sentence(sent, lex, result.last.char_vocab, "slk")
-        loss = sentence_loss(result.last.store, item,
-                             cfg.model_config(scheme.size), train=False)
+        loss = sentence_loss(result.last.store, item, cfg, train=False)
         assert loss < 0.01, f"NLL after 200 epochs: {loss}"
 
 
@@ -212,11 +211,10 @@ def test_c7_determinism_and_persistence(tmp_path):
         best_path = tmp_path / "best.ckpt"
         result.best.save(best_path)
         loaded = Checkpoint.load(best_path)
-        mcfg = loaded.config.model_config(loaded.scheme().size)
         inputs = [prepare_sentence(s, lex, loaded.char_vocab, cfg.knowledge_mode)
                   for s in ds.sentences]
         _, _, f1 = evaluate(loaded.store, inputs, gold_spans(ds),
-                            loaded.scheme(), mcfg)
+                            loaded.scheme(), loaded.config)
         assert f1 == loaded.best_dev_f1
 
         # tagging the same input twice is byte-identical

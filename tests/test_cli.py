@@ -197,6 +197,21 @@ class TestTrain:
         log_lines = (tmp_path / "model.ckpt.log").read_text().splitlines()
         assert len(log_lines) == 2
 
+    def test_logs_the_lexicon_counts(self, workspace, capsys, caplog):
+        tmp_path, cfg_path, _, words, _ = workspace
+        lex_path, vec_path = tmp_path / "words.txt", tmp_path / "vectors.txt"
+        # one word too short and one too long to keep; vectors for two kept words
+        lex_path.write_text("\n".join([*words, "甲", "甲" * 11]) + "\n", encoding="utf-8")
+        vec_path.write_text("".join(f"{w} {' '.join(['0.5'] * 8)}\n" for w in words[:2]),
+                            encoding="utf-8")
+        caplog.set_level("INFO")
+        code, _ = run(capsys, "train", "-c", str(cfg_path), "-o", f"embeddings_path={vec_path}")
+        assert code == 0
+        kept = len(set(words))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lexicon")]
+        assert lines == [f"lexicon loaded: {kept} words kept, 2 skipped (length), "
+                         f"{kept - 2} randomly initialised"]
+
     def test_unwritable_checkpoint_dir_exits_2(self, workspace, capsys):
         _, cfg_path, *_ = workspace
         code, _ = run(capsys, "train", "-c", str(cfg_path),
@@ -569,6 +584,23 @@ class TestTagEval:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1 and "knowledge_mode='none' (checkpoint: 'slk')" in warnings[0]
         assert changed.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_char_vectors_path_with_a_table_mode_checkpoint_is_named_and_not_read(
+            self, trained, capsys, caplog, monkeypatch, command):
+        tmp_path, cfg_path, text_path, ds, _ = trained
+        nan_path = tmp_path / "nan.lxc"
+        save_arrays(nan_path, {s.id: np.full((len(s), 8), np.nan) for s in ds.sentences})
+        reads = []
+        monkeypatch.setattr(cli, "load_arrays", lambda *a: reads.append(a) or load_arrays(*a))
+        argv = [command, "-c", str(cfg_path)] + ([str(text_path)] if command == "tag" else [])
+        code, plain = run(capsys, *argv)
+        assert code == 0 and not [r for r in caplog.records if r.levelname == "WARNING"]
+        code, given = run(capsys, *argv, "-o", f"char_vectors_path={nan_path}")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert code == 0 and given == plain and reads == []
+        assert len(warnings) == 1
+        assert f"char_vectors_path={str(nan_path)!r} (checkpoint: table mode)" in warnings[0]
 
     def test_a_setting_given_at_its_default_is_named_too(self, workspace, capsys, caplog):
         tmp_path, cfg_path, ds, *_ = workspace

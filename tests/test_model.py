@@ -1,21 +1,22 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lexner import build_lexicon, crf, encoder, fusion
+from lexner import ParamStore, TrainConfig, build_lexicon, crf, encoder, fusion
 from lexner.corpus import Sentence, TagScheme, build_char_vocab
 from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
-from lexner.model import (TAG_CHUNK, ModelConfig, batch_loss, decode_sentence, init_params,
+from lexner.model import (TAG_CHUNK, batch_loss, char_source, decode_sentence, init_params,
                           param_shapes, prepare_sentence, prepare_sentences, sentence_loss,
                           sentence_nll, tag_sentences)
 from lexner.numerics import grad_check
 
 
-def setup_model(seed=0, char_source="table", fusion="global_attention",
+def setup_model(seed=0, source="table", fusion="global_attention",
                 words=("江城", "城里", "里看")):
     rng = np.random.default_rng(seed)
     scheme = TagScheme("BIOES", ("LOC",))
@@ -24,10 +25,18 @@ def setup_model(seed=0, char_source="table", fusion="global_attention",
                     "m0")
     lex = build_lexicon(list(words), None, dim=3, rng=rng)
     vocab = build_char_vocab([sent])
-    mcfg = ModelConfig(d_c=4, d_h=4, d_w=3, num_tags=scheme.size, dropout=0.1,
-                       fusion_strategy=fusion, char_source=char_source)
-    store = init_params(mcfg, len(vocab), lex.embeddings, rng)
+    mcfg = TrainConfig(d_c=4, bigru_total=8, d_w=3, dropout=0.1, fusion_strategy=fusion)
+    store = init_params(mcfg, scheme.size, source, len(vocab), lex.embeddings, rng)
     return store, sent, lex, vocab, mcfg, scheme
+
+
+def without_char_table(store):
+    """A copy of a table-mode store without its character table: a file-mode store."""
+    out = ParamStore()
+    for name, p in store.items():
+        if name != "char_emb":
+            out.add(name, p.value.copy(), table=p.live is not None)
+    return out
 
 
 class TestSentenceLoss:
@@ -80,20 +89,21 @@ class TestSentenceLoss:
         chars = {vocab[c] for c in sent.chars}
         assert set(np.flatnonzero(store["char_emb"].live)) == chars
 
-    @pytest.mark.parametrize("char_source", ["table", "file"])
-    def test_param_shapes_are_the_shapes_init_params_makes(self, char_source):
-        store, _, lex, vocab, mcfg, _ = setup_model(char_source=char_source)
-        shapes = param_shapes(mcfg, len(vocab), len(lex))
+    @pytest.mark.parametrize("source", ["table", "file"])
+    def test_param_shapes_are_the_shapes_init_params_makes(self, source):
+        store, _, lex, vocab, mcfg, scheme = setup_model(source=source)
+        assert char_source(store) == source
+        shapes = param_shapes(mcfg, scheme.size, source, len(vocab), len(lex))
         assert {name: p.value.shape for name, p in store.items()} == shapes
         assert store.names() == list(shapes)   # in store order
         tables = {name for name, p in store.items() if p.live is not None}
-        assert tables == ({"char_emb", "word_emb"} if char_source == "table" else {"word_emb"})
+        assert tables == ({"char_emb", "word_emb"} if source == "table" else {"word_emb"})
 
     def test_word_init_width_checked(self):
         rng = np.random.default_rng(0)
-        mcfg = ModelConfig(d_c=4, d_h=4, d_w=3, num_tags=3)
+        mcfg = TrainConfig(d_c=4, bigru_total=8, d_w=3)
         with pytest.raises(ShapeError):
-            init_params(mcfg, 5, np.zeros((2, 7)), rng)
+            init_params(mcfg, 3, "table", 5, np.zeros((2, 7)), rng)
 
 
 class TestFloat32:
@@ -124,7 +134,7 @@ class TestSentenceNll:
     @pytest.mark.parametrize("fusion", STRATEGIES)
     def test_equals_eval_mode_loss_bit_for_bit(self, fusion, g_mode):
         store, sent, lex, vocab, mcfg, _ = setup_model(fusion=fusion)
-        mcfg = ModelConfig(**{**mcfg.__dict__, "g_mode": g_mode})
+        mcfg = dataclasses.replace(mcfg, g_mode=g_mode)
         item = prepare_sentence(sent, lex, vocab, "slk")
         loss = sentence_loss(store, item, mcfg, train=False)
         assert sentence_nll(store, item, mcfg) == loss
@@ -147,34 +157,31 @@ class TestPrecomputedVectors:
     def test_file_mode_matches_table_mode(self):
         store, sent, lex, vocab, mcfg, _ = setup_model()
         rows = store.value("char_emb")[[vocab[c] for c in sent.chars]]
-        mcfg_file = ModelConfig(**{**mcfg.__dict__, "char_source": "file"})
-        store_file = store.copy()
         # a file-mode store carries no character table
+        store_file = without_char_table(store)
         item_t = prepare_sentence(sent, lex, vocab, "slk")
         item_f = prepare_sentence(sent, lex, vocab, "slk", char_vectors=rows)
         l_t = sentence_loss(store, item_t, mcfg, train=False)
-        l_f = sentence_loss(store_file, item_f, mcfg_file, train=False)
+        l_f = sentence_loss(store_file, item_f, mcfg, train=False)
         assert l_t == l_f
 
     def test_missing_vectors_rejected(self):
-        store, sent, lex, vocab, mcfg, _ = setup_model()
-        mcfg_file = ModelConfig(**{**mcfg.__dict__, "char_source": "file"})
+        store, sent, lex, vocab, mcfg, _ = setup_model(source="file")
         item = prepare_sentence(sent, lex, vocab, "slk")
         with pytest.raises(DataError):
-            sentence_loss(store, item, mcfg_file, train=False)
+            sentence_loss(store, item, mcfg, train=False)
 
     def test_wrong_width_rejected(self):
-        store, sent, lex, vocab, mcfg, _ = setup_model()
-        mcfg_file = ModelConfig(**{**mcfg.__dict__, "char_source": "file"})
+        store, sent, lex, vocab, mcfg, _ = setup_model(source="file")
         item = prepare_sentence(sent, lex, vocab, "slk",
                                 char_vectors=np.zeros((len(sent.chars), 9)))
         with pytest.raises(DataError):
-            sentence_loss(store, item, mcfg_file, train=False)
+            sentence_loss(store, item, mcfg, train=False)
 
     def test_no_char_table_param_in_file_mode(self):
         rng = np.random.default_rng(0)
-        mcfg = ModelConfig(d_c=4, d_h=4, d_w=3, num_tags=3, char_source="file")
-        store = init_params(mcfg, 5, np.zeros((2, 3)), rng)
+        mcfg = TrainConfig(d_c=4, bigru_total=8, d_w=3)
+        store = init_params(mcfg, 3, "file", 5, np.zeros((2, 3)), rng)
         assert "char_emb" not in store
 
 
@@ -259,7 +266,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("train", [False, True])
     def test_equals_summed_sentence_losses(self, train):
         store, inputs, mcfg = mixed_batch()
-        mcfg = ModelConfig(**{**mcfg.__dict__, "dropout": 0.3})
+        mcfg = dataclasses.replace(mcfg, dropout=0.3)
         seeds = [11, 12, 13, 14]
 
         def rngs():

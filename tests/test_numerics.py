@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -128,6 +129,22 @@ class TestElementwise:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "True"
+
+    def test_imports_nothing_outside_the_stdlib_but_numpy(self):
+        # pyproject.toml lists numpy only, so any other import fails on a clean install
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import lexner, lexner.cli\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n"
+        )
+        src = str(Path(lexner.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["lexner", "numpy"]
 
 
 class TestDropout:

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexner import (Checkpoint, ParamStore, TrainConfig, adam_step,
-                    build_lexicon, encoder, make_synthetic_corpus, train)
+                    build_lexicon, encoder, make_synthetic_corpus, train, trainer)
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
-from lexner.model import prepare_sentence, prepare_sentences, sentence_loss
+from lexner.model import (char_source, prepare_sentence, prepare_sentences, sentence_loss,
+                          tag_sentences)
 from lexner.trainer import evaluate, gold_spans
 
 
@@ -373,6 +374,43 @@ class TestTrainLoop:
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
 
+    def test_a_fresh_run_starts_the_log_over(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        log_path = tmp_path / "train.log"
+        for _ in range(2):
+            result = train(ds, ds, lex, tiny_config(epochs=2), log_path=log_path)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert lines == json.loads(json.dumps(result.history))
+
+    def test_a_resume_continues_the_log(self, tmp_path):
+        ds, lex, _ = tiny_corpus()
+        log_path = tmp_path / "train.log"
+        half = train(ds, ds, lex, tiny_config(epochs=2), log_path=log_path)
+        train(ds, ds, lex, tiny_config(epochs=4), resume=half.last, log_path=log_path)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [l["epoch"] for l in lines] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("decode_mask", [False, True])
+    def test_dev_evaluation_applies_decode_mask(self, monkeypatch, decode_mask):
+        ds, lex, _ = tiny_corpus()
+        masks = []
+
+        def spy(store, items, cfg, legal=None):
+            masks.append(legal)
+            return tag_sentences(store, items, cfg, legal)
+
+        monkeypatch.setattr(trainer, "tag_sentences", spy)
+        cfg = tiny_config(epochs=1, decode_mask=decode_mask)
+        result = train(ds, ds, lex, cfg)   # one dev pass
+        inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
+        evaluate(result.last.store, inputs, gold_spans(ds), ds.scheme, cfg)
+        assert len(masks) == 2
+        for legal in masks:
+            if decode_mask:
+                assert np.array_equal(legal, ds.scheme.legal_mask())
+            else:
+                assert legal is None
+
     def test_deterministic_given_seed(self):
         ds, lex, _ = tiny_corpus()
 
@@ -415,7 +453,7 @@ class TestTrainLoop:
         assert sum(n for _, n in calls[6:]) == chars
         calls.clear()
         inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
-        evaluate(result.last.store, inputs, {}, ds.scheme, result.last.model_config())
+        evaluate(result.last.store, inputs, {}, ds.scheme, result.last.config)
         assert [kind for kind, _ in calls] == ["forward"] * 2
 
     def test_resume_with_several_steps_per_epoch(self, tmp_path):
@@ -521,12 +559,11 @@ class TestTrainLoop:
             from lexner.corpus import build_char_vocab
             from lexner.model import init_params
             vocab = build_char_vocab(ds.sentences)
-            mcfg = cfg.model_config(scheme.size)
-            store = init_params(mcfg, len(vocab), lex.embeddings, rng)
+            store = init_params(cfg, scheme.size, "table", len(vocab), lex.embeddings, rng)
             store.zero_grads()
             for sent in ds.sentences:
                 item = prepare_sentence(sent, lex, vocab, "slk")
-                sentence_loss(store, item, mcfg, train=True, rng=rng)
+                sentence_loss(store, item, cfg, train=True, rng=rng)
             got = {name for name in store.names()
                    if np.any(store[name].grad != 0.0)}
             covered = got if covered is None else covered | got
@@ -543,8 +580,7 @@ class TestTrainLoop:
         cfg = tiny_config(dropout=0.0, epochs=120, batch_size=4)
         result = train(ds, ds, lex, cfg)
         item = prepare_sentence(sent, lex, result.last.char_vocab, "slk")
-        loss = sentence_loss(result.last.store, item,
-                             cfg.model_config(scheme.size), train=False)
+        loss = sentence_loss(result.last.store, item, cfg, train=False)
         assert loss < 0.01
         # 5-epoch moving average of the training loss never increases
         nll = np.array([h["train_nll"] for h in result.history])
@@ -558,11 +594,10 @@ class TestTrainLoop:
         path = tmp_path / "best.ckpt"
         result.best.save(path)
         loaded = Checkpoint.load(path)
-        mcfg = loaded.config.model_config(loaded.scheme().size)
         inputs = [prepare_sentence(s, lex, loaded.char_vocab, cfg.knowledge_mode)
                   for s in ds.sentences]
         _, _, f1 = evaluate(loaded.store, inputs, gold_spans(ds),
-                            loaded.scheme(), mcfg)
+                            loaded.scheme(), loaded.config)
         assert f1 == result.best.best_dev_f1
 
     def test_fresh_one_epoch_run_copies_the_store_once(self, tmp_path, monkeypatch):
@@ -639,7 +674,7 @@ class TestTrainLoop:
         path = tmp_path / "file_mode.ckpt"
         result.last.save(path)
         loaded = Checkpoint.load(path)
-        assert loaded.model_config().char_source == "file"
+        assert char_source(loaded.store) == "file"
 
     def test_missing_char_vectors_for_sentence(self):
         from lexner.errors import DataError

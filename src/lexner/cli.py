@@ -150,8 +150,11 @@ def _lexicon(cfg: dict, tc: TrainConfig) -> Lexicon:
 
 
 def _load_char_vectors(cfg: dict):
+    """char_vectors_path's container, or None if unset. `tag` and `eval` read it for a
+    file-mode checkpoint only, so the file is checked here and not at command start."""
     if not cfg.get("char_vectors_path"):
         return None
+    _check_input_files(cfg, "char_vectors_path")
     arrays, _ = load_arrays(cfg["char_vectors_path"])
     return arrays
 
@@ -232,7 +235,7 @@ def _decode(cfg: ChainMap, ckpt: Checkpoint, lexicon: Lexicon, sentences, summar
 def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
             verbose=False) -> int:
     _require_keys(cfg, "checkpoint_path")
-    _check_input_files(cfg, "checkpoint_path", "char_vectors_path")
+    _check_input_files(cfg, "checkpoint_path")
     sentences = _read_plain_sentences(input_path)
     t0 = time.perf_counter()
     ckpt, lexicon = restore(cfg["checkpoint_path"])
@@ -278,7 +281,7 @@ def _score(gold_set: Dataset, predicted) -> dict:
 
 def cmd_eval(cfg: dict, text_table: bool = False, verbose: bool = False) -> int:
     _require_keys(cfg, "test_path")
-    _check_input_files(cfg, "test_path", "pred_path", "char_vectors_path")
+    _check_input_files(cfg, "test_path", "pred_path")
     t0, summary = time.perf_counter(), Counter(setup_seconds=0.0)
     if cfg.get("pred_path"):
         max_len = _train_config(cfg).max_len   # checks the settings as `train` does

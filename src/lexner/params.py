@@ -53,15 +53,14 @@ class Param:
                  v: np.ndarray | None = None, live: np.ndarray | None = None):
         self.value = value
         self._grad = None
-        self.m = np.zeros(value.shape, value.dtype) if m is None else m
-        self.v = np.zeros(value.shape, value.dtype) if v is None else v
+        self.m = _zeros(value, live) if m is None else m
+        self.v = _zeros(value, live) if v is None else v
         self.live = live
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
-            self._grad = np.zeros(self.value.shape, self.value.dtype)
+            self._grad = _zeros(self.value, self.live)
         return self._grad
 
     @grad.setter
@@ -72,6 +71,17 @@ class Param:
         if self.live is None:   # first rows into a loaded or copied table: read its moments
             self.live = _nonzero_rows(self.m) | _nonzero_rows(self.v)
         self.live[rows] = True
+
+
+def _zeros(value: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+    """Zeros shaped like `value`. A table's (`live` set) are filled by rows, so they get their
+    own anonymous mapping: its 4 KiB pages become resident when first written and go back to
+    the OS when the array is freed. np.zeros would clear a buffer that glibc serves from its
+    heap, and numpy asks for 2 MiB huge pages for 4 MiB or more, so one row written can make
+    2 MiB resident."""
+    if live is None or not value.nbytes:   # mmap cannot map 0 bytes
+        return np.zeros(value.shape, value.dtype)
+    return np.frombuffer(mmap.mmap(-1, value.nbytes), value.dtype).reshape(value.shape)
 
 
 def _nonzero_rows(a: np.ndarray) -> np.ndarray:
@@ -94,7 +104,7 @@ class ParamStore:
         value = np.asarray(value, order="C")   # unlike ascontiguousarray, keeps a 0-d shape
         live = np.zeros(len(value), dtype=bool) if table else None
         self._params[name] = p = Param(value, live=live)
-        p.grad = np.zeros(value.shape, value.dtype)   # made to be trained: allocate in set-up
+        p.grad = _zeros(value, live)   # made to be trained: allocate in set-up
         return value
 
     def __getitem__(self, name: str) -> Param:
@@ -130,7 +140,7 @@ class ParamStore:
         """Values, moments and live-row masks; no gradient is allocated.
 
         A table with a live-row mask has zero moments outside its live rows,
-        so only the live rows of `m` and `v` are copied, into zeroed arrays.
+        so only the live rows of `m` and `v` are copied, into mapped zeros (`_zeros`).
         """
         out = ParamStore()
         for name, p in self._params.items():

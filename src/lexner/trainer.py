@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import operator
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -381,6 +382,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 "dev_f1": f1,
                 "seconds": time.perf_counter() - t0,
                 "adam_values": adam_values,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             }
             history.append(record)
             if log_fh:

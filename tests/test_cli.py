@@ -602,6 +602,36 @@ class TestTagEval:
         assert len(warnings) == 1
         assert f"char_vectors_path={str(nan_path)!r} (checkpoint: table mode)" in warnings[0]
 
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_a_missing_char_vectors_file_stops_only_a_file_mode_checkpoint(
+            self, trained, capsys, caplog, command):
+        tmp_path, cfg_path, text_path, ds, _ = trained
+        missing = tmp_path / "missing.lxc"
+        argv = [command, "-c", str(cfg_path), "-o", f"char_vectors_path={missing}"]
+        argv += [str(text_path)] if command == "tag" else []
+        caplog.clear()
+        code, _ = run(capsys, *argv)   # table mode: the setting is named and never read
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert code == 0 and len(warnings) == 1
+        assert f"char_vectors_path={str(missing)!r} (checkpoint: table mode)" in warnings[0]
+        vectors = tmp_path / "chars.lxc"   # keyed by the ids read_conll gives the training file
+        save_arrays(vectors, {f"s{n}": np.full((len(s), 8), 0.5)
+                              for n, s in enumerate(ds.sentences)})
+        assert main(["train", "-c", str(cfg_path), "-o", f"char_vectors_path={vectors}"]) == 0
+        assert model.char_source(Checkpoint.load(tmp_path / "model.ckpt").store) == "file"
+        caplog.clear()
+        code, _ = run(capsys, *argv)
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert code == 2 and len(errors) == 1
+        assert errors[0] == f"char_vectors_path file does not exist: {missing}"
+
+    def test_eval_of_a_prediction_file_needs_no_char_vectors_file(self, workspace, capsys):
+        tmp_path, cfg_path, *_ = workspace
+        code, out = run(capsys, "eval", "-c", str(cfg_path), "-o",
+                        f"pred_path={tmp_path / 'train.conll'}", "-o",
+                        f"char_vectors_path={tmp_path / 'missing.lxc'}")
+        assert code == 0 and json.loads(out)["overall"]["f1"] == 1.0
+
     def test_a_setting_given_at_its_default_is_named_too(self, workspace, capsys, caplog):
         tmp_path, cfg_path, ds, *_ = workspace
         assert main(["train", "-c", str(cfg_path), "-o", "knowledge_mode=none"]) == 0

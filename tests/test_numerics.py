@@ -146,6 +146,34 @@ class TestElementwise:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == ["lexner", "numpy"]
 
+    def test_changes_no_process_wide_memory_setting(self):
+        # a library shares its process: it must not switch numpy's huge-page advice or
+        # glibc's malloc tuning for every other user of it
+        script = (
+            "try:\n"
+            "    from numpy._core.multiarray import _get_madvise_hugepage\n"
+            "except ImportError:   # numpy 1.x\n"
+            "    from numpy.core.multiarray import _get_madvise_hugepage\n"
+            "import numpy as np\n"
+            "from lexner import TrainConfig, build_lexicon, make_synthetic_corpus, train\n"
+            "before = _get_madvise_hugepage()\n"
+            "ds, words, _ = make_synthetic_corpus(n_sentences=6, seed=3)\n"
+            "lex = build_lexicon(words, None, dim=8, rng=np.random.default_rng(0))\n"
+            "train(ds, ds, lex, TrainConfig(lr=1e-2, batch_size=8, d_c=8, d_w=8,\n"
+            "                               bigru_total=16, epochs=2, seed=5))\n"
+            "print(before, _get_madvise_hugepage())\n"
+        )
+        src = Path(lexner.__file__).resolve().parent
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src.parent)})
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert before == after
+        for path in src.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert "mallopt" not in text and "_set_madvise_hugepage" not in text, path.name
+
 
 class TestDropout:
     def test_eval_mode_identity(self):
@@ -417,6 +445,43 @@ class TestParamStore:
                                   text=True, timeout=120, env=env)
         assert done.returncode == 0, done.stderr
         assert 0 <= int(done.stdout) < values + moments // 4
+
+    def test_a_tables_gradient_and_moments_hold_only_the_pages_of_its_live_rows(self):
+        # A 50,000 x 50 float64 table (19 MB of values) gets gradients at 300 scattered rows,
+        # then one Adam step and a copy: five buffers filled by rows (the gradient, both
+        # moments, and the copy's two moments) and the copy's values. Buffers from np.zeros
+        # would hold 2 MiB around each written row where numpy asks for huge pages (about
+        # 110 MB in all under Linux with transparent huge pages set to `madvise`); where it
+        # asks for none, both ways stay under the bound. The work runs in a fork of the
+        # child, as above, so ru_maxrss starts at the child's own RSS.
+        script = (
+            "import os, resource, sys\n"
+            "import numpy as np\n"
+            "from lexner import ParamStore, adam_step\n"
+            "from lexner.model import _add_rows\n"
+            "if os.fork() == 0:\n"
+            "    value = np.full((50_000, 50), 0.25)\n"
+            "    rows = np.arange(300) * 166 + 7\n"
+            "    d = np.random.default_rng(0).normal(size=(300, 50))\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    store = ParamStore()\n"
+            "    store.add('w', value, table=True)\n"
+            "    _add_rows(store, 'w', rows, d)\n"
+            "    updated = adam_step(store, 0.01)\n"
+            "    copied = store.copy()\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    same = np.array_equal(copied['w'].m, store['w'].m) and updated == d.size\n"
+            "    print((after - before) * 1024 if same else -1)\n"
+            "    sys.stdout.flush()\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        src = str(Path(lexner.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}   # no thread at fork
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert 0 <= int(done.stdout) < 2 * 50_000 * 50 * 8   # the copy's values are one of these
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

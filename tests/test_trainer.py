@@ -368,9 +368,11 @@ class TestTrainLoop:
         for rec in result.history:
             assert rec["train_nll"] >= 0.0 and np.isfinite(rec["train_nll"])
             assert set(rec) == {"epoch", "train_nll", "dev_p", "dev_r", "dev_f1", "seconds",
-                                "adam_values"}
+                                "adam_values", "peak_rss_mb"}
             # one step per epoch: every dense value, plus the live rows of both tables
             assert 0 < rec["adam_values"] < result.last.store.num_values()
+        peaks = [rec["peak_rss_mb"] for rec in result.history]
+        assert 0 < peaks[0] <= peaks[1]   # the process's peak so far, as `tag -v` reports it
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
 

@@ -29,14 +29,14 @@ from .diagnostics import end_to_end_grad_check
 from .errors import ConfigError, DataError, LexnerError, SchemeError
 from .evaluation import evaluation_report, extract_entities
 from .lexicon import Lexicon, build_lexicon, match_sentence
-from .model import TAG_CHUNK, char_source, prepare_sentences, tag_sentences
+from .model import char_source, prepare_sentences, tag_sentences
 from .params import load_arrays, replacing
 from .trainer import FIELD_PARSERS, Checkpoint, TrainConfig, gold_spans, restore, train
 
 log = logging.getLogger(__name__)
 
 ENV_PREFIX = "LEXNER_"
-TAG_WINDOW = 32 * TAG_CHUNK   # sentences that `tag` and `eval` read, prepare and tag at a time
+TAG_WINDOW = 256   # sentences that `tag` and `eval` read, prepare and tag at a time
 
 _PATH_KEYS = (
     "train_path", "dev_path", "test_path", "lexicon_path", "embeddings_path",

@@ -37,9 +37,18 @@ concatenation [fwd_i ; bwd_i]. The global sentence feature g defaults to
 the last position's full state (g_mode="last"); g_mode="fwd_last_bwd_first"
 takes the forward state at the last position and the backward state at the
 first instead. Over a batch, g has one row per sentence.
+
+The directions share no state until H is assembled. On two CPUs, with
+recurrent weights large enough to pay for the hand-off, the backward one
+runs on a worker thread while the caller runs the forward one; numpy
+releases the GIL in BLAS calls and large loops, so they overlap. Each runs
+the same operations in the same order either way, so the bits are the same.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +58,15 @@ from .numerics import fan_in_uniform
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
+# Bytes of one direction's U_z, U_r and U_h from which the directions run on two threads.
+# Measured on 2 CPUs with one BLAS thread, float64, sequential time over overlapped time:
+# one sentence of 60 characters ran 0.93x at d_h 16, 1.00x at 64, 0.97-1.05x at 128 and
+# 1.18-1.35x at 256 (60-200 characters); 32 such sentences 0.91x at d_h 16, 1.13-1.20x
+# at 64 and 1.4x at 128.
+OVERLAP_MIN_BYTES = 3 * 128 * 128 * 8
+
+_worker = (None, None)   # (pid that started it, its ThreadPoolExecutor)
+_worker_lock = threading.Lock()
 
 
 def gate_shapes(d_in: int, d_h: int) -> dict[str, tuple]:
@@ -241,10 +259,31 @@ def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
     lay = Layout.of([len(X)] if lengths is None else lengths)
     if len(lay.pred) != len(X):
         raise ShapeError(f"sentence lengths sum to {len(lay.pred)}, X has {len(X)} rows")
-    cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
-    cb = _run_direction(X, lay, lay.rows[1], bwd_gates)
+    if 3 * fwd_gates["U_z"].nbytes < OVERLAP_MIN_BYTES or _cpus() < 2:
+        cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
+        cb = _run_direction(X, lay, lay.rows[1], bwd_gates)
+    else:
+        pending = _pool().submit(_run_direction, X, lay, lay.rows[1], bwd_gates)
+        try:
+            cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
+        finally:   # never return with the worker still writing
+            cb = pending.result()
     H = np.hstack([cf[0][lay.k0 + lay.pos[0]], cb[0][lay.k0 + lay.pos[1]]])
     return H, (X, lay, cf, cb)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The one worker thread, started on first use; a forked child starts its own,
+    because the parent's thread does not exist there."""
+    global _worker
+    with _worker_lock:
+        if _worker[0] != os.getpid():
+            _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="lexner-gru"))
+        return _worker[1]
 
 
 def encode_backward(dH, cache, fwd_gates, bwd_gates, fwd_grads, bwd_grads):

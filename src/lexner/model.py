@@ -30,7 +30,8 @@ from .params import ParamStore
 if TYPE_CHECKING:
     from .trainer import TrainConfig
 
-TAG_CHUNK = 8   # sentences per pass through the graph in tag_sentences
+TAG_CHUNK = 32   # sentences per pass through the graph in tag_sentences
+TABLES = ("char_emb", "word_emb")   # embedding tables: their gradients arrive by rows (`_add_rows`)
 
 
 @dataclass
@@ -81,19 +82,19 @@ def init_params(cfg: TrainConfig, num_tags: int, source: str, char_vocab_size: i
     shapes = param_shapes(cfg, num_tags, source, char_vocab_size, len(word_init))
     store = ParamStore()
 
-    def add(name, arr, table=False):
+    def add(name, arr):
         # np.array copies, so the store never aliases caller-owned buffers
-        store.add(name, np.array(arr, dtype=cfg.dtype), table)
+        store.add(name, np.array(arr, dtype=cfg.dtype), table=name in TABLES)
 
     if source == "table":
         b = uniform_bound(cfg.d_c)
-        add("char_emb", rng.uniform(-b, b, shapes["char_emb"]), table=True)
+        add("char_emb", rng.uniform(-b, b, shapes["char_emb"]))
     for direction in ("fwd", "bwd"):
         for name, arr in encoder.init_gru_gates(cfg.d_c, cfg.d_h, rng).items():
             add(f"gru_{direction}.{name}", arr)
     add("fusion.W_u", fan_in_uniform(shapes["fusion.W_u"], rng))
     add("fusion.b_u", np.zeros(shapes["fusion.b_u"]))
-    add("word_emb", word_init, table=True)
+    add("word_emb", word_init)
     add("crf.W_o", fan_in_uniform(shapes["crf.W_o"], rng))
     add("crf.b_o", np.zeros(shapes["crf.b_o"]))
     add("crf.T", crf.init_transitions(num_tags))

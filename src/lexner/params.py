@@ -67,8 +67,9 @@ class Param:
     def grad(self, value: np.ndarray) -> None:   # for `p.grad += g`
         self._grad = value
 
-    def mark_live(self, rows: np.ndarray) -> None:
-        if self.live is None:   # first rows into a loaded or copied table: read its moments
+    def mark_live(self, rows: np.ndarray = np.empty(0, dtype=np.intp)) -> None:
+        """Mark these rows live; a loaded table's first call reads its mask from its moments."""
+        if self.live is None:
             self.live = _nonzero_rows(self.m) | _nonzero_rows(self.v)
         self.live[rows] = True
 

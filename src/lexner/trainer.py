@@ -28,8 +28,8 @@ from .errors import ConfigError, FormatError, NumericError, SchemeError
 from .evaluation import extract_entities, prf1
 from .fusion import STRATEGIES
 from .lexicon import KNOWLEDGE_MODES, Lexicon
-from .model import (SentenceInputs, batch_loss, char_source, init_params, param_shapes,
-                    prepare_sentences, tag_sentences)
+from .model import (TABLES, SentenceInputs, batch_loss, char_source, init_params,
+                    param_shapes, prepare_sentences, tag_sentences)
 from .params import ParamStore
 
 log = logging.getLogger(__name__)
@@ -299,6 +299,15 @@ def evaluate(store: ParamStore, inputs: list[SentenceInputs], gold: dict,
                        for item, (tags, _) in zip(inputs, tagged)})
 
 
+def _resumable(store: ParamStore) -> ParamStore:
+    """A copy of a loaded store to train on. Each table first reads its live rows from its
+    moments, so that the copy's moments and the gradients hold only those (`params._zeros`)."""
+    for name in TABLES:
+        if name in store:
+            store[name].mark_live()
+    return store.copy()
+
+
 def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
           config: TrainConfig, *, char_vectors: dict | None = None,
           resume: Checkpoint | None = None, log_path=None) -> TrainResult:
@@ -326,7 +335,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
         ) if not same]
         if differ:
             raise ConfigError(f"cannot resume: {', '.join(differ)} differ from the checkpoint's")
-        store = resume.store.copy()
+        store = _resumable(resume.store)
         char_vocab = resume.char_vocab
         rng.bit_generator.state = resume.rng_state
         adam_t = resume.adam_t

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from lexner import TagScheme, build_lexicon
+from lexner import TagScheme, build_lexicon, encoder
 
 BRIDGE_WORDS = ["南京", "南京市", "市长", "长江", "大桥", "长江大桥"]
 BRIDGE_SENTENCE = tuple("南京市长江大桥")
@@ -35,3 +37,9 @@ def naive_match_oracle(words, chars, min_len=2, max_len=10):
         for i in range(n)
     ]
     return fwd, bwd, flk, slk
+
+
+def encoder_worker(on):
+    """Run the encoder's backward direction on its worker thread (`on`) or on the caller's,
+    whatever the model's size and the CPUs this process may use."""
+    return mock.patch.multiple(encoder, OVERLAP_MIN_BYTES=0 if on else 2 ** 62, _cpus=lambda: 2)

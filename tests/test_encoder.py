@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexner import ParamStore
+import lexner
+from conftest import encoder_worker
+from lexner import ParamStore, encoder
 from lexner.encoder import (GATE_NAMES, Layout, encode_backward, encode_chars,
                             global_feature, global_feature_backward, init_gru_gates)
 from lexner.errors import ShapeError
@@ -337,3 +344,92 @@ class TestLayout:
                 packed = lay.pos[d][np.arange(a, b)[::1 if d == 0 else -1]]
                 assert np.array_equal(lay.pred[packed[1:]], packed[:-1])
                 assert np.all(lay.pred[packed[:1]] < 0) and np.all(lay.pred[packed[1:]] >= 0)
+
+
+def encoded_bits(on, X, fwd, bwd, lengths):
+    """H and the cache's arrays of both directions, with the worker thread on or off."""
+    with encoder_worker(on):
+        H, (_, _, cf, cb) = encode_chars(X, fwd, bwd, lengths)
+    return [a.tobytes() for a in (H, *cf, *cb)]
+
+
+def recording_threads(monkeypatch, fail=None):
+    """Record the thread each direction's recurrence runs on, keyed by id(gates);
+    a direction whose gates are `fail` raises instead."""
+    threads, run = {}, encoder._run_direction
+
+    def recorded(X, lay, rows, gates):
+        threads[id(gates)] = threading.get_ident()
+        if gates is fail:
+            raise FloatingPointError("backward direction failed")
+        return run(X, lay, rows, gates)
+
+    monkeypatch.setattr(encoder, "_run_direction", recorded)
+    return threads
+
+
+class TestTwoThreads:
+    """The backward direction may run on one worker thread; the bits are the same."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=9), st.sampled_from([4, 33]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_both_paths_give_the_same_bits(self, lengths, d_h, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = random_gates(rng, 5, d_h), random_gates(rng, 5, d_h)
+        X = rng.normal(size=(sum(lengths), 5))
+        assert encoded_bits(True, X, fwd, bwd, lengths) == encoded_bits(False, X, fwd, bwd, lengths)
+
+    @pytest.mark.parametrize("d_h, cpus, worker", [(256, 2, True), (128, 2, True), (64, 2, False),
+                                                   (256, 1, False)])
+    def test_worker_runs_the_backward_direction_of_large_models_on_two_cpus(
+            self, monkeypatch, d_h, cpus, worker):
+        threads = recording_threads(monkeypatch)
+        monkeypatch.setattr(encoder, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(16)
+        fwd, bwd = make_gates(rng, 3, d_h), make_gates(rng, 3, d_h)
+        encode_chars(rng.normal(size=(5, 3)), fwd, bwd, [3, 2])
+        assert threads[id(fwd)] == threading.get_ident()
+        assert (threads[id(bwd)] != threading.get_ident()) == worker
+
+    def test_an_error_in_the_backward_direction_reaches_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        fwd, bwd = random_gates(rng, 3, 4), random_gates(rng, 3, 4)
+        X = rng.normal(size=(6, 3))
+        threads = recording_threads(monkeypatch, fail=bwd)
+        with encoder_worker(True), pytest.raises(FloatingPointError, match="backward"):
+            encode_chars(X, fwd, bwd, [4, 2])
+        assert threads[id(bwd)] != threading.get_ident()
+        monkeypatch.undo()   # the worker still serves the next call
+        assert encoded_bits(True, X, fwd, bwd, [4, 2]) == encoded_bits(False, X, fwd, bwd, [4, 2])
+
+    def test_a_forked_child_encodes(self):
+        # The parent's worker thread does not exist in a forked child; a child that queued
+        # work for it would wait forever, so the parent gives it a minute, then kills it.
+        script = (
+            "import os, signal, sys, time\n"
+            "import numpy as np\n"
+            "from lexner import encoder\n"
+            "encoder._cpus = lambda: 2   # the worker even where this process may use one CPU\n"
+            "rng = np.random.default_rng(0)\n"
+            "fwd, bwd = (encoder.init_gru_gates(8, 256, rng) for _ in range(2))\n"
+            "X = rng.normal(size=(30, 8))\n"
+            "H, _ = encoder.encode_chars(X, fwd, bwd)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if encoder.encode_chars(X, fwd, bwd)[0].tobytes() == H.tobytes() else 1)\n"
+            "deadline = time.monotonic() + 60\n"
+            "while time.monotonic() < deadline:\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.02)\n"
+            "os.kill(pid, signal.SIGKILL)\n"
+            "os.waitpid(pid, 0)\n"
+            "sys.exit('the forked child did not finish encoding')\n"
+        )
+        src = str(Path(lexner.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}   # no BLAS thread at fork
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == 0, done.stderr

@@ -1,18 +1,20 @@
 import dataclasses
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lexner import ParamStore, TrainConfig, build_lexicon, crf, encoder, fusion
+from conftest import encoder_worker
+from lexner import ParamStore, TrainConfig, build_lexicon, crf, encoder, fusion, model
 from lexner.corpus import Sentence, TagScheme, build_char_vocab
 from lexner.diagnostics import tiny_problem
 from lexner.encoder import G_MODES
 from lexner.errors import DataError, ShapeError
 from lexner.fusion import STRATEGIES
-from lexner.model import (TAG_CHUNK, batch_loss, char_source, decode_sentence, init_params,
-                          param_shapes, prepare_sentence, prepare_sentences, sentence_loss,
-                          sentence_nll, tag_sentences)
+from lexner.model import (batch_loss, char_source, decode_sentence, init_params, param_shapes,
+                          prepare_sentence, prepare_sentences, sentence_loss, sentence_nll,
+                          tag_sentences)
 from lexner.numerics import grad_check
 
 
@@ -315,11 +317,12 @@ class TestBatchLoss:
 
 class TestTagSentences:
     @pytest.mark.parametrize("fusion", STRATEGIES)
-    def test_matches_one_sentence_at_a_time(self, fusion):
+    def test_matches_one_sentence_at_a_time(self, fusion, monkeypatch):
+        monkeypatch.setattr(model, "TAG_CHUNK", 4)   # three chunks, the last one short
         store, sent, lex, vocab, mcfg, scheme = setup_model(fusion=fusion)
         texts = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城",
                  "去去去", "江城里看去江", "里", "看看"]
-        assert len(texts) > TAG_CHUNK
+        assert len(texts) > 2 * model.TAG_CHUNK
         items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
                  for k, t in enumerate(texts)]
         assert any(len(item.words.ids) == 0 for item in items)   # "去": no words
@@ -335,6 +338,46 @@ class TestTagSentences:
     def test_empty_list(self):
         store, _, _, _, mcfg, _ = setup_model()
         assert tag_sentences(store, [], mcfg) == []
+
+
+TAG_TEXTS = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城", "去去去", "江城里看去江"]
+
+
+class TestTwoThreads:
+    """The encoder's backward direction on its worker thread gives the same bits."""
+
+    def test_batch_loss_gives_the_same_bits_on_both_paths(self):
+        runs = []
+        for on in (False, True):
+            store, inputs, mcfg = mixed_batch()
+            with encoder_worker(on):
+                losses = batch_loss(store, inputs, mcfg, train=True,
+                                    rngs=[np.random.default_rng(s) for s in range(len(inputs))])
+            runs.append((losses, {name: p.grad.tobytes() for name, p in store.items()}))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fusion", STRATEGIES)
+    def test_tag_sentences_gives_the_same_bits_on_both_paths(self, fusion):
+        store, sent, lex, vocab, mcfg, scheme = setup_model(fusion=fusion)
+        items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
+                 for k, t in enumerate(TAG_TEXTS)]
+        runs = []
+        for on in (False, True):
+            with encoder_worker(on):
+                runs.append([(path, alphas.tobytes())
+                             for path, alphas in tag_sentences(store, items, mcfg, scheme.legal_mask())])
+        assert runs[0] == runs[1]
+
+    def test_repeated_tagging_leaves_one_worker_thread(self):
+        store, sent, lex, vocab, mcfg, _ = setup_model()
+        items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
+                 for k, t in enumerate(TAG_TEXTS)]
+        before = threading.active_count()
+        with encoder_worker(True):
+            for _ in range(5):
+                tag_sentences(store, items, mcfg)
+        assert threading.active_count() <= before + 1
+        assert sum(t.name.startswith("lexner-gru") for t in threading.enumerate()) == 1
 
 
 def count_calls(monkeypatch, *targets):
@@ -363,6 +406,7 @@ class TestOnePassPerBatch:
         assert calls == {f"{module.__name__}.{name}": 1 for module, name in stages}
 
     def test_tag_sentences_makes_one_viterbi_call_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(model, "TAG_CHUNK", 8)
         store, sent, lex, vocab, mcfg, _ = setup_model()
         texts = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城"] * 3
         items = [prepare_sentence(Sentence(tuple(t), None, f"s{k}"), lex, vocab, "slk")
@@ -370,7 +414,7 @@ class TestOnePassPerBatch:
         calls = count_calls(monkeypatch, (encoder, "encode_chars"), (fusion, "fuse_sentence"),
                             (crf, "viterbi"), (crf, "nll"), (encoder.Layout, "__init__"))
         tag_sentences(store, items, mcfg)
-        chunks = -(-len(items) // TAG_CHUNK)
+        chunks = -(-len(items) // model.TAG_CHUNK)
         assert chunks > 2 and calls == {"lexner.encoder.encode_chars": chunks,
                                         "lexner.fusion.fuse_sentence": chunks,
                                         "lexner.crf.viterbi": chunks, "Layout.__init__": chunks}

@@ -483,6 +483,49 @@ class TestParamStore:
         assert done.returncode == 0, done.stderr
         assert 0 <= int(done.stdout) < 2 * 50_000 * 50 * 8   # the copy's values are one of these
 
+    def test_a_resumed_tables_buffers_hold_only_the_pages_of_its_live_rows(self):
+        # The steps of the test above on a loaded 50,000 x 50 table with 300 live rows, whose
+        # Adam moments are mapped from the file and which has no live mask: the copy that
+        # training resumes from, a gradient at the same rows, one Adam step, a copy. Reading
+        # the mask makes the mapped moments resident (two tables' worth) and both copies take
+        # the values (two more). Copying the moments whole and a gradient from np.zeros took
+        # about 136 MB on Linux, where numpy asks for huge pages.
+        script = (
+            "import os, resource, sys\n"
+            "import numpy as np\n"
+            "from lexner import ParamStore, adam_step\n"
+            "from lexner.model import _add_rows\n"
+            "from lexner.trainer import _resumable\n"
+            "rows = np.arange(300) * 166 + 7\n"
+            "d = np.random.default_rng(0).normal(size=(300, 50))\n"
+            "store = ParamStore()\n"
+            "store.add('word_emb', np.full((50_000, 50), 0.25), table=True)\n"
+            "_add_rows(store, 'word_emb', rows, d)\n"
+            "adam_step(store, 0.01)\n"
+            "store.save(sys.argv[1])\n"
+            "del store\n"
+            "if os.fork() == 0:\n"
+            "    loaded, _ = ParamStore.load(sys.argv[1])\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    store = _resumable(loaded)\n"
+            "    _add_rows(store, 'word_emb', rows, d)\n"
+            "    updated = adam_step(store, 0.01, t=2)\n"
+            "    copied = store.copy()\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    same = np.array_equal(copied['word_emb'].m, store['word_emb'].m) and updated == d.size\n"
+            "    print((after - before) * 1024 if same else -1)\n"
+            "    sys.stdout.flush()\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        src = str(Path(lexner.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}   # no thread at fork
+        with tempfile.TemporaryDirectory() as tmp:
+            done = subprocess.run([sys.executable, "-c", script, str(Path(tmp) / "t.bin")],
+                                  capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert 0 <= int(done.stdout) < 5 * 50_000 * 50 * 8
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexner import (Checkpoint, ParamStore, TrainConfig, adam_step,
-                    build_lexicon, encoder, make_synthetic_corpus, train, trainer)
+                    build_lexicon, encoder, make_synthetic_corpus, model, train, trainer)
 from lexner.corpus import Dataset, Sentence, TagScheme
 from lexner.errors import ConfigError, NumericError
 from lexner.model import (char_source, prepare_sentence, prepare_sentences, sentence_loss,
@@ -432,6 +432,7 @@ class TestTrainLoop:
             assert r1.last.store.value(name).tobytes() == r2.last.store.value(name).tobytes()
 
     def test_one_encoder_call_per_batch_and_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(model, "TAG_CHUNK", 8)
         ds, lex, _ = tiny_corpus(n=10)
         calls = []
         encode_chars, encode_backward = encoder.encode_chars, encoder.encode_backward

@@ -247,11 +247,10 @@ def cmd_tag(cfg: dict, input_path, output_path=None, dump_attention=False,
             if not dump_attention:
                 out.write("".join(f"{ch} {name}\n" for ch, name in zip(sent.chars, names)) + "\n")
                 continue
-            ids, offsets = item.words.ids, item.words.offsets
-            attention = [{"pos": i + 1, "char": sent.chars[i],
-                          "words": [lexicon.words[w] for w in ids[a:b]],
-                          "alphas": [float(x) for x in alphas[a:b]]}
-                         for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
+            weights = np.split(alphas, item.words.offsets[1:-1])
+            attention = [{"pos": i + 1, "char": ch,
+                          "words": [lexicon.words[w] for w in item.words[i]],
+                          "alphas": weights[i].tolist()} for i, ch in enumerate(sent.chars)]
             record = dict(id=sent.id, chars=list(sent.chars), tags=names, attention=attention)
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
     if verbose:
@@ -320,7 +319,8 @@ def cmd_lexicon_inspect(cfg: dict, input_path) -> int:
     sentences = _read_plain_sentences(input_path)
     lexicon = _lexicon(cfg, _train_config(cfg))
     for sent in sentences:
-        sets = vars(match_sentence(lexicon, sent))   # fwd, bwd, flk, slk
+        matches = match_sentence(lexicon, sent)
+        sets = {kind: getattr(matches, kind) for kind in ("fwd", "bwd", "flk", "slk")}
         for i, ch in enumerate(sent.chars):
             record = {"pos": i + 1, "char": ch}
             record.update({kind: [lexicon.words[w] for w in at[i]] for kind, at in sets.items()})

@@ -48,20 +48,26 @@ class WordSets:
     """A sentence's (or a batch's) per-position word sets, flattened position by position.
 
     Position i owns entries offsets[i]:offsets[i + 1] of `ids` and `lengths`
-    (word ids and their lengths in characters). All int64.
+    (word ids and their lengths in characters). All int64. `len` is the
+    number of positions, and `[i]` position i's ids.
     """
 
     ids: np.ndarray
     lengths: np.ndarray
     offsets: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.ids[self.offsets[i]:self.offsets[i + 1]]
+
     @classmethod
     def from_sets(cls, sets, lengths) -> "WordSets":
         """Flatten per-position id sequences and the parallel word lengths."""
-        ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64)
-        lengths = np.fromiter(chain.from_iterable(lengths), dtype=np.int64)
         offsets = np.cumsum([0] + [len(s) for s in sets], dtype=np.int64)
-        return cls(ids, lengths, offsets)
+        return cls(*(np.fromiter(chain(*x), np.int64) for x in (sets, lengths)), offsets)
 
     @classmethod
     def concat(cls, parts) -> "WordSets":

@@ -1,13 +1,14 @@
-"""Dictionary word index and per-character lexicon match sets.
+"""Dictionary word index, and the per-character word sets of each knowledge mode.
 
-For position i (0-based), `fwd[i]` holds the dictionary words starting at
-i and `bwd[i]` the words ending at i. First-order knowledge is their
-union; second-order knowledge is the neighbors' contribution
-`fwd[i-1] | bwd[i+1]` (missing neighbors contribute nothing).
-
-All sets are stored as tuples of word indices sorted ascending, which,
-because the word list itself is sorted by (length, word), equals the
-(length, lexicographic) order required for deterministic fusion input.
+`match_sentence` looks a sentence up once and returns the words it finds
+as spans (start, length, id). Each reading then places every span at some
+positions: `fwd` at its start s, `bwd` at its end e, first-order knowledge
+(`flk`) at both, second-order knowledge (`slk`, the neighbors'
+`fwd[i-1] | bwd[i+1]`) at s+1 and e-1, `both` at all four, and `none`
+nowhere. Positions outside the sentence are dropped, and the result is a
+`fusion.WordSets`, each position's ids ascending and distinct. Because the
+word list is sorted by (length, word), that is the (length, lexicographic)
+order fusion needs.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .corpus import EmbeddingTable, uniform_bound
 from .errors import DataError
+from .fusion import WordSets
 
 KNOWLEDGE_MODES = ("slk", "flk", "both", "none")
 
@@ -88,18 +90,22 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
     return Lexicon(tuple(kept), rows, n_skipped, len(missing))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchSets:
-    """Per-position word-index sets for one sentence.
-
-    Each field is a tuple of length n; entries are ascending tuples of
-    word indices, which is (length, lexicographic) word order.
+    """Every dictionary word found in a sentence of n characters: word ids[k] covers
+    characters starts[k] .. starts[k] + lengths[k] - 1 (all int64). `fwd`, `bwd`,
+    `flk` and `slk` are their readings' `WordSets`.
     """
 
-    fwd: tuple[tuple[int, ...], ...]
-    bwd: tuple[tuple[int, ...], ...]
-    flk: tuple[tuple[int, ...], ...]
-    slk: tuple[tuple[int, ...], ...]
+    n: int
+    starts: np.ndarray
+    lengths: np.ndarray
+    ids: np.ndarray
+
+    fwd = property(lambda self: _placed(self, "fwd"))
+    bwd = property(lambda self: _placed(self, "bwd"))
+    flk = property(lambda self: _placed(self, "flk"))
+    slk = property(lambda self: _placed(self, "slk"))
 
 
 def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
@@ -107,53 +113,43 @@ def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:
 
     For each length from the shortest word to the longest, looks up every
     substring of that length in the word index, so the total work is
-    O(n * longest). Going by length keeps each set ascending.
+    O(n * longest).
     """
     chars = getattr(sentence, "chars", sentence)
-    text = "".join(chars)
-    n = len(chars)
+    text, n = "".join(chars), len(chars)
     if len(text) != n:
         raise DataError("a sentence must be a sequence of single characters")
-    index = lexicon.word_index
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    bwd: list[list[int]] = [[] for _ in range(n)]
-    for length in range(max(lexicon.shortest, 1), min(n, lexicon.longest) + 1):
-        found = map(index.get, [text[i:i + length] for i in range(n - length + 1)])
-        for i, k in enumerate(found):
-            if k is not None:
-                fwd[i].append(k)
-                bwd[i + length - 1].append(k)
-
-    fwd_t = tuple(map(tuple, fwd))
-    bwd_t = tuple(map(tuple, bwd))
-    flk = tuple(map(_merged, fwd_t, bwd_t))
-    slk = tuple(
-        _merged(fwd_t[i - 1] if i > 0 else (), bwd_t[i + 1] if i + 1 < n else ())
-        for i in range(n)
-    )
-    return MatchSets(fwd_t, bwd_t, flk, slk)
+    get, longest = lexicon.word_index.get, min(n, lexicon.longest)
+    found = [(i, length, k) for length in range(max(lexicon.shortest, 1), longest + 1)
+             for i in range(n - length + 1) if (k := get(text[i:i + length])) is not None]
+    return MatchSets(n, *np.array(found, np.int64).reshape(-1, 3).T)
 
 
-def _merged(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Ascending union of two ascending word-index tuples."""
-    if not a or not b:   # the common case: at most one side has words
-        return a or b
-    return tuple(sorted(set(a) | set(b)))
+# Where each reading places a word spanning characters s..e, as (anchor, shift)
+# pairs: at s + shift for anchor 0 and at e + shift for anchor 1.
+_PLACES = {reading: np.array(pairs, np.int64).reshape(-1, 2, 1) for reading, pairs in {
+    "fwd": [(0, 0)], "bwd": [(1, 0)], "flk": [(0, 0), (1, 0)], "slk": [(0, 1), (1, -1)],
+    "both": [(0, 0), (1, 0), (0, 1), (1, -1)], "none": []}.items()}
 
 
-def knowledge_select(match_sets: MatchSets, mode: str) -> tuple[tuple[int, ...], ...]:
-    """Pick the per-position word sets for a knowledge mode.
+def _placed(matches: MatchSets, reading: str) -> WordSets:
+    """The words `reading` places at each position, in (position, id) order, each once."""
+    places, span = _PLACES[reading], int(matches.ids.max(initial=0)) + 1
+    pos = matches.starts + places[:, 0] * (matches.lengths - 1) + places[:, 1]
+    keys, first = np.unique(pos * span + matches.ids, return_index=True)
+    bounds = np.searchsorted(keys, np.arange(matches.n + 1) * span)   # drops keys outside 0..n-1
+    inside = slice(bounds[0], bounds[-1])
+    match = first[inside] % len(matches.ids)   # entry a * len(ids) + k places match k
+    return WordSets(keys[inside] % span, matches.lengths[match], bounds - bounds[0])
+
+
+def knowledge_select(matches: MatchSets, mode: str) -> WordSets:
+    """The per-position word sets of a knowledge mode.
 
     slk: neighbor-matched words; flk: self-matched words; both: their
-    deduplicated union; none: empty sets everywhere.
+    union; none: empty sets everywhere.
     """
     mode = mode.lower()
     if mode not in KNOWLEDGE_MODES:
         raise ValueError(f"knowledge mode {mode!r} not in {KNOWLEDGE_MODES}")
-    if mode == "slk":
-        return match_sets.slk
-    if mode == "flk":
-        return match_sets.flk
-    if mode == "both":
-        return tuple(map(_merged, match_sets.slk, match_sets.flk))
-    return tuple(() for _ in match_sets.slk)
+    return _placed(matches, mode)

@@ -105,13 +105,11 @@ def prepare_sentence(sentence, lexicon: Lexicon, char_vocab: dict[str, int],
                      knowledge_mode: str,
                      char_vectors: np.ndarray | None = None) -> SentenceInputs:
     """Resolve characters to ids and lexicon matches to per-position word sets."""
-    sets = knowledge_select(match_sentence(lexicon, sentence), knowledge_mode)
-    lens = [[len(lexicon.words[w]) for w in s] for s in sets]
+    words = knowledge_select(match_sentence(lexicon, sentence), knowledge_mode)
     char_ids = np.array([char_vocab.get(c, char_vocab[UNK]) for c in sentence.chars],
                         dtype=np.int64)
     gold = np.array(sentence.tags, dtype=np.int64) if sentence.tags is not None else None
-    return SentenceInputs(sentence.id, char_ids, fusion.WordSets.from_sets(sets, lens),
-                          gold, char_vectors)
+    return SentenceInputs(sentence.id, char_ids, words, gold, char_vectors)
 
 
 def prepare_sentences(sentences, lexicon: Lexicon, char_vocab: dict[str, int],

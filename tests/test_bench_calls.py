@@ -22,3 +22,18 @@ def test_workload_runs_and_checks_out_at_smoke_sizes(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, result
+
+
+def test_traced_tag_smoke_counts_lexicon_coverage():
+    # the coverage counter reads what knowledge_select returns, and the tracer
+    # drops a count that raises instead of failing the run
+    argv = [sys.executable, "bench/run.py", "--workload", "tag_lex50k", "--seed", "3",
+            "--seconds", "0.2", "--trace", "1", "--smoke"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    report = next(line["report"] for line in lines if "report" in line)
+    metrics = lines[-1]["metrics"]
+    assert metrics["lexicon.coverage"]["value"] > 0
+    assert metrics["lexicon.words_per_char"]["value"] > 0
+    assert "lexicon.knowledge_select (count)" not in report["absent_layers"]

@@ -153,6 +153,14 @@ class TestFuseSentence:
         for arr in (words.ids, words.lengths, words.offsets):
             assert arr.dtype == np.int64
 
+    def test_len_and_index_are_positions(self):
+        words = WordSets.from_sets([[], [4, 1], [], [1]], [[], [2, 3], [], [3]])
+        assert len(words) == 4
+        assert [s.tolist() for s in words] == [[], [4, 1], [], [1]]
+        assert words[-3].tolist() == [4, 1]
+        with pytest.raises(IndexError):
+            words[4]
+
     def test_no_words_anywhere(self):
         rng = np.random.default_rng(21)
         words = WordSets.from_sets([[], [], []], [[], [], []])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lexner import (EmbeddingTable, build_lexicon, knowledge_select, match_sentence,
                     uniform_bound)
+from lexner.fusion import WordSets
 from lexner.lexicon import KNOWLEDGE_MODES
 from lexner.errors import DataError
 
@@ -13,6 +14,14 @@ from conftest import BRIDGE_SENTENCE, BRIDGE_WORDS, naive_match_oracle
 
 def words_of(lexicon, indices):
     return {lexicon.words[w] for w in indices}
+
+
+def same_arrays(a, b, fields):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+SPANS = ("starts", "lengths", "ids")
+WORD_SETS = ("ids", "lengths", "offsets")
 
 
 class TestBuildLexicon:
@@ -155,7 +164,7 @@ class TestMatchSentence:
     def test_empty_lexicon(self):
         lex = build_lexicon(["南"], None, dim=4)   # everything skipped
         ms = match_sentence(lex, BRIDGE_SENTENCE)
-        assert all(s == () for s in ms.fwd + ms.bwd + ms.flk + ms.slk)
+        assert all(list(s) == [] for sets in (ms.fwd, ms.bwd, ms.flk, ms.slk) for s in sets)
 
     def test_boundary_identities(self, bridge_lexicon):
         ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
@@ -166,7 +175,7 @@ class TestMatchSentence:
     def test_determinism(self, bridge_lexicon):
         a = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
         b = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
-        assert a == b
+        assert a.n == b.n and same_arrays(a, b, SPANS)
 
     def test_set_ordering(self, bridge_lexicon):
         ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
@@ -217,18 +226,19 @@ class TestMatchSentence:
     def test_accepts_sentence_objects(self, bridge_lexicon):
         from lexner import Sentence
         sent = Sentence(BRIDGE_SENTENCE, None, "x")
-        assert match_sentence(bridge_lexicon, sent) == match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
+        a, b = match_sentence(bridge_lexicon, sent), match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
+        assert a.n == b.n and same_arrays(a, b, SPANS)
 
 
 class TestKnowledgeSelect:
     def test_none_mode(self, bridge_lexicon):
         ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
         sets = knowledge_select(ms, "none")
-        assert all(s == () for s in sets)
+        assert all(list(s) == [] for s in sets)
 
     def test_slk_mode_is_definition(self, bridge_lexicon):
         ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
-        assert knowledge_select(ms, "slk") == ms.slk
+        assert same_arrays(knowledge_select(ms, "slk"), ms.slk, WORD_SETS)
 
     def test_both_mode_at_jing(self, bridge_lexicon):
         # flk(京) = {南京}, slk(京) = {南京, 南京市} -> union
@@ -278,3 +288,25 @@ class TestMatcherProperties:
             for i, s in enumerate(sets):
                 assert list(s) == sorted(set(s)), (key, i)   # ascending, no repeats
                 assert words_of(lex, s) == expected[key][i], (key, i)
+
+
+class TestWordSetsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=matcher_cases())
+    def test_every_reading_equals_from_sets_over_the_oracle(self, case):
+        words, min_len, max_len, chars = case
+        lex = build_lexicon(words, None, dim=2, min_word_len=min_len, max_word_len=max_len)
+        ms = match_sentence(lex, chars)
+        fwd, bwd, flk, slk = naive_match_oracle(words, chars, min_len, max_len)
+        expected = {"fwd": fwd, "bwd": bwd, "flk": flk, "slk": slk, "none": [set()] * len(chars),
+                    "both": [a | b for a, b in zip(slk, flk)]}
+        got = {"fwd": ms.fwd, "bwd": ms.bwd}
+        got.update((mode, knowledge_select(ms, mode)) for mode in KNOWLEDGE_MODES)
+        assert set(got) == set(expected)
+        for key, sets in got.items():
+            ranked = [sorted(s, key=lex.word_index.get) for s in expected[key]]
+            want = WordSets.from_sets([[lex.word_index[w] for w in s] for s in ranked],
+                                      [[len(w) for w in s] for s in ranked])
+            for field in WORD_SETS:
+                a, b = getattr(sets, field), getattr(want, field)
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (key, field)

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import fan_in_uniform
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
@@ -71,16 +70,7 @@ _worker_lock = threading.Lock()
 
 def gate_shapes(d_in: int, d_h: int) -> dict[str, tuple]:
     """Shape of each of one direction's gates, in GATE_NAMES order."""
-    shapes = {}
-    for g in ("z", "r", "h"):
-        shapes.update({f"W_{g}": (d_h, d_in), f"U_{g}": (d_h, d_h), f"b_{g}": (d_h,)})
-    return shapes
-
-
-def init_gru_gates(d_in: int, d_h: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """LeCun-uniform weights (fan-in = columns), zero biases."""
-    return {name: np.zeros(shape) if len(shape) == 1 else fan_in_uniform(shape, rng)
-            for name, shape in gate_shapes(d_in, d_h).items()}
+    return {name: {"W": (d_h, d_in), "U": (d_h, d_h), "b": (d_h,)}[name[0]] for name in GATE_NAMES}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def build_lexicon(words, table: EmbeddingTable | None = None, *, dim: int = 50,
 class MatchSets:
     """Every dictionary word found in a sentence of n characters: word ids[k] covers
     characters starts[k] .. starts[k] + lengths[k] - 1 (all int64). `fwd`, `bwd`,
-    `flk` and `slk` are their readings' `WordSets`.
+    `flk` and `slk` are their readings' `WordSets`, each placed on first read and kept.
     """
 
     n: int
@@ -102,10 +103,10 @@ class MatchSets:
     lengths: np.ndarray
     ids: np.ndarray
 
-    fwd = property(lambda self: _placed(self, "fwd"))
-    bwd = property(lambda self: _placed(self, "bwd"))
-    flk = property(lambda self: _placed(self, "flk"))
-    slk = property(lambda self: _placed(self, "slk"))
+    fwd = cached_property(lambda self: _placed(self, "fwd"))
+    bwd = cached_property(lambda self: _placed(self, "bwd"))
+    flk = cached_property(lambda self: _placed(self, "flk"))
+    slk = cached_property(lambda self: _placed(self, "slk"))
 
 
 def match_sentence(lexicon: Lexicon, sentence) -> MatchSets:

@@ -5,7 +5,7 @@ or a chunk of sentences to tag), each stage taking them one after another;
 the encoder and the CRF share one length-ranked layout (`encoder.Layout`).
 Settings come from the run's `TrainConfig`; shapes and character source from the store.
 
-Parameter names in the store:
+Parameter names in the store, in its order, which is also `init_params`' draw order:
 
     char_emb                     (V_c, d_c)   absent in precomputed-vector mode
     gru_fwd.W_z ... gru_bwd.b_h  recurrent gates, both directions
@@ -72,32 +72,27 @@ def param_shapes(cfg: TrainConfig, num_tags: int, source: str, char_vocab_size: 
 
 def init_params(cfg: TrainConfig, num_tags: int, source: str, char_vocab_size: int,
                 word_init: np.ndarray, rng: np.random.Generator) -> ParamStore:
-    """Fresh parameters; embeddings and weights use the uniform +-sqrt(3/fan) rule.
+    """Fresh parameters, made and drawn in store order (`param_shapes`) by one rule:
+    `char_emb` uniform over +-sqrt(3/d_c), `word_emb` a copy of word_init, `crf.T`
+    `crf.init_transitions`, any other matrix `fan_in_uniform`, any vector zeros.
 
     The two embedding tables get their gradients by rows (see `batch_loss`).
     """
     word_init = np.asarray(word_init)
     if word_init.ndim != 2 or word_init.shape[1] != cfg.d_w:
         raise ShapeError(f"word embedding matrix {word_init.shape} does not match d_w={cfg.d_w}")
-    shapes = param_shapes(cfg, num_tags, source, char_vocab_size, len(word_init))
     store = ParamStore()
-
-    def add(name, arr):
+    for name, shape in param_shapes(cfg, num_tags, source, char_vocab_size, len(word_init)).items():
+        if name == "char_emb":
+            value = rng.uniform(-uniform_bound(cfg.d_c), uniform_bound(cfg.d_c), shape)
+        elif name == "word_emb":
+            value = word_init
+        elif name == "crf.T":
+            value = crf.init_transitions(num_tags)
+        else:
+            value = fan_in_uniform(shape, rng) if len(shape) == 2 else np.zeros(shape)
         # np.array copies, so the store never aliases caller-owned buffers
-        store.add(name, np.array(arr, dtype=cfg.dtype), table=name in TABLES)
-
-    if source == "table":
-        b = uniform_bound(cfg.d_c)
-        add("char_emb", rng.uniform(-b, b, shapes["char_emb"]))
-    for direction in ("fwd", "bwd"):
-        for name, arr in encoder.init_gru_gates(cfg.d_c, cfg.d_h, rng).items():
-            add(f"gru_{direction}.{name}", arr)
-    add("fusion.W_u", fan_in_uniform(shapes["fusion.W_u"], rng))
-    add("fusion.b_u", np.zeros(shapes["fusion.b_u"]))
-    add("word_emb", word_init)
-    add("crf.W_o", fan_in_uniform(shapes["crf.W_o"], rng))
-    add("crf.b_o", np.zeros(shapes["crf.b_o"]))
-    add("crf.T", crf.init_transitions(num_tags))
+        store.add(name, np.array(value, dtype=cfg.dtype), table=name in TABLES)
     return store
 
 

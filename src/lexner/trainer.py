@@ -11,6 +11,7 @@ resumed runs on the exact trajectory of uninterrupted ones.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -207,7 +208,7 @@ _CHECKPOINT_META = (
 
 @dataclass
 class Checkpoint:
-    """Everything needed to evaluate, tag, or resume training."""
+    """Everything needed to evaluate, tag, or resume training; `train` keeps its state in one."""
 
     store: ParamStore
     config: TrainConfig
@@ -335,17 +336,9 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
         ) if not same]
         if differ:
             raise ConfigError(f"cannot resume: {', '.join(differ)} differ from the checkpoint's")
-        store = _resumable(resume.store)
-        char_vocab = resume.char_vocab
-        rng.bit_generator.state = resume.rng_state
-        adam_t = resume.adam_t
-        start_epoch = resume.epoch + 1
-        best_f1 = resume.best_dev_f1
-    else:
-        char_vocab = build_char_vocab(train_set.sentences)
-        adam_t = 0
-        start_epoch = 1
-        best_f1 = -1.0
+        run = dataclasses.replace(resume, store=_resumable(resume.store), config=config)
+        rng.bit_generator.state = run.rng_state
+    char_vocab = run.char_vocab if resume is not None else build_char_vocab(train_set.sentences)
 
     inputs = prepare_sentences(train_set.sentences, lexicon, char_vocab,
                                config.knowledge_mode, char_vectors)
@@ -353,38 +346,40 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                                    config.knowledge_mode, char_vectors)
     dev_gold = gold_spans(dev_set)
 
-    if resume is None:
-        store = init_params(config, scheme.size, source, len(char_vocab), lexicon.embeddings, rng)
+    if resume is None:   # the run's state: what a snapshot saves, rng_state aside
+        run = Checkpoint(init_params(config, scheme.size, source, len(char_vocab),
+                                     lexicon.embeddings, rng),
+                         config, epoch=0, best_dev_f1=-1.0, rng_state={}, adam_t=0,
+                         char_vocab=char_vocab, scheme_kind=scheme.kind, labels=scheme.labels,
+                         words=lexicon.words)
     skip = ("word_emb",) if config.freeze_word_emb else ()
 
-    def snapshot(epoch, f1):
-        return Checkpoint(store.copy(), config, epoch, f1,
-                          json.loads(json.dumps(rng.bit_generator.state)), adam_t,
-                          char_vocab, scheme.kind, scheme.labels, lexicon.words)
+    def snapshot():
+        return dataclasses.replace(run, store=run.store.copy(),
+                                   rng_state=json.loads(json.dumps(rng.bit_generator.state)))
 
     # a fresh run needs no starting snapshot: the first epoch's F1 (>= 0) beats -1
-    best = snapshot(start_epoch - 1, best_f1) if resume is not None else None
+    best = snapshot() if resume is not None else None
     history: list[dict] = []
-    # a fresh run starts its log over, and a resume continues it
-    log_fh = open(log_path, "w" if resume is None else "a", encoding="utf-8") if log_path else None
     stale = 0
-    epoch = start_epoch - 1
-    try:
-        for epoch in range(start_epoch, config.epochs + 1):
+    # a fresh run starts its log over, and a resume continues it
+    with (open(log_path, "w" if resume is None else "a", encoding="utf-8") if log_path
+          else contextlib.nullcontext()) as log_fh:
+        for run.epoch in range(run.epoch + 1, config.epochs + 1):
             t0 = time.perf_counter()
             order = rng.permutation(len(inputs))
             total_nll, adam_values = 0.0, 0
             for at in range(0, len(order), config.batch_size):
                 batch = [inputs[i] for i in order[at:at + config.batch_size]]
                 rngs = [np.random.default_rng(int(rng.integers(0, 2 ** 63))) for _ in batch]
-                for loss in batch_loss(store, batch, config, train=True, rngs=rngs):
+                for loss in batch_loss(run.store, batch, config, train=True, rngs=rngs):
                     total_nll += loss   # in batch order; the CRF has checked each loss
-                adam_t += 1
-                adam_values += adam_step(store, config.lr, t=adam_t,
+                run.adam_t += 1
+                adam_values += adam_step(run.store, config.lr, t=run.adam_t,
                                          clip_norm=config.clip_norm, skip=skip)
-            p, r, f1 = evaluate(store, dev_inputs, dev_gold, scheme, config)
+            p, r, f1 = evaluate(run.store, dev_inputs, dev_gold, scheme, config)
             record = {
-                "epoch": epoch,
+                "epoch": run.epoch,
                 "train_nll": total_nll / len(inputs),
                 "dev_p": p,
                 "dev_r": r,
@@ -397,20 +392,16 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
             if log_fh:
                 log_fh.write(json.dumps(record) + "\n")
                 log_fh.flush()
-            log.info("epoch %d: train_nll %.4f dev_f1 %.4f", epoch,
-                     record["train_nll"], f1)
-            if f1 > best_f1:
-                best_f1 = f1
-                best = snapshot(epoch, f1)
+            log.info("epoch %d: train_nll %.4f dev_f1 %.4f", run.epoch, record["train_nll"], f1)
+            if f1 > run.best_dev_f1:
+                run.best_dev_f1 = f1
+                best = snapshot()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.patience:
                     log.info("no dev improvement for %d epochs; stopping", stale)
                     break
-        # nothing changes after a best epoch's snapshot, so a last best epoch is shared
-        last = best if best.epoch == epoch else snapshot(epoch, best_f1)
-    finally:
-        if log_fh:
-            log_fh.close()
+    # nothing changes after a best epoch's snapshot, so a last best epoch is shared
+    last = best if best.epoch == run.epoch else snapshot()
     return TrainResult(best=best, last=last, history=history)

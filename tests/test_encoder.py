@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 import lexner
 from conftest import encoder_worker
 from lexner import ParamStore, encoder
-from lexner.encoder import (GATE_NAMES, Layout, encode_backward, encode_chars,
-                            global_feature, global_feature_backward, init_gru_gates)
+from lexner.encoder import (GATE_NAMES, Layout, encode_backward, encode_chars, gate_shapes,
+                            global_feature, global_feature_backward)
 from lexner.errors import ShapeError
-from lexner.numerics import grad_check
+from lexner.numerics import fan_in_uniform, grad_check
 
 
 def make_gates(rng, d_in, d_h):
-    return init_gru_gates(d_in, d_h, rng)
+    """LeCun-uniform weights and zero biases, as `init_params` makes them."""
+    return {name: np.zeros(shape) if len(shape) == 1 else fan_in_uniform(shape, rng)
+            for name, shape in gate_shapes(d_in, d_h).items()}
 
 
 def hand_gru_step(x, h, gates):
@@ -412,7 +414,8 @@ class TestTwoThreads:
             "from lexner import encoder\n"
             "encoder._cpus = lambda: 2   # the worker even where this process may use one CPU\n"
             "rng = np.random.default_rng(0)\n"
-            "fwd, bwd = (encoder.init_gru_gates(8, 256, rng) for _ in range(2))\n"
+            "fwd, bwd = ({name: rng.uniform(-0.1, 0.1, shape)\n"
+            "             for name, shape in encoder.gate_shapes(8, 256).items()} for _ in range(2))\n"
             "X = rng.normal(size=(30, 8))\n"
             "H, _ = encoder.encode_chars(X, fwd, bwd)\n"
             "pid = os.fork()\n"

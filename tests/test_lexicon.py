@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lexner import (EmbeddingTable, build_lexicon, knowledge_select, match_sentence,
                     uniform_bound)
 from lexner.fusion import WordSets
+from lexner import lexicon as lexicon_module
 from lexner.lexicon import KNOWLEDGE_MODES
 from lexner.errors import DataError
 
@@ -166,11 +167,25 @@ class TestMatchSentence:
         ms = match_sentence(lex, BRIDGE_SENTENCE)
         assert all(list(s) == [] for sets in (ms.fwd, ms.bwd, ms.flk, ms.slk) for s in sets)
 
-    def test_boundary_identities(self, bridge_lexicon):
-        ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
+    def test_boundary_identities(self):
+        # slk at an end holds exactly the inner neighbor's words: one, two or none of them
         n = len(BRIDGE_SENTENCE)
-        assert ms.slk[0] == ms.bwd[1]
-        assert ms.slk[n - 1] == ms.fwd[n - 2]
+        for words, min_len, size in ((BRIDGE_WORDS, 2, 1), (["京", "南京", "大", "大桥"], 1, 2),
+                                     (["市长", "长江"], 2, 0)):
+            lex = build_lexicon(words, None, dim=4, min_word_len=min_len)
+            ms = match_sentence(lex, BRIDGE_SENTENCE)
+            assert len(ms.bwd[1]) == len(ms.fwd[n - 2]) == size
+            assert ms.slk[0].tolist() == ms.bwd[1].tolist()
+            assert ms.slk[n - 1].tolist() == ms.fwd[n - 2].tolist()
+
+    def test_each_reading_is_placed_once(self, bridge_lexicon, monkeypatch):
+        ms = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)
+        calls = []
+        placed = lexicon_module._placed
+        monkeypatch.setattr(lexicon_module, "_placed", lambda m, r: calls.append(r) or placed(m, r))
+        for _ in range(3):
+            assert [ms.fwd, ms.bwd, ms.flk, ms.slk]
+        assert calls == ["fwd", "bwd", "flk", "slk"]
 
     def test_determinism(self, bridge_lexicon):
         a = match_sentence(bridge_lexicon, BRIDGE_SENTENCE)

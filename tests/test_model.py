@@ -108,6 +108,52 @@ class TestSentenceLoss:
             init_params(mcfg, 3, "table", 5, np.zeros((2, 7)), rng)
 
 
+def written_out_init(cfg, num_tags, source, char_vocab_size, word_init, rng):
+    """What init_params makes, drawn by hand in store order: the character table,
+    each direction's gates in GATE_NAMES order, W_u, b_u, the word table, W_o, b_o, T."""
+    d_c, d_h, d_w = cfg.d_c, cfg.d_h, cfg.d_w
+
+    def lecun(rows, cols):
+        return rng.uniform(-1, 1, (rows, cols)) * np.sqrt(3.0 / cols)
+
+    ref = {}
+    if source == "table":
+        ref["char_emb"] = rng.uniform(-np.sqrt(3.0 / d_c), np.sqrt(3.0 / d_c),
+                                      (char_vocab_size, d_c))
+    for direction in ("fwd", "bwd"):
+        for g in "zrh":
+            ref[f"gru_{direction}.W_{g}"] = lecun(d_h, d_c)
+            ref[f"gru_{direction}.U_{g}"] = lecun(d_h, d_h)
+            ref[f"gru_{direction}.b_{g}"] = np.zeros(d_h)
+    ref["fusion.W_u"] = lecun(2 * d_h, d_w)
+    ref["fusion.b_u"] = np.zeros(2 * d_h)
+    ref["word_emb"] = word_init
+    ref["crf.W_o"] = lecun(num_tags, d_w + 2 * d_h)
+    ref["crf.b_o"] = np.zeros(num_tags)
+    ref["crf.T"] = crf.init_transitions(num_tags)
+    return {name: np.asarray(value, dtype=cfg.dtype) for name, value in ref.items()}
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("source", ["table", "file"])
+    def test_draws_what_the_written_out_init_draws(self, source, precision):
+        mcfg = TrainConfig(d_c=5, bigru_total=8, d_w=3, precision=precision)
+        word_init = np.random.default_rng(9).normal(size=(6, 3))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        store = init_params(mcfg, 5, source, 7, word_init, rng)
+        ref = written_out_init(mcfg, 5, source, 7, word_init, ref_rng)
+        assert store.names() == list(ref)
+        for name, want in ref.items():
+            got = store.value(name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        assert {name for name, p in store.items() if p.live is not None} == \
+            {"char_emb", "word_emb"} & set(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert not np.shares_memory(store.value("word_emb"), word_init)
+
+
 class TestFloat32:
     def test_backward_pass_stays_float32(self, monkeypatch):
         store, inputs, mcfg = tiny_problem(0, precision="float32")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -738,6 +739,11 @@ class TestResumeRefusals:
 
 
 class TestCheckpointIO:
+    def test_every_run_state_field_is_saved(self):
+        # train keeps its state in a Checkpoint: a field missing here would never reach the file
+        state = {f.name for f in dataclasses.fields(Checkpoint)} - {"store"}
+        assert state == {key for key, *_ in trainer._CHECKPOINT_META}
+
     def test_round_trip_fields(self, tmp_path):
         ds, lex, _ = tiny_corpus()
         result = train(ds, ds, lex, tiny_config(epochs=1))

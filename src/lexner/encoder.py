@@ -15,17 +15,20 @@ that are still that long. They are the first k_t ranks, so every step
 works on a prefix of rows and needs no mask. The rows of all steps are
 packed one step after another (`Layout`), as `pack_padded_sequence` does.
 
-The input terms X W_g^T + b_g do not depend on the recurrence, so one GEMM
-over every row computes them before the loop; a step then does only the
-recurrent products, over its k_t rows at once, and the gate arithmetic in
-place. The logistic function is computed by the identity
-sigmoid(a) = 0.5 * (1 + tanh(a / 2)), which cannot overflow; the halving
-is folded into the z and r weights and biases, which is exact, so z and r
-share one tanh. With one row, z and r also share one matrix-vector
-product with the stacked [U_z; U_r]; with more rows two separate GEMMs
-are faster. States are rows of one array that starts with
-k_0 zero rows, the initial states; the forward pass keeps it, the gates
-and r * h for the backward pass.
+The input terms X W_g^T + b_g do not depend on the recurrence: X's rows are
+gathered into packed order, and one GEMM per gate computes the terms there
+before the loop. A step then does only the recurrent products, over its k_t
+rows at once, and the gate arithmetic in place, on 2-D slices while k_t > 1.
+The one-row steps that end every layout (all of one sentence's) take 1-D
+rows from iterating the arrays in C: slicing in Python each step would hold
+the GIL that the worker thread (below) needs. The logistic function is
+computed by the identity sigmoid(a) = 0.5 * (1 + tanh(a / 2)), which cannot
+overflow; the halving is folded into the z and r weights and biases, which
+is exact, so z and r share one tanh. With one row, z and r also share one
+matrix-vector product with the stacked [U_z; U_r]; with more rows two
+separate GEMMs are faster. States are rows of one array that starts with k_0
+zero rows, the initial states; the forward pass keeps it, the gates and
+r * h for the backward pass.
 
 The backward loop carries d loss / d h for the running rows from step to
 step and stores the gradients of the three gate pre-activations. After the
@@ -132,55 +135,68 @@ def _check(X, gates):
         )
 
 
+def _step_views(S, A, RH, P, lay):
+    """Each step's (k, h, z|r, z, r, c, r * h, h', q, q[..., :d_h]): 2-D slices while
+    k > 1, then the one-row tail's 1-D rows, iterated in C; h is the last step's h'."""
+    k0, d_h = lay.k0, S.shape[1]
+    for k, o, p in lay.steps:
+        if k == 1:
+            break
+        a = A[o:o + k]
+        zr = a[:, :2 * d_h]
+        yield (k, S[k0 + p:k0 + p + k], zr, zr[:, :d_h], zr[:, d_h:], a[:, 2 * d_h:],
+               RH[o:o + k], S[k0 + o:k0 + o + k], P[:k], P[:k, :d_h])
+    else:
+        return
+    h, q, q_h = S[k0 + p], P[0], P[0, :d_h]
+    for zr, z, r, c, rh, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
+                                      A[o:, 2 * d_h:], RH[o:], S[k0 + o:]):
+        yield 1, h, zr, z, r, c, rh, h_new, q, q_h
+        h = h_new
+
+
 def _run_direction(X, lay, rows, gates):
     """Forward recurrence of one direction over the packed rows.
 
     Returns the state array S ((k_0 + N, d_h), the packed states after k_0
     zero rows), the gates [z | r | c] (N, 3 d_h) and r * h (N, d_h).
     """
-    d_h = gates["b_z"].shape[0]
-    dt = X.dtype
+    d_h, dt = gates["b_z"].shape[0], X.dtype
+    X = X[rows]   # packed order, so the input terms need no permuting
     A = np.empty((len(X), 3 * d_h), dtype=dt)
-    for i, (g, scale) in enumerate((("z", 0.5), ("r", 0.5), ("h", 1.0))):
+    scales = (("z", 0.5), ("r", 0.5), ("h", 1.0))
+    for i, (g, scale) in enumerate(scales):
         # one GEMM per gate: a wider product rounds some small batches differently
-        part = A[:, i * d_h:(i + 1) * d_h]
-        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=part)
-        np.add(part, scale * gates[f"b_{g}"], out=part)
-    A = A[rows]
+        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=A[:, i * d_h:(i + 1) * d_h])
+    # one add over the contiguous A: a ufunc on a column block runs through buffers
+    np.add(A, np.concatenate([scale * gates[f"b_{g}"] for g, scale in scales]), out=A)
     U_zr = 0.5 * np.vstack([gates["U_z"], gates["U_r"]])
     U_h = gates["U_h"]
+    U_zr1, U_h1 = U_zr.T, U_h.T   # transposed views: at one row, the same gemv as U @ h
     k0 = lay.k0
     if k0 > 1:   # a GEMM is fastest with contiguous right operands
         U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
     S = np.zeros((k0 + len(A), d_h), dtype=dt)
     RH = np.empty((len(A), d_h), dtype=dt)
     P = np.empty((k0, 2 * d_h), dtype=dt)
-    for k, o, p in lay.steps:
-        h = S[k0 + p:k0 + p + k]
-        a = A[o:o + k]
-        zr, c = a[:, :2 * d_h], a[:, 2 * d_h:]
-        z, r = zr[:, :d_h], zr[:, d_h:]
-        q = P[:k]
-        if k == 1:   # a transposed view: the same matrix-vector product as U @ h
-            np.matmul(h, U_zr.T, out=q)
+    for k, h, zr, z, r, c, rh, h_new, q, q_h in _step_views(S, A, RH, P, lay):
+        if k == 1:
+            np.matmul(h, U_zr1, out=q)
         else:
-            np.matmul(h, U_zT, out=q[:, :d_h])
+            np.matmul(h, U_zT, out=q_h)
             np.matmul(h, U_rT, out=q[:, d_h:])
         np.add(zr, q, out=zr)
         np.tanh(zr, out=zr)
         np.add(zr, 1.0, out=zr)
         np.multiply(zr, 0.5, out=zr)
-        rh = RH[o:o + k]
         np.multiply(r, h, out=rh)
-        q = P[:k, :d_h]
-        np.matmul(rh, U_h.T if k == 1 else U_hT, out=q)
-        np.add(c, q, out=c)
+        np.matmul(rh, U_h1 if k == 1 else U_hT, out=q_h)
+        np.add(c, q_h, out=c)
         np.tanh(c, out=c)
-        h_new = S[k0 + o:k0 + o + k]
         np.subtract(1.0, z, out=h_new)
         np.multiply(h_new, h, out=h_new)
-        np.multiply(z, c, out=q)
-        np.add(h_new, q, out=h_new)
+        np.multiply(z, c, out=q_h)
+        np.add(h_new, q_h, out=h_new)
     return S, A, RH
 
 
@@ -258,7 +274,10 @@ def encode_chars(X, fwd_gates, bwd_gates, lengths=None):
             cf = _run_direction(X, lay, lay.rows[0], fwd_gates)
         finally:   # never return with the worker still writing
             cb = pending.result()
-    H = np.hstack([cf[0][lay.k0 + lay.pos[0]], cb[0][lay.k0 + lay.pos[1]]])
+    d_h = fwd_gates["b_z"].shape[0]
+    H = np.empty((len(X), 2 * d_h), dtype=X.dtype)
+    np.take(cf[0][lay.k0:], lay.pos[0], axis=0, out=H[:, :d_h])
+    np.take(cb[0][lay.k0:], lay.pos[1], axis=0, out=H[:, d_h:])
     return H, (X, lay, cf, cb)
 
 

@@ -345,6 +345,9 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
     dev_inputs = prepare_sentences(dev_set.sentences, lexicon, char_vocab,
                                    config.knowledge_mode, char_vectors)
     dev_gold = gold_spans(dev_set)
+    # lexicon coverage: the share of training characters with at least one word in their set
+    train_chars = sum(map(len, inputs))
+    covered = sum(int(np.count_nonzero(np.diff(item.words.offsets))) for item in inputs)
 
     if resume is None:   # the run's state: what a snapshot saves, rng_state aside
         run = Checkpoint(init_params(config, scheme.size, source, len(char_vocab),
@@ -377,6 +380,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 run.adam_t += 1
                 adam_values += adam_step(run.store, config.lr, t=run.adam_t,
                                          clip_norm=config.clip_norm, skip=skip)
+            train_s = time.perf_counter() - t0
             p, r, f1 = evaluate(run.store, dev_inputs, dev_gold, scheme, config)
             record = {
                 "epoch": run.epoch,
@@ -387,6 +391,8 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 "seconds": time.perf_counter() - t0,
                 "adam_values": adam_values,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "train_chars_per_s": train_chars / train_s,
+                "lexicon_coverage": covered / train_chars,
             }
             history.append(record)
             if log_fh:

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lexner
@@ -436,3 +437,82 @@ class TestTwoThreads:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env=env)
         assert done.returncode == 0, done.stderr
+
+
+def written_out_direction(X, lay, rows, gates):
+    """One direction's forward recurrence written out: the input terms in the rows of X,
+    then permuted into packed order, and every step on 2-D slices of k rows."""
+    d_h = gates["b_z"].shape[0]
+    A = np.empty((len(X), 3 * d_h), dtype=X.dtype)
+    for i, (g, scale) in enumerate((("z", 0.5), ("r", 0.5), ("h", 1.0))):
+        part = A[:, i * d_h:(i + 1) * d_h]
+        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=part)
+        np.add(part, scale * gates[f"b_{g}"], out=part)
+    A = A[rows]
+    U_zr = 0.5 * np.vstack([gates["U_z"], gates["U_r"]])
+    U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], gates["U_h"]))
+    k0 = lay.k0
+    S = np.zeros((k0 + len(A), d_h), dtype=X.dtype)
+    RH = np.empty((len(A), d_h), dtype=X.dtype)
+    P = np.empty((k0, 2 * d_h), dtype=X.dtype)
+    for k, o, p in lay.steps:
+        h, rh, h_new = S[k0 + p:k0 + p + k], RH[o:o + k], S[k0 + o:k0 + o + k]
+        zr, c = A[o:o + k, :2 * d_h], A[o:o + k, 2 * d_h:]
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        q, q_h = P[:k], P[:k, :d_h]
+        if k == 1:   # one matrix-vector product for z and r
+            np.matmul(h, U_zr.T, out=q)
+        else:
+            np.matmul(h, U_zT, out=q_h)
+            np.matmul(h, U_rT, out=q[:, d_h:])
+        np.add(zr, q, out=zr)
+        np.tanh(zr, out=zr)
+        np.add(zr, 1.0, out=zr)
+        np.multiply(zr, 0.5, out=zr)
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, gates["U_h"].T if k == 1 else U_hT, out=q_h)
+        np.add(c, q_h, out=c)
+        np.tanh(c, out=c)
+        np.subtract(1.0, z, out=h_new)
+        np.multiply(h_new, h, out=h_new)
+        np.multiply(z, c, out=q_h)
+        np.add(h_new, q_h, out=h_new)
+    return S, A, RH
+
+
+class TestForwardLoop:
+    """The forward loop: 2-D steps, then a one-row tail on rows iterated in C."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.sampled_from([4, 33]),
+           st.sampled_from([np.float64, np.float32]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example([25], 33, np.float64, True, 0)           # one sentence: every step has one row
+    @example([6, 9, 2, 9], 4, np.float32, False, 1)   # tied longest: no one-row tail
+    @example([30, 3, 1], 33, np.float32, True, 2)     # a long one-row tail after a batch
+    def test_gives_the_bits_of_the_written_out_loop(self, lengths, d_h, dtype, worker, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = random_gates(rng, 5, d_h, dtype), random_gates(rng, 5, d_h, dtype)
+        X = rng.normal(size=(sum(lengths), 5)).astype(dtype)
+        with encoder_worker(worker):
+            H, (_, lay, cf, cb) = encode_chars(X, fwd, bwd, lengths)
+        want = [written_out_direction(X, lay, lay.rows[d], gates) for d, gates in ((0, fwd), (1, bwd))]
+        want_H = np.hstack([want[d][0][lay.k0 + lay.pos[d]] for d in (0, 1)])
+        assert H.dtype == dtype
+        assert [a.tobytes() for a in (H, *cf, *cb)] == \
+            [a.tobytes() for a in (want_H, *want[0], *want[1])]
+
+    def test_keeps_no_copy_of_the_input_terms(self):
+        # numpy traces its data buffers, so the peak counts every array the call makes
+        rng = np.random.default_rng(19)
+        n, d_in, d_h = 512, 4, 32
+        gates, X = random_gates(rng, d_in, d_h), rng.normal(size=(n, d_in))
+        lay = Layout.of([n])
+        tracemalloc.start()
+        try:
+            S, A, RH = encoder._run_direction(X, lay, lay.rows[0], gates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond what it returns, the call holds X in packed order, the scaled weights and
+        # ufunc buffers. A second copy of A's N x 3 d_h values would add more than N x d_h.
+        assert peak - (S.nbytes + A.nbytes + RH.nbytes) < X.nbytes + n * d_h * X.itemsize

@@ -369,9 +369,16 @@ class TestTrainLoop:
         for rec in result.history:
             assert rec["train_nll"] >= 0.0 and np.isfinite(rec["train_nll"])
             assert set(rec) == {"epoch", "train_nll", "dev_p", "dev_r", "dev_f1", "seconds",
-                                "adam_values", "peak_rss_mb"}
+                                "adam_values", "peak_rss_mb", "train_chars_per_s",
+                                "lexicon_coverage"}
             # one step per epoch: every dense value, plus the live rows of both tables
             assert 0 < rec["adam_values"] < result.last.store.num_values()
+            assert rec["train_chars_per_s"] > sum(map(len, ds.sentences)) / rec["seconds"]
+        # coverage: the share of training characters that have a word in their set
+        inputs = prepare_sentences(ds.sentences, lex, result.last.char_vocab, "slk")
+        share = np.mean(np.concatenate([np.diff(item.words.offsets) for item in inputs]) > 0)
+        assert 0 < share < 1
+        assert [rec["lexicon_coverage"] for rec in result.history] == [share, share]
         peaks = [rec["peak_rss_mb"] for rec in result.history]
         assert 0 < peaks[0] <= peaks[1]   # the process's peak so far, as `tag -v` reports it
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]

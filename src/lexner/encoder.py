@@ -19,9 +19,9 @@ The input terms X W_g^T + b_g do not depend on the recurrence: X's rows are
 gathered into packed order, and one GEMM per gate computes the terms there
 before the loop. A step then does only the recurrent products, over its k_t
 rows at once, and the gate arithmetic in place, on 2-D slices while k_t > 1.
-The one-row steps that end every layout (all of one sentence's) take 1-D
-rows from iterating the arrays in C: slicing in Python each step would hold
-the GIL that the worker thread (below) needs. The logistic function is
+The one-row steps that end every layout (all of one sentence's) run in a loop
+of their own on 1-D rows that iterating the arrays yields in C, with np.dot
+for their products (see the worker thread below). The logistic function is
 computed by the identity sigmoid(a) = 0.5 * (1 + tanh(a / 2)), which cannot
 overflow; the halving is folded into the z and r weights and biases, which
 is exact, so z and r share one tanh. With one row, z and r also share one
@@ -44,8 +44,15 @@ first instead. Over a batch, g has one row per sentence.
 The directions share no state until H is assembled. On two CPUs, with
 recurrent weights large enough to pay for the hand-off, the backward one
 runs on a worker thread while the caller runs the forward one; numpy
-releases the GIL in BLAS calls and large loops, so they overlap. Each runs
-the same operations in the same order either way, so the bits are the same.
+releases the GIL in BLAS calls and large loops, so they overlap, and each
+runs the same operations either way, so the bits are the same. Between
+those calls the two loops take turns on the GIL, so the one-row loop holds
+it as briefly as it can. np.matmul and np.dot reach the same gemv and both
+release the GIL around it, but matmul's gufunc dispatch (override and dtype
+resolution, an iterator, its overlap check) holds it 0.7 us longer per call
+(1.25 against 0.53 us on a 2 x 4 product). Best guess, not proven: the
+other thread waits that out at each hand-off, so with the worker the gap
+cost about 2 ms per 120-character sentence at d_h 256.
 """
 from __future__ import annotations
 
@@ -61,10 +68,9 @@ from .errors import ShapeError
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
 # Bytes of one direction's U_z, U_r and U_h from which the directions run on two threads.
-# Measured on 2 CPUs with one BLAS thread, float64, sequential time over overlapped time:
-# one sentence of 60 characters ran 0.93x at d_h 16, 1.00x at 64, 0.97-1.05x at 128 and
-# 1.18-1.35x at 256 (60-200 characters); 32 such sentences 0.91x at d_h 16, 1.13-1.20x
-# at 64 and 1.4x at 128.
+# On 2 CPUs, one BLAS thread, float64, sequential over overlapped time (median of 5): one
+# 60-character sentence 0.57x at d_h 16, 0.78x at 64, 0.90x at 128 and 1.38x at 256 (1.32x
+# at 200 characters); 32 of them 0.74x, 0.92x, 1.38x and 1.64x.
 OVERLAP_MIN_BYTES = 3 * 128 * 128 * 8
 
 _worker = (None, None)   # (pid that started it, its ThreadPoolExecutor)
@@ -112,13 +118,9 @@ class Layout:
         sent, ends = np.repeat(np.arange(B), L), np.cumsum(L)
         at = np.arange(L.sum()) - np.repeat(ends - L, L)   # position in its sentence
         pos = (o[at] + rank[sent], o[L[sent] - 1 - at] + rank[sent])
-        rows = []
-        for q in pos:
-            inv = np.empty_like(q)
-            inv[q] = np.arange(len(q))
-            rows.append(inv)
+        rows = tuple(np.argsort(q) for q in pos)   # the inverse permutations
         pred = np.repeat(p - o, k) + np.arange(len(at))
-        return cls(L, ends, list(zip(k.tolist(), o.tolist(), p.tolist())), pred, pos, tuple(rows))
+        return cls(L, ends, list(zip(k.tolist(), o.tolist(), p.tolist())), pred, pos, rows)
 
     @property
     def k0(self) -> int:
@@ -129,30 +131,8 @@ class Layout:
 def _check(X, gates):
     d_h, d_in = gates["W_z"].shape
     if X.ndim != 2 or X.shape[1] != d_in or gates["U_z"].shape != (d_h, d_h):
-        raise ShapeError(
-            f"encoder shapes do not conform: X {X.shape}, "
-            f"W_z {gates['W_z'].shape}, U_z {gates['U_z'].shape}"
-        )
-
-
-def _step_views(S, A, RH, P, lay):
-    """Each step's (k, h, z|r, z, r, c, r * h, h', q, q[..., :d_h]): 2-D slices while
-    k > 1, then the one-row tail's 1-D rows, iterated in C; h is the last step's h'."""
-    k0, d_h = lay.k0, S.shape[1]
-    for k, o, p in lay.steps:
-        if k == 1:
-            break
-        a = A[o:o + k]
-        zr = a[:, :2 * d_h]
-        yield (k, S[k0 + p:k0 + p + k], zr, zr[:, :d_h], zr[:, d_h:], a[:, 2 * d_h:],
-               RH[o:o + k], S[k0 + o:k0 + o + k], P[:k], P[:k, :d_h])
-    else:
-        return
-    h, q, q_h = S[k0 + p], P[0], P[0, :d_h]
-    for zr, z, r, c, rh, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
-                                      A[o:, 2 * d_h:], RH[o:], S[k0 + o:]):
-        yield 1, h, zr, z, r, c, rh, h_new, q, q_h
-        h = h_new
+        raise ShapeError(f"encoder shapes do not conform: X {X.shape}, "
+                         f"W_z {gates['W_z'].shape}, U_z {gates['U_z'].shape}")
 
 
 def _run_direction(X, lay, rows, gates):
@@ -170,33 +150,53 @@ def _run_direction(X, lay, rows, gates):
         np.matmul(X, (scale * gates[f"W_{g}"]).T, out=A[:, i * d_h:(i + 1) * d_h])
     # one add over the contiguous A: a ufunc on a column block runs through buffers
     np.add(A, np.concatenate([scale * gates[f"b_{g}"] for g, scale in scales]), out=A)
-    U_zr = 0.5 * np.vstack([gates["U_z"], gates["U_r"]])
-    U_h = gates["U_h"]
-    U_zr1, U_h1 = U_zr.T, U_h.T   # transposed views: at one row, the same gemv as U @ h
-    k0 = lay.k0
+    U_zr = np.vstack([gates["U_z"], gates["U_r"]])
+    np.multiply(U_zr, 0.5, out=U_zr)
+    U_h, k0 = gates["U_h"], lay.k0
     if k0 > 1:   # a GEMM is fastest with contiguous right operands
         U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
     S = np.zeros((k0 + len(A), d_h), dtype=dt)
-    RH = np.empty((len(A), d_h), dtype=dt)
-    P = np.empty((k0, 2 * d_h), dtype=dt)
-    for k, h, zr, z, r, c, rh, h_new, q, q_h in _step_views(S, A, RH, P, lay):
-        if k == 1:
-            np.matmul(h, U_zr1, out=q)
-        else:
-            np.matmul(h, U_zT, out=q_h)
-            np.matmul(h, U_rT, out=q[:, d_h:])
+    RH, P = np.empty((len(A), d_h), dtype=dt), np.empty((k0, 2 * d_h), dtype=dt)
+    for k, o, p in lay.steps:
+        if k == 1:   # the one-row tail runs below, from this step (k, o, p) on
+            break
+        h, rh, h_new = S[k0 + p:k0 + p + k], RH[o:o + k], S[k0 + o:k0 + o + k]
+        zr, c, q, q_h = A[o:o + k, :2 * d_h], A[o:o + k, 2 * d_h:], P[:k], P[:k, :d_h]
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        np.matmul(h, U_zT, out=q_h)
+        np.matmul(h, U_rT, out=q[:, d_h:])
         np.add(zr, q, out=zr)
         np.tanh(zr, out=zr)
         np.add(zr, 1.0, out=zr)
         np.multiply(zr, 0.5, out=zr)
         np.multiply(r, h, out=rh)
-        np.matmul(rh, U_h1 if k == 1 else U_hT, out=q_h)
+        np.matmul(rh, U_hT, out=q_h)
         np.add(c, q_h, out=c)
         np.tanh(c, out=c)
         np.subtract(1.0, z, out=h_new)
         np.multiply(h_new, h, out=h_new)
         np.multiply(z, c, out=q_h)
         np.add(h_new, q_h, out=h_new)
+    else:
+        return S, A, RH
+    dot, add, multiply, subtract, tanh = np.dot, np.add, np.multiply, np.subtract, np.tanh
+    h, q, q_h, U_zr1, U_h1 = S[k0 + p], P[0], P[0, :d_h], U_zr.T, U_h.T   # U.T views: U @ h's gemv
+    for zr, z, r, c, rh, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
+                                      A[o:, 2 * d_h:], RH[o:], S[k0 + o:]):
+        dot(h, U_zr1, out=q)
+        add(zr, q, out=zr)
+        tanh(zr, out=zr)
+        add(zr, 1.0, out=zr)
+        multiply(zr, 0.5, out=zr)
+        multiply(r, h, out=rh)
+        dot(rh, U_h1, out=q_h)
+        add(c, q_h, out=c)
+        tanh(c, out=c)
+        subtract(1.0, z, out=h_new)
+        multiply(h_new, h, out=h_new)
+        multiply(z, c, out=q_h)
+        add(h_new, q_h, out=h_new)
+        h = h_new
     return S, A, RH
 
 
@@ -234,7 +234,7 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
         np.multiply(d_rh, R[o:o + k], out=t)
         np.add(cy, t, out=cy)
         if k == 1:
-            np.matmul(g_zr, U_zr, out=t)
+            np.dot(g_zr, U_zr, out=t)
         else:
             np.matmul(g_z, U_z, out=t)
             np.add(cy, t, out=cy)

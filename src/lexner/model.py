@@ -235,8 +235,8 @@ def tag_sentences(store: ParamStore, items: list[SentenceInputs], cfg: TrainConf
     ranked = [items[i] for i in order]
     paths, alphas = [], [np.empty(0, dtype=cfg.dtype)]   # an empty list of items concatenates
     for at in range(0, len(ranked), TAG_CHUNK):
-        lattice, chunk_alphas, _ = _forward(store, ranked[at:at + TAG_CHUNK], cfg,
-                                            train=False, rngs=None)
+        lattice, chunk_alphas = _forward(store, ranked[at:at + TAG_CHUNK], cfg,
+                                         train=False, rngs=None)[:2]   # keep no cache past Viterbi
         paths += crf.viterbi(lattice, legal)[0]
         alphas.append(chunk_alphas)
     alphas = np.concatenate(alphas)

@@ -481,7 +481,7 @@ def written_out_direction(X, lay, rows, gates):
 
 
 class TestForwardLoop:
-    """The forward loop: 2-D steps, then a one-row tail on rows iterated in C."""
+    """The forward loop: 2-D steps, then a one-row tail of its own on rows iterated in C."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.sampled_from([4, 33]),
@@ -489,6 +489,8 @@ class TestForwardLoop:
     @example([25], 33, np.float64, True, 0)           # one sentence: every step has one row
     @example([6, 9, 2, 9], 4, np.float32, False, 1)   # tied longest: no one-row tail
     @example([30, 3, 1], 33, np.float32, True, 2)     # a long one-row tail after a batch
+    @example([40], 256, np.float64, True, 3)          # the gemv sizes that tagging runs
+    @example([40], 256, np.float32, True, 4)
     def test_gives_the_bits_of_the_written_out_loop(self, lengths, d_h, dtype, worker, seed):
         rng = np.random.default_rng(seed)
         fwd, bwd = random_gates(rng, 5, d_h, dtype), random_gates(rng, 5, d_h, dtype)
@@ -516,3 +518,80 @@ class TestForwardLoop:
         # Beyond what it returns, the call holds X in packed order, the scaled weights and
         # ufunc buffers. A second copy of A's N x 3 d_h values would add more than N x d_h.
         assert peak - (S.nbytes + A.nbytes + RH.nbytes) < X.nbytes + n * d_h * X.itemsize
+
+
+def written_out_direction_backward(dH, X, lay, rows, cache, gates, grads):
+    """One direction's backward recurrence written out: every step on 2-D slices of k rows,
+    with np.matmul, the one-row steps' z and r products stacked. Returns dX in packed rows."""
+    S, A, RH = cache
+    d_h = S.shape[1]
+    Z, R, C = A[:, :d_h], A[:, d_h:2 * d_h], A[:, 2 * d_h:]
+    H_prev = S[lay.k0 + lay.pred]
+    K_z, K_r = (C - H_prev) * Z * (1.0 - Z), H_prev * R * (1.0 - R)
+    K_c, keep = Z * (1.0 - C * C), 1.0 - Z
+    U_zr = np.vstack([gates["U_z"], gates["U_r"]])
+    G = np.empty_like(A)
+    carry = np.zeros((lay.k0, d_h), dtype=A.dtype)
+    drh, tmp = np.empty_like(carry), np.empty_like(carry)
+    for k, o, _ in reversed(lay.steps):
+        dh = dH[o:o + k]
+        np.add(dh, carry[:k], out=dh)
+        g_zr, g_c = G[o:o + k, :2 * d_h], G[o:o + k, 2 * d_h:]
+        g_z, g_r = g_zr[:, :d_h], g_zr[:, d_h:]
+        d_rh, t, cy = drh[:k], tmp[:k], carry[:k]
+        np.multiply(dh, K_c[o:o + k], out=g_c)
+        np.matmul(g_c, gates["U_h"], out=d_rh)
+        np.multiply(dh, K_z[o:o + k], out=g_z)
+        np.multiply(d_rh, K_r[o:o + k], out=g_r)
+        np.multiply(dh, keep[o:o + k], out=cy)
+        np.multiply(d_rh, R[o:o + k], out=t)
+        np.add(cy, t, out=cy)
+        if k == 1:
+            np.matmul(g_zr, U_zr, out=t)
+        else:
+            np.matmul(g_z, gates["U_z"], out=t)
+            np.add(cy, t, out=cy)
+            np.matmul(g_r, gates["U_r"], out=t)
+        np.add(cy, t, out=cy)
+    dW, dU_zr, db = G.T @ X[rows], G[:, :2 * d_h].T @ H_prev, G.sum(axis=0)
+    for i, g in enumerate("zrh"):
+        part = slice(i * d_h, (i + 1) * d_h)
+        grads[f"W_{g}"] += dW[part]
+        grads[f"b_{g}"] += db[part]
+        if g != "h":
+            grads[f"U_{g}"] += dU_zr[part]
+    grads["U_h"] += G[:, 2 * d_h:].T @ RH
+    return G @ np.vstack([gates["W_z"], gates["W_r"], gates["W_h"]])
+
+
+class TestBackwardLoop:
+    """The backward loop gives the bits of the written-out one; C3 checks only a tolerance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.sampled_from([4, 33]),
+           st.sampled_from([np.float64, np.float32]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example([25], 33, np.float64, True, 0)           # one sentence: every step has one row
+    @example([6, 9, 2, 9], 4, np.float32, False, 1)   # tied longest: no one-row tail
+    @example([30, 3, 1], 33, np.float32, True, 2)     # a long one-row tail after a batch
+    @example([40], 256, np.float64, False, 3)         # the gemv sizes of the reference model
+    def test_gives_the_bits_of_the_written_out_loop(self, lengths, d_h, dtype, worker, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = random_gates(rng, 5, d_h, dtype), random_gates(rng, 5, d_h, dtype)
+        X = rng.normal(size=(sum(lengths), 5)).astype(dtype)
+        with encoder_worker(worker):
+            H, cache = encode_chars(X, fwd, bwd, lengths)
+        _, lay, cf, cb = cache
+        dH = rng.normal(size=H.shape).astype(dtype)
+        grads = [{name: np.zeros_like(a) for name, a in gates.items()} for gates in (fwd, bwd)]
+        dX = encode_backward(dH, cache, fwd, bwd, *grads)
+        want = [{name: np.zeros_like(a) for name, a in gates.items()} for gates in (fwd, bwd)]
+        parts = [written_out_direction_backward(dH[lay.rows[d], half], X, lay, lay.rows[d], c,
+                                                gates, want[d])[lay.pos[d]]
+                 for d, half, c, gates in ((0, np.s_[:d_h], cf, fwd), (1, np.s_[d_h:], cb, bwd))]
+        want_dX = parts[0]
+        want_dX += parts[1]
+        assert dX.dtype == dtype
+        assert dX.tobytes() == want_dX.tobytes()
+        for got, exp in zip(grads, want):   # all nine gate gradients of each direction
+            assert {n: a.tobytes() for n, a in got.items()} == \
+                {n: a.tobytes() for n, a in exp.items()}

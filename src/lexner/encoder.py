@@ -27,8 +27,8 @@ overflow; the halving is folded into the z and r weights and biases, which
 is exact, so z and r share one tanh. With one row, z and r also share one
 matrix-vector product with the stacked [U_z; U_r]; with more rows two
 separate GEMMs are faster. States are rows of one array that starts with k_0
-zero rows, the initial states; the forward pass keeps it, the gates and
-r * h for the backward pass.
+zero rows, the initial states; the forward pass keeps it and the gates for
+the backward pass, which re-forms r * h: a step keeps it only as scratch.
 
 The backward loop carries d loss / d h for the running rows from step to
 step and stores the gradients of the three gate pre-activations. After the
@@ -139,7 +139,7 @@ def _run_direction(X, lay, rows, gates):
     """Forward recurrence of one direction over the packed rows.
 
     Returns the state array S ((k_0 + N, d_h), the packed states after k_0
-    zero rows), the gates [z | r | c] (N, 3 d_h) and r * h (N, d_h).
+    zero rows) and the gates [z | r | c] (N, 3 d_h).
     """
     d_h, dt = gates["b_z"].shape[0], X.dtype
     X = X[rows]   # packed order, so the input terms need no permuting
@@ -156,11 +156,11 @@ def _run_direction(X, lay, rows, gates):
     if k0 > 1:   # a GEMM is fastest with contiguous right operands
         U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
     S = np.zeros((k0 + len(A), d_h), dtype=dt)
-    RH, P = np.empty((len(A), d_h), dtype=dt), np.empty((k0, 2 * d_h), dtype=dt)
+    RH, P = np.empty((k0, d_h), dtype=dt), np.empty((k0, 2 * d_h), dtype=dt)   # step scratch
     for k, o, p in lay.steps:
         if k == 1:   # the one-row tail runs below, from this step (k, o, p) on
             break
-        h, rh, h_new = S[k0 + p:k0 + p + k], RH[o:o + k], S[k0 + o:k0 + o + k]
+        h, rh, h_new = S[k0 + p:k0 + p + k], RH[:k], S[k0 + o:k0 + o + k]
         zr, c, q, q_h = A[o:o + k, :2 * d_h], A[o:o + k, 2 * d_h:], P[:k], P[:k, :d_h]
         z, r = zr[:, :d_h], zr[:, d_h:]
         np.matmul(h, U_zT, out=q_h)
@@ -178,11 +178,12 @@ def _run_direction(X, lay, rows, gates):
         np.multiply(z, c, out=q_h)
         np.add(h_new, q_h, out=h_new)
     else:
-        return S, A, RH
+        return S, A
     dot, add, multiply, subtract, tanh = np.dot, np.add, np.multiply, np.subtract, np.tanh
-    h, q, q_h, U_zr1, U_h1 = S[k0 + p], P[0], P[0, :d_h], U_zr.T, U_h.T   # U.T views: U @ h's gemv
-    for zr, z, r, c, rh, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
-                                      A[o:, 2 * d_h:], RH[o:], S[k0 + o:]):
+    h, rh, q, q_h = S[k0 + p], RH[0], P[0], P[0, :d_h]
+    U_zr1, U_h1 = U_zr.T, U_h.T   # views: dot(h, U.T) is U @ h's gemv
+    for zr, z, r, c, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
+                                  A[o:, 2 * d_h:], S[k0 + o:]):
         dot(h, U_zr1, out=q)
         add(zr, q, out=zr)
         tanh(zr, out=zr)
@@ -197,7 +198,7 @@ def _run_direction(X, lay, rows, gates):
         multiply(z, c, out=q_h)
         add(h_new, q_h, out=h_new)
         h = h_new
-    return S, A, RH
+    return S, A
 
 
 def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
@@ -205,21 +206,18 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
 
     Returns dX for the packed rows.
     """
-    S, A, RH = cache
+    S, A = cache
     d_h = S.shape[1]
     Z, R, C = A[:, :d_h], A[:, d_h:2 * d_h], A[:, 2 * d_h:]
     H_prev = S[lay.k0 + lay.pred]
     # per-row factors of the pre-activation gradients; only dh varies
-    K_z = (C - H_prev) * Z * (1.0 - Z)
-    K_r = H_prev * R * (1.0 - R)
-    K_c = Z * (1.0 - C * C)
-    keep = 1.0 - Z
+    RH, keep = H_prev * R, 1.0 - Z   # r * h: the forward step's product of the same operands
+    K_z, K_r, K_c = (C - H_prev) * Z * keep, RH * (1.0 - R), Z * (1.0 - C * C)
     U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
     U_zr = np.vstack([U_z, U_r])
     G = np.empty_like(A)                     # [g_z | g_r | g_c]
     carry = np.zeros((lay.k0, d_h), dtype=A.dtype)
-    drh = np.empty_like(carry)
-    tmp = np.empty_like(carry)
+    drh, tmp = np.empty_like(carry), np.empty_like(carry)
     for k, o, _ in reversed(lay.steps):
         dh = dH[o:o + k]
         np.add(dh, carry[:k], out=dh)   # rows that end at this step carry 0

@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import json
 import logging
-import math
 import operator
 import resource
 import time
@@ -59,19 +58,19 @@ class TrainConfig:
     fusion_strategy: str = "global_attention"
     freeze_word_emb: bool = False
     clip_norm: float | None = None
-    workers: int = 1          # accepted and checked, has no effect
+    workers: dataclasses.InitVar[int] = 1   # taken so old callers and checkpoints work; ignored
     g_mode: str = "last"
     decode_mask: bool = False
     precision: str = "float64"
 
-    def __post_init__(self):
+    def __post_init__(self, workers):
         if self.layers != 1:
             raise ConfigError(f"only 1 recurrent layer is supported, got {self.layers}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.bigru_total % 2 != 0 or self.bigru_total < 2:
             raise ConfigError(f"bigru_total must be a positive even number, got {self.bigru_total}")
-        for name in ("batch_size", "max_len", "d_c", "d_w", "epochs", "patience", "workers"):
+        for name in ("batch_size", "max_len", "d_c", "d_w", "epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("d_c", "d_w", "bigru_total"):
@@ -79,8 +78,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at most {MAX_DIM}, got {getattr(self, name)}")
         if self.seed < 0:   # numpy's generators take no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.lr < math.inf:   # false for NaN too
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 < self.lr <= 1.0:   # false for NaN too; Adam moves a weight by about lr a step
+            raise ConfigError(f"lr must be in (0, 1], got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.knowledge_mode not in KNOWLEDGE_MODES:

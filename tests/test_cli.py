@@ -166,6 +166,20 @@ class TestEchoConfig:
         code, _ = run(capsys, "echo-config", "-o", "epochs=three")
         assert code == 1
 
+    def test_workers_is_no_configuration_key(self, capsys, caplog, tmp_path, monkeypatch):
+        code, out = run(capsys, "echo-config")
+        assert code == 0 and "workers" not in json.loads(out)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("workers=2\n")
+        code, _ = run(capsys, "echo-config", "-c", str(cfg_path))
+        assert code == 1
+        code, _ = run(capsys, "echo-config", "-o", "workers=2")
+        assert code == 1
+        monkeypatch.setenv("LEXNER_WORKERS", "2")
+        code, _ = run(capsys, "echo-config")
+        assert code == 1
+        assert caplog.text.count("unknown configuration key 'workers'") == 3
+
     def test_every_config_key_overridable(self, capsys):
         # every key in the default config must have a caster
         from lexner.cli import _CASTERS, default_config
@@ -372,6 +386,22 @@ class TestTagEval:
         assert code == 2 and out == ""
         assert "Traceback" not in capsys.readouterr().err
         assert named in caplog.text
+
+    def test_tag_loads_a_checkpoint_whose_config_stores_workers(self, workspace, capsys,
+                                                                checkpoint_contents):
+        # checkpoints written before `workers` left the config store it
+        tmp_path, cfg_path, *_ = workspace
+        arrays, meta = checkpoint_contents
+        old = copy.deepcopy(meta)
+        old["config"]["workers"] = 2
+        text_path = tmp_path / "input.txt"
+        text_path.write_text("江城\n他在江城里看\n", encoding="utf-8")
+        outs = []
+        for name, stored in (("new.ckpt", meta), ("old.ckpt", old)):
+            save_arrays(tmp_path / name, arrays, stored)
+            outs.append(run(capsys, "tag", "-c", str(cfg_path),
+                            "-o", f"checkpoint_path={tmp_path / name}", str(text_path)))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
 
     def test_tag_names_a_mistyped_config_field(self, workspace, capsys, caplog,
                                                checkpoint_contents):

@@ -501,7 +501,7 @@ class TestForwardLoop:
         want_H = np.hstack([want[d][0][lay.k0 + lay.pos[d]] for d in (0, 1)])
         assert H.dtype == dtype
         assert [a.tobytes() for a in (H, *cf, *cb)] == \
-            [a.tobytes() for a in (want_H, *want[0], *want[1])]
+            [a.tobytes() for a in (want_H, *want[0][:2], *want[1][:2])]   # S and A; r * h is scratch
 
     def test_keeps_no_copy_of_the_input_terms(self):
         # numpy traces its data buffers, so the peak counts every array the call makes
@@ -511,13 +511,14 @@ class TestForwardLoop:
         lay = Layout.of([n])
         tracemalloc.start()
         try:
-            S, A, RH = encoder._run_direction(X, lay, lay.rows[0], gates)
+            S, A = encoder._run_direction(X, lay, lay.rows[0], gates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Beyond what it returns, the call holds X in packed order, the scaled weights and
-        # ufunc buffers. A second copy of A's N x 3 d_h values would add more than N x d_h.
-        assert peak - (S.nbytes + A.nbytes + RH.nbytes) < X.nbytes + n * d_h * X.itemsize
+        # Beyond what it returns, the call holds X in packed order (N x d_in, d_in < d_h),
+        # the scaled weights, one step's scratch rows and ufunc buffers. No N x d_h array
+        # fits besides S and A: not r * h of every step, nor a copy of the input terms.
+        assert peak - (S.nbytes + A.nbytes) < n * d_h * X.itemsize
 
 
 def written_out_direction_backward(dH, X, lay, rows, cache, gates, grads):
@@ -580,14 +581,17 @@ class TestBackwardLoop:
         X = rng.normal(size=(sum(lengths), 5)).astype(dtype)
         with encoder_worker(worker):
             H, cache = encode_chars(X, fwd, bwd, lengths)
-        _, lay, cf, cb = cache
+        lay = cache[1]
         dH = rng.normal(size=H.shape).astype(dtype)
         grads = [{name: np.zeros_like(a) for name, a in gates.items()} for gates in (fwd, bwd)]
         dX = encode_backward(dH, cache, fwd, bwd, *grads)
         want = [{name: np.zeros_like(a) for name, a in gates.items()} for gates in (fwd, bwd)]
-        parts = [written_out_direction_backward(dH[lay.rows[d], half], X, lay, lay.rows[d], c,
+        # the written-out forward's own (S, A, r * h): dU_h checks the r * h that the
+        # backward pass re-forms against the one the forward recurrence made
+        parts = [written_out_direction_backward(dH[lay.rows[d], half], X, lay, lay.rows[d],
+                                                written_out_direction(X, lay, lay.rows[d], gates),
                                                 gates, want[d])[lay.pos[d]]
-                 for d, half, c, gates in ((0, np.s_[:d_h], cf, fwd), (1, np.s_[d_h:], cb, bwd))]
+                 for d, half, gates in ((0, np.s_[:d_h], fwd), (1, np.s_[d_h:], bwd))]
         want_dX = parts[0]
         want_dX += parts[1]
         assert dX.dtype == dtype

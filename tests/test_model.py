@@ -20,7 +20,7 @@ from lexner.numerics import grad_check
 
 
 def setup_model(seed=0, source="table", fusion="global_attention",
-                words=("江城", "城里", "里看")):
+                words=("江城", "城里", "里看"), bigru_total=8):
     rng = np.random.default_rng(seed)
     scheme = TagScheme("BIOES", ("LOC",))
     sent = Sentence(tuple("去江城里看"),
@@ -28,7 +28,7 @@ def setup_model(seed=0, source="table", fusion="global_attention",
                     "m0")
     lex = build_lexicon(list(words), None, dim=3, rng=rng)
     vocab = build_char_vocab([sent])
-    mcfg = TrainConfig(d_c=4, bigru_total=8, d_w=3, dropout=0.1, fusion_strategy=fusion)
+    mcfg = TrainConfig(d_c=4, bigru_total=bigru_total, d_w=3, dropout=0.1, fusion_strategy=fusion)
     store = init_params(mcfg, scheme.size, source, len(vocab), lex.embeddings, rng)
     return store, sent, lex, vocab, mcfg, scheme
 
@@ -404,6 +404,24 @@ class TestTagSentences:
         # Two chunks hold one chunk's arrays and the first chunk's tags and lattice;
         # a first chunk's cache kept through the second's forward pass took 1.8x.
         assert peak(items) < 1.5 * peak(items[:1])
+
+    def test_peak_per_character_is_the_arrays_a_chunk_holds(self):
+        store, _, lex, vocab, mcfg, _ = setup_model(bigru_total=256)
+        items = [prepare_sentence(Sentence(tuple("去江城里看城里" * 120), None, f"s{k}"),
+                                  lex, vocab, "slk") for k in range(2)]
+        tracemalloc.start()
+        try:
+            tag_sentences(store, items, mcfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Per character a chunk holds the gates A (3 d_h) and the states S (d_h) of both
+        # directions, H (2 d_h), R = [Hsw | H] (d_w + 2 d_h) and the packed X (d_c). The
+        # lattice, fusion's entries and the step scratch fit in d_h more values; keeping
+        # r * h of every step, in both directions, took 2 d_h more.
+        d_h, d_c, d_w = mcfg.d_h, mcfg.d_c, mcfg.d_w
+        held = 2 * 3 * d_h + 2 * d_h + 2 * d_h + (d_w + 2 * d_h) + d_c
+        assert peak / sum(map(len, items)) < mcfg.dtype.itemsize * (held + d_h)
 
 
 TAG_TEXTS = ["去江城里看", "江城", "里看去", "去", "看江城里", "城里城里江城", "去去去", "江城里看去江"]

@@ -341,8 +341,9 @@ class TestTrainConfig:
         # weight, and a bad g_mode would fail only at the first forward pass
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
         ("patience", 0), ("patience", -1), ("g_mode", "bogus"),
-        # NaN passes a `<= 0` test and inf is positive, but Adam fails on either
-        ("lr", float("nan")), ("lr", float("inf")),
+        # NaN passes a `<= 0` test and inf is positive, but Adam fails on either; one
+        # step of lr 1e300 took the weights where the next forward pass overflowed
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 1e300), ("lr", 1.5),
     ])
     def test_from_dict_rejects_a_value_of_the_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=key):

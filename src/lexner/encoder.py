@@ -30,6 +30,15 @@ separate GEMMs are faster. States are rows of one array that starts with k_0
 zero rows, the initial states; the forward pass keeps it and the gates for
 the backward pass, which re-forms r * h: a step keeps it only as scratch.
 
+The gates lie in one buffer of 3 N d_h values as two blocks: z | r (N, 2 d_h),
+then c (N, d_h). A step of k > 1 rows then runs its in-place ufuncs on a
+contiguous (k, 2 d_h) and a contiguous (k, d_h) slice; on a column block of
+one (N, 3 d_h) array, numpy sends them through its buffered iterator, which
+cost 1.5-1.7x the contiguous call at d_h 256. A one-row step still reads a
+contiguous z | r row and c row. Gate-major (3, N, d_h) blocks were slower
+for the one-row steps, whose z | r became a (2, d_h) view across two planes:
+in a prototype, one-sentence tagging ran 8-25% slower.
+
 The backward loop carries d loss / d h for the running rows from step to
 step and stores the gradients of the three gate pre-activations. After the
 loop, every weight and bias gradient, and dX, is a few GEMMs over them.
@@ -52,7 +61,10 @@ release the GIL around it, but matmul's gufunc dispatch (override and dtype
 resolution, an iterator, its overlap check) holds it 0.7 us longer per call
 (1.25 against 0.53 us on a 2 x 4 product). Best guess, not proven: the
 other thread waits that out at each hand-off, so with the worker the gap
-cost about 2 ms per 120-character sentence at d_h 256.
+cost about 2 ms per 120-character sentence at d_h 256. With one BLAS thread,
+120 one-sentence calls of 40-200 characters at d_h 256 ran 1.17-1.38x faster
+with the worker than without, for 15-47% more CPU time and 24k-27k voluntary
+context switches per pass (OVERLAP_MIN_BYTES has the batch figures).
 """
 from __future__ import annotations
 
@@ -68,9 +80,10 @@ from .errors import ShapeError
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 G_MODES = ("last", "fwd_last_bwd_first")
 # Bytes of one direction's U_z, U_r and U_h from which the directions run on two threads.
-# On 2 CPUs, one BLAS thread, float64, sequential over overlapped time (median of 5): one
-# 60-character sentence 0.57x at d_h 16, 0.78x at 64, 0.90x at 128 and 1.38x at 256 (1.32x
-# at 200 characters); 32 of them 0.74x, 0.92x, 1.38x and 1.64x.
+# On 2 CPUs, one BLAS thread, float64, sequential over overlapped time (median of 21, range
+# over three runs): one 60-character sentence 0.58-0.62x at d_h 64, 0.89-0.99x at 128 and
+# 1.27-1.44x at 256 (1.24-1.40x at 200 characters); 8 of 10-120 characters 0.74-0.88x,
+# 0.88-0.90x and 1.29-1.54x; 32 of them 0.86-1.13x, 1.36-1.38x and 1.35-1.72x.
 OVERLAP_MIN_BYTES = 3 * 128 * 128 * 8
 
 _worker = (None, None)   # (pid that started it, its ThreadPoolExecutor)
@@ -138,52 +151,53 @@ def _check(X, gates):
 def _run_direction(X, lay, rows, gates):
     """Forward recurrence of one direction over the packed rows.
 
-    Returns the state array S ((k_0 + N, d_h), the packed states after k_0
-    zero rows) and the gates [z | r | c] (N, 3 d_h).
+    Returns (S, ZR, C): the state array S ((k_0 + N, d_h), the packed states
+    after k_0 zero rows), and the gates as two blocks of one buffer of 3 N d_h
+    values, z | r in ZR (N, 2 d_h), then c in C (N, d_h).
     """
-    d_h, dt = gates["b_z"].shape[0], X.dtype
+    d_h, dt, n = gates["b_z"].shape[0], X.dtype, len(rows)
     X = X[rows]   # packed order, so the input terms need no permuting
-    A = np.empty((len(X), 3 * d_h), dtype=dt)
-    scales = (("z", 0.5), ("r", 0.5), ("h", 1.0))
-    for i, (g, scale) in enumerate(scales):
+    A = np.empty(3 * n * d_h, dtype=dt)   # two blocks, so k > 1 steps run on contiguous slices
+    ZR, C = A[:2 * n * d_h].reshape(n, 2 * d_h), A[2 * n * d_h:].reshape(n, d_h)
+    for out, g, scale in ((ZR[:, :d_h], "z", 0.5), (ZR[:, d_h:], "r", 0.5), (C, "h", 1.0)):
         # one GEMM per gate: a wider product rounds some small batches differently
-        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=A[:, i * d_h:(i + 1) * d_h])
-    # one add over the contiguous A: a ufunc on a column block runs through buffers
-    np.add(A, np.concatenate([scale * gates[f"b_{g}"] for g, scale in scales]), out=A)
+        np.matmul(X, (scale * gates[f"W_{g}"]).T, out=out)
+    np.add(ZR, 0.5 * np.concatenate([gates["b_z"], gates["b_r"]]), out=ZR)
+    np.add(C, gates["b_h"], out=C)
     U_zr = np.vstack([gates["U_z"], gates["U_r"]])
     np.multiply(U_zr, 0.5, out=U_zr)
     U_h, k0 = gates["U_h"], lay.k0
     if k0 > 1:   # a GEMM is fastest with contiguous right operands
         U_zT, U_rT, U_hT = (np.ascontiguousarray(U.T) for U in (U_zr[:d_h], U_zr[d_h:], U_h))
-    S = np.zeros((k0 + len(A), d_h), dtype=dt)
-    RH, P = np.empty((k0, d_h), dtype=dt), np.empty((k0, 2 * d_h), dtype=dt)   # step scratch
+    S = np.zeros((k0 + n, d_h), dtype=dt)
+    # step scratch: r * h, and the recurrent products of z | r and of c
+    RH, P, Q = (np.empty((k0, w), dtype=dt) for w in (d_h, 2 * d_h, d_h))
     for k, o, p in lay.steps:
         if k == 1:   # the one-row tail runs below, from this step (k, o, p) on
             break
         h, rh, h_new = S[k0 + p:k0 + p + k], RH[:k], S[k0 + o:k0 + o + k]
-        zr, c, q, q_h = A[o:o + k, :2 * d_h], A[o:o + k, 2 * d_h:], P[:k], P[:k, :d_h]
+        zr, c, q, q_c = ZR[o:o + k], C[o:o + k], P[:k], Q[:k]
         z, r = zr[:, :d_h], zr[:, d_h:]
-        np.matmul(h, U_zT, out=q_h)
+        np.matmul(h, U_zT, out=q[:, :d_h])
         np.matmul(h, U_rT, out=q[:, d_h:])
         np.add(zr, q, out=zr)
         np.tanh(zr, out=zr)
         np.add(zr, 1.0, out=zr)
         np.multiply(zr, 0.5, out=zr)
         np.multiply(r, h, out=rh)
-        np.matmul(rh, U_hT, out=q_h)
-        np.add(c, q_h, out=c)
+        np.matmul(rh, U_hT, out=q_c)
+        np.add(c, q_c, out=c)
         np.tanh(c, out=c)
         np.subtract(1.0, z, out=h_new)
         np.multiply(h_new, h, out=h_new)
-        np.multiply(z, c, out=q_h)
-        np.add(h_new, q_h, out=h_new)
+        np.multiply(z, c, out=q_c)
+        np.add(h_new, q_c, out=h_new)
     else:
-        return S, A
+        return S, ZR, C
     dot, add, multiply, subtract, tanh = np.dot, np.add, np.multiply, np.subtract, np.tanh
     h, rh, q, q_h = S[k0 + p], RH[0], P[0], P[0, :d_h]
     U_zr1, U_h1 = U_zr.T, U_h.T   # views: dot(h, U.T) is U @ h's gemv
-    for zr, z, r, c, h_new in zip(A[o:, :2 * d_h], A[o:, :d_h], A[o:, d_h:2 * d_h],
-                                  A[o:, 2 * d_h:], S[k0 + o:]):
+    for zr, z, r, c, h_new in zip(ZR[o:], ZR[o:, :d_h], ZR[o:, d_h:], C[o:], S[k0 + o:]):
         dot(h, U_zr1, out=q)
         add(zr, q, out=zr)
         tanh(zr, out=zr)
@@ -198,7 +212,7 @@ def _run_direction(X, lay, rows, gates):
         multiply(z, c, out=q_h)
         add(h_new, q_h, out=h_new)
         h = h_new
-    return S, A
+    return S, ZR, C
 
 
 def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
@@ -206,17 +220,25 @@ def _run_direction_backward(dH, X, lay, rows, cache, gates, grads):
 
     Returns dX for the packed rows.
     """
-    S, A = cache
+    S, ZR, C = cache
     d_h = S.shape[1]
-    Z, R, C = A[:, :d_h], A[:, d_h:2 * d_h], A[:, 2 * d_h:]
+    Z, R = ZR[:, :d_h], ZR[:, d_h:]
     H_prev = S[lay.k0 + lay.pred]
-    # per-row factors of the pre-activation gradients; only dh varies
+    # per-row factors of the pre-activation gradients; only dh varies. Each is formed in
+    # one temporary, in the order (C - H_prev) * Z * keep, RH * (1 - R), Z * (1 - C * C).
     RH, keep = H_prev * R, 1.0 - Z   # r * h: the forward step's product of the same operands
-    K_z, K_r, K_c = (C - H_prev) * Z * keep, RH * (1.0 - R), Z * (1.0 - C * C)
+    K_z = C - H_prev
+    K_z *= Z
+    K_z *= keep
+    K_r = 1.0 - R
+    K_r *= RH
+    K_c = C * C
+    np.subtract(1.0, K_c, out=K_c)
+    K_c *= Z
     U_z, U_r, U_h = gates["U_z"], gates["U_r"], gates["U_h"]
     U_zr = np.vstack([U_z, U_r])
-    G = np.empty_like(A)                     # [g_z | g_r | g_c]
-    carry = np.zeros((lay.k0, d_h), dtype=A.dtype)
+    G = np.empty((len(C), 3 * d_h), dtype=C.dtype)   # [g_z | g_r | g_c]
+    carry = np.zeros((lay.k0, d_h), dtype=C.dtype)
     drh, tmp = np.empty_like(carry), np.empty_like(carry)
     for k, o, _ in reversed(lay.steps):
         dh = dH[o:o + k]

@@ -344,9 +344,11 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
     dev_inputs = prepare_sentences(dev_set.sentences, lexicon, char_vocab,
                                    config.knowledge_mode, char_vectors)
     dev_gold = gold_spans(dev_set)
-    # lexicon coverage: the share of training characters with at least one word in their set
+    # lexicon coverage: the share of training characters with at least one word in their set,
+    # and the word-set entries per training character
     train_chars = sum(map(len, inputs))
     covered = sum(int(np.count_nonzero(np.diff(item.words.offsets))) for item in inputs)
+    entries = sum(int(item.words.offsets[-1]) for item in inputs)
 
     if resume is None:   # the run's state: what a snapshot saves, rng_state aside
         run = Checkpoint(init_params(config, scheme.size, source, len(char_vocab),
@@ -392,6 +394,7 @@ def train(train_set: Dataset, dev_set: Dataset, lexicon: Lexicon,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                 "train_chars_per_s": train_chars / train_s,
                 "lexicon_coverage": covered / train_chars,
+                "lexicon_words_per_char": entries / train_chars,
             }
             history.append(record)
             if log_fh:

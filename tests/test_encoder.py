@@ -439,6 +439,10 @@ class TestTwoThreads:
         assert done.returncode == 0, done.stderr
 
 
+# a training batch of the default size 32, 10-120 characters each
+BATCH_32 = [10 + 53 * i % 111 for i in range(32)]
+
+
 def written_out_direction(X, lay, rows, gates):
     """One direction's forward recurrence written out: the input terms in the rows of X,
     then permuted into packed order, and every step on 2-D slices of k rows."""
@@ -491,6 +495,8 @@ class TestForwardLoop:
     @example([30, 3, 1], 33, np.float32, True, 2)     # a long one-row tail after a batch
     @example([40], 256, np.float64, True, 3)          # the gemv sizes that tagging runs
     @example([40], 256, np.float32, True, 4)
+    @example(BATCH_32, 256, np.float64, True, 5)      # the reference model's batched steps
+    @example(BATCH_32, 256, np.float32, True, 6)
     def test_gives_the_bits_of_the_written_out_loop(self, lengths, d_h, dtype, worker, seed):
         rng = np.random.default_rng(seed)
         fwd, bwd = random_gates(rng, 5, d_h, dtype), random_gates(rng, 5, d_h, dtype)
@@ -499,9 +505,11 @@ class TestForwardLoop:
             H, (_, lay, cf, cb) = encode_chars(X, fwd, bwd, lengths)
         want = [written_out_direction(X, lay, lay.rows[d], gates) for d, gates in ((0, fwd), (1, bwd))]
         want_H = np.hstack([want[d][0][lay.k0 + lay.pos[d]] for d in (0, 1)])
+        # S, then A's z | r and c blocks; r * h is scratch
+        blocks = [(S, A[:, :2 * d_h], A[:, 2 * d_h:]) for S, A, _ in want]
         assert H.dtype == dtype
         assert [a.tobytes() for a in (H, *cf, *cb)] == \
-            [a.tobytes() for a in (want_H, *want[0][:2], *want[1][:2])]   # S and A; r * h is scratch
+            [a.tobytes() for a in (want_H, *blocks[0], *blocks[1])]
 
     def test_keeps_no_copy_of_the_input_terms(self):
         # numpy traces its data buffers, so the peak counts every array the call makes
@@ -511,10 +519,12 @@ class TestForwardLoop:
         lay = Layout.of([n])
         tracemalloc.start()
         try:
-            S, A = encoder._run_direction(X, lay, lay.rows[0], gates)
+            S, ZR, C = encoder._run_direction(X, lay, lay.rows[0], gates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        A = ZR.base   # the gates' two blocks are one allocation of 3 N d_h values
+        assert C.base is A and A.size == 3 * n * d_h
         # Beyond what it returns, the call holds X in packed order (N x d_in, d_in < d_h),
         # the scaled weights, one step's scratch rows and ufunc buffers. No N x d_h array
         # fits besides S and A: not r * h of every step, nor a copy of the input terms.
@@ -575,6 +585,8 @@ class TestBackwardLoop:
     @example([6, 9, 2, 9], 4, np.float32, False, 1)   # tied longest: no one-row tail
     @example([30, 3, 1], 33, np.float32, True, 2)     # a long one-row tail after a batch
     @example([40], 256, np.float64, False, 3)         # the gemv sizes of the reference model
+    @example(BATCH_32, 256, np.float64, True, 4)      # the reference model's batched steps
+    @example(BATCH_32, 256, np.float32, True, 5)
     def test_gives_the_bits_of_the_written_out_loop(self, lengths, d_h, dtype, worker, seed):
         rng = np.random.default_rng(seed)
         fwd, bwd = random_gates(rng, 5, d_h, dtype), random_gates(rng, 5, d_h, dtype)
